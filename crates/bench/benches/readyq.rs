@@ -1,12 +1,11 @@
 //! Microbenchmarks of the unified SCHED_COOP ready-queue (`usf_nosv::readyq`): the cost of
 //! `pop_for` across its tiers (affinity hit, NUMA-tier steal, aged-valve service) at the
 //! paper's 112-core scale — where the seed's O(cores) oldest-head scans hurt — plus
-//! 224/448-core points tracking the per-node-shard scaling work, and a flat-vs-sharded
-//! comparison of the affinity hot path.
+//! 224/448-core points tracking the per-node-shard scaling work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use usf_nosv::readyq::{CoreMap, ProcQueues, ReadyQueues, ShardedProcQueues};
+use usf_nosv::readyq::{CoreMap, ProcQueues};
 use usf_nosv::Topology;
 
 const AGING: u64 = 20_000_000; // 20 ms in nanoseconds, the paper's quantum
@@ -98,44 +97,10 @@ fn bench_aged_valve(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sharded backing's steady-state affinity hit: same workload as
-/// `bench_affinity_hit`, but through `ShardedProcQueues` — one shared-lock touch for the
-/// seq stamp plus one shard-lock touch, both uncontended here. Costs must stay within a
-/// small constant of the flat queues at every sweep point, or the shard split is paying
-/// for scalability it does not deliver.
-fn bench_affinity_hit_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("readyq_pop_for/affinity_hit_sharded");
-    for &cores in &[8usize, 112, 224, 448] {
-        group.bench_with_input(BenchmarkId::from_parameter(cores), &cores, |b, &cores| {
-            let mut q: ShardedProcQueues<u64, u64> = ShardedProcQueues::new(map(cores));
-            let mut now = 0u64;
-            for i in 0..(cores as u64 * 8) {
-                q.push(i, Some((i as usize) % cores), now);
-                now += 1;
-            }
-            for i in 0..64 {
-                q.push(u64::MAX - i, None, now);
-            }
-            let mut core = 0usize;
-            b.iter(|| {
-                core = (core + 1) % cores;
-                now += 100;
-                let (item, _) = q
-                    .pop_for_tiered(core, now, AGING)
-                    .expect("queues stay populated");
-                q.push(item, Some(core), now);
-                criterion::black_box(item)
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_affinity_hit,
     bench_node_steal,
-    bench_aged_valve,
-    bench_affinity_hit_sharded
+    bench_aged_valve
 );
 criterion_main!(benches);

@@ -11,12 +11,27 @@
 //!    `LostTask`, then shrink the counterexample and require it to reach one op. A silent
 //!    canary fails the run immediately.
 //! 2. **sweep** — `--seeds` seeded sequences per config over the whole config matrix
-//!    (base / aging-valve / shutdown-biased / domain-heavy / sharded / sharded-valve /
-//!    split-lock / split-valve); every run must hold all invariants. `--smoke` (CI mode)
-//!    runs 256 seeds × 8 configs = 2048 interleavings.
+//!    (see below); every run must hold all invariants. `--smoke` (CI mode) runs
+//!    256 seeds × 5 configs = 1280 interleavings.
 //! 3. **replay** (only when built with `--features sched-trace`) — each sweep run is
 //!    recorded and re-executed through the simulator's SCHED_COOP instantiation
 //!    (`usf_simsched::replay`); any real-vs-sim drift fails the run.
+//!
+//! # The config matrix
+//!
+//! Every 4-core / 2-node config runs two scheduler shards, so cross-shard steals and shard
+//! routing are in play everywhere but `valve`. The matrix had eight entries while the
+//! sharded queue backing and the split-lock scheduler were separate policy kinds:
+//!
+//! | config        | shape                              | subsumes (old matrix)                 |
+//! |---------------|------------------------------------|---------------------------------------|
+//! | `base`        | 4c/2n, long quantum                | `base` (then one shard)               |
+//! | `valve`       | 1c/1n, 1 ns quantum                | `valve` — the one-shard scheduler     |
+//! | `shutdown`    | `base` + mid-sequence shutdown     | `shutdown`; `split-lock` (identical field for field); `sharded` (same shape over the deleted backing) |
+//! | `domains`     | `base` + pin/unpin-heavy op mix    | `domains` (then one shard)            |
+//! | `cross-valve` | 4c/2n, 12 slots, 1 ns quantum      | `split-valve` (identical); `sharded-valve` (same shape over the deleted backing) |
+//!
+//! `cross-valve` is the only config where the foreign aging probe competes with steals.
 //!
 //! On failure the counterexample is greedily shrunk and written to
 //! `target/SCHED_FUZZ_counterexample.txt` (every CI job uploads it as an artifact, and
@@ -31,7 +46,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--smoke",
         value_name: None,
-        help: "CI mode: 256 seeds x 8 configs = 2048 interleavings",
+        help: "CI mode: 256 seeds x 5 configs = 1280 interleavings",
     },
     FlagSpec {
         name: "--seeds",
@@ -63,10 +78,7 @@ fn matrix() -> Vec<(&'static str, FuzzConfig)> {
         ("valve", FuzzConfig::valve()),
         ("shutdown", FuzzConfig::shutdown_biased()),
         ("domains", FuzzConfig::domain_heavy()),
-        ("sharded", FuzzConfig::sharded()),
-        ("sharded-valve", FuzzConfig::sharded_valve()),
-        ("split-lock", FuzzConfig::split_lock()),
-        ("split-valve", FuzzConfig::split_valve()),
+        ("cross-valve", FuzzConfig::cross_valve()),
     ]
 }
 

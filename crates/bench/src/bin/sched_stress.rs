@@ -32,7 +32,7 @@ use usf_bench::cli::{self, FlagSpec};
 use usf_bench::json::{JsonObject, JsonValue};
 use usf_bench::scenario_json::{shards_json, stages_json};
 use usf_nosv::scheduler::Scheduler;
-use usf_nosv::{NosvConfig, PolicyKind, ShardSnapshot, TaskRef, TaskState, Topology};
+use usf_nosv::{NosvConfig, ShardSnapshot, TaskRef, TaskState, Topology};
 
 const FLAGS: &[FlagSpec] = &[
     FlagSpec {
@@ -222,7 +222,7 @@ struct ChurnStats {
     stages: usf_nosv::StageSnapshot,
     /// Per-scheduler-shard delta over the timed window: dispatch-lock acquisitions,
     /// steals lost, valve crossings, and the shard's own dispatch histogram. One entry
-    /// on flat schedulers; one per NUMA node under the split-lock scheduler.
+    /// per NUMA node of the run's topology.
     shards: Vec<ShardSnapshot>,
 }
 
@@ -239,20 +239,18 @@ impl ChurnStats {
 /// Wake churn: `workers` tasks pause in a loop (short spin per wake-up) while producers
 /// re-wake blocked partners from disjoint slices for `duration`.
 ///
-/// With `split_nodes = Some(n)` the run uses the split-lock scheduler over `n` NUMA
-/// nodes, one process domain pinned per node and workers grouped by node so each
+/// With `node_pinned = Some(topology)` the run uses that topology instead of `cfg`'s,
+/// with one process domain pinned per NUMA node and workers grouped by node so each
 /// producer's slice stays node-homogeneous — the shape the per-node dispatch locks are
-/// built for (call with `producers == n` for fully pinned producers).
-fn churn_phase(cfg: &Cfg, locked: bool, split_nodes: Option<usize>) -> ChurnStats {
-    let sched = match split_nodes {
-        Some(n) => Arc::new(Scheduler::new(
-            NosvConfig::with_topology(Topology::new(cfg.cores, n)).policy(PolicyKind::CoopSplit),
-        )),
-        None => Arc::new(Scheduler::new(cfg.nosv())),
-    };
-    let (pids, pid_of): (Vec<_>, Box<dyn Fn(usize) -> usize>) = match split_nodes {
-        Some(n) => {
-            let topo = sched.topology().clone();
+/// built for (call with `producers == nodes` for fully pinned producers).
+fn churn_phase(cfg: &Cfg, locked: bool, node_pinned: Option<&Topology>) -> ChurnStats {
+    let sched = Arc::new(Scheduler::new(match node_pinned {
+        Some(topo) => NosvConfig::with_topology(topo.clone()),
+        None => cfg.nosv(),
+    }));
+    let (pids, pid_of): (Vec<_>, Box<dyn Fn(usize) -> usize>) = match node_pinned {
+        Some(topo) => {
+            let n = topo.num_numa_nodes();
             let pids: Vec<_> = (0..n)
                 .map(|node| {
                     let p = sched.register_process(format!("node-{node}"));
@@ -387,16 +385,16 @@ fn fastpath_sentinel() {
     println!("fast-path sentinel: OK (64 saturated submits, 0 lock acquisitions)");
 }
 
-/// Split-lock regression sentinel: on the split-lock scheduler, a steady-state
+/// Per-node-lock regression sentinel: on a 2-node topology, a steady-state
 /// pause/submit churn window (workers already attached) must record **zero**
 /// global-section acquisitions — every same-node scheduling point stays on its shard's
 /// dispatch lock. Deterministic on any host (two threads, one worker). Panics — failing
 /// CI — on regression.
 fn split_churn_sentinel() {
     const CYCLES: usize = 128;
-    let sched = Arc::new(Scheduler::new(
-        NosvConfig::with_topology(Topology::new(2, 2)).policy(PolicyKind::CoopSplit),
-    ));
+    let sched = Arc::new(Scheduler::new(NosvConfig::with_topology(Topology::new(
+        2, 2,
+    ))));
     let pid = sched.register_process("sentinel");
     let task = sched.create_task(pid, None).expect("live");
     let window: Arc<std::sync::Mutex<Option<u64>>> = Arc::default();
@@ -429,14 +427,14 @@ fn split_churn_sentinel() {
     let acqs = window.lock().unwrap().expect("window not recorded");
     assert_eq!(
         acqs, 0,
-        "regression: steady-state split-lock churn acquired the global section {acqs} times"
+        "regression: steady-state 2-node churn acquired the global section {acqs} times"
     );
     sched.shutdown();
     println!("split-churn sentinel: OK ({CYCLES} churn cycles, 0 global-section acquisitions)");
 }
 
-/// Node-scaling measurement: the same node-pinned wake churn on the split-lock
-/// scheduler with 1 node (single dispatch lock) and 2 nodes (one lock per node).
+/// Node-scaling measurement: the same node-pinned wake churn on a 1-node topology
+/// (single dispatch lock) and a 2-node one (one lock per node).
 /// Returns `None` — skipping the gate and the JSON section — on hosts without the
 /// parallelism to run the two node-churns concurrently, or when
 /// `USF_SKIP_NODE_SCALING` is set.
@@ -453,9 +451,10 @@ fn node_scaling_phase(cfg: &Cfg) -> Option<(ChurnStats, ChurnStats)> {
     // workload itself; the 1-node run serializes both through one dispatch lock.
     let mut node_cfg = cfg.clone();
     node_cfg.producers = 2;
-    let _ = churn_phase(&node_cfg, false, Some(1)); // warm-up
-    let one = churn_phase_merged(&node_cfg, false, Some(1));
-    let two = churn_phase_merged(&node_cfg, false, Some(2));
+    let (topo1, topo2) = (Topology::new(cfg.cores, 1), Topology::new(cfg.cores, 2));
+    let _ = churn_phase(&node_cfg, false, Some(&topo1)); // warm-up
+    let one = churn_phase_merged(&node_cfg, false, Some(&topo1));
+    let two = churn_phase_merged(&node_cfg, false, Some(&topo2));
     let rate = |c: &ChurnStats| c.grants as f64 / c.elapsed_s.max(1e-9);
     println!(
         "node-scaling: 1-node {:>9.0} grants/s, 2-node {:>9.0} grants/s ({:.2}x)",
@@ -495,10 +494,10 @@ fn node_scaling_gate(one: &ChurnStats, two: &ChurnStats) {
 /// lucky window — e.g. a locked baseline where every grant happened to land
 /// synchronously — should not decide the gate either way; percentiles over the pooled
 /// samples are what the gate and `BENCH_sched.json` report.
-fn churn_phase_merged(cfg: &Cfg, locked: bool, split_nodes: Option<usize>) -> ChurnStats {
+fn churn_phase_merged(cfg: &Cfg, locked: bool, node_pinned: Option<&Topology>) -> ChurnStats {
     let mut merged: Option<ChurnStats> = None;
     for _ in 0..cfg.rounds.max(5) {
-        let run = churn_phase(cfg, locked, split_nodes);
+        let run = churn_phase(cfg, locked, node_pinned);
         match &mut merged {
             None => merged = Some(run),
             Some(m) => {
@@ -605,7 +604,7 @@ fn write_json(
             .field("wake_baseline_stages", stages_json(&b.stages)),
         None => doc.field("wake_baseline_grants_per_sec", JsonValue::Null),
     };
-    // Per-node scaling of the split-lock scheduler: the same node-pinned churn through
+    // Per-node scaling of the dispatch locks: the same node-pinned churn through
     // one dispatch lock vs one lock per node, with the 2-node run's per-node breakdown
     // (this is the per-node stage evidence CI uploads).
     doc = match node_scaling {

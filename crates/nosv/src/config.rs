@@ -1,6 +1,6 @@
 //! Scheduler configuration.
 
-use crate::policy::{CoopPolicy, FifoPolicy, Policy, ShardedCoopPolicy};
+use crate::policy::{CoopPolicy, FifoPolicy, Policy};
 use crate::topology::Topology;
 use std::fmt;
 use std::sync::Arc;
@@ -13,18 +13,10 @@ pub type PolicyFactory = Arc<dyn Fn(&NosvConfig) -> Box<dyn Policy> + Send + Syn
 #[derive(Clone)]
 pub enum PolicyKind {
     /// The paper's SCHED_COOP selection rule: per-process per-core FIFO queues, affinity →
-    /// NUMA → anywhere placement, per-process quantum evaluated at scheduling points.
+    /// NUMA → anywhere placement, per-process quantum evaluated at scheduling points. The
+    /// scheduler runs one independently locked instance per NUMA node of the topology
+    /// (one node ⇒ one instance), arbitrated by [`crate::readyq::ShardLadder`].
     Coop,
-    /// SCHED_COOP over the per-NUMA-node sharded ready-queue backing: identical pick
-    /// sequences (pinned by the `readyq_equivalence` tests), but queue storage split into
-    /// per-node shards with cross-shard stealing only on local exhaustion.
-    CoopSharded,
-    /// SCHED_COOP with the *scheduler state itself* split along the NUMA shard boundary:
-    /// one independently locked `ShardState` (core slots + a full SCHED_COOP ready-queue
-    /// core) per node, cross-shard work reached only through steal-on-exhaustion and the
-    /// rate-limited cross-shard aging valve. Same-node scheduling points take only their
-    /// shard lock (see the lock-hierarchy table in DESIGN.md).
-    CoopSplit,
     /// A single global FIFO ignoring affinity and process quanta. Used as an ablation of the
     /// locality-aware design and as an example of a user-defined policy.
     Fifo,
@@ -36,8 +28,6 @@ impl fmt::Debug for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PolicyKind::Coop => write!(f, "Coop"),
-            PolicyKind::CoopSharded => write!(f, "CoopSharded"),
-            PolicyKind::CoopSplit => write!(f, "CoopSplit"),
             PolicyKind::Fifo => write!(f, "Fifo"),
             PolicyKind::Custom(_) => write!(f, "Custom(..)"),
         }
@@ -45,21 +35,13 @@ impl fmt::Debug for PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiate the policy object for this kind.
+    /// Instantiate the policy object for this kind (the scheduler calls this once per
+    /// shard).
     pub fn build(&self, config: &NosvConfig) -> Box<dyn Policy> {
         match self {
+            // Over the full topology even when it is one shard of several: a shard picks
+            // for a foreign core when stolen from.
             PolicyKind::Coop => Box::new(CoopPolicy::new(
-                config.topology.clone(),
-                config.process_quantum,
-            )),
-            PolicyKind::CoopSharded => Box::new(ShardedCoopPolicy::new(
-                config.topology.clone(),
-                config.process_quantum,
-            )),
-            // The split-lock scheduler instantiates one of these per shard; each shard's
-            // policy is a plain SCHED_COOP core over the full topology (a shard can pick
-            // for a foreign core when stolen from), the split living in `scheduler.rs`.
-            PolicyKind::CoopSplit => Box::new(CoopPolicy::new(
                 config.topology.clone(),
                 config.process_quantum,
             )),
@@ -159,12 +141,6 @@ mod tests {
     fn policy_kind_builds_expected_policies() {
         let cfg = NosvConfig::with_cores(2);
         assert_eq!(PolicyKind::Coop.build(&cfg).name(), "sched_coop");
-        assert_eq!(
-            PolicyKind::CoopSharded.build(&cfg).name(),
-            "sched_coop_sharded"
-        );
-        // Per-shard building block of the split-lock scheduler: a plain SCHED_COOP core.
-        assert_eq!(PolicyKind::CoopSplit.build(&cfg).name(), "sched_coop");
         assert_eq!(PolicyKind::Fifo.build(&cfg).name(), "fifo");
         let custom = PolicyKind::Custom(Arc::new(|_cfg: &NosvConfig| {
             Box::new(FifoPolicy::new()) as Box<dyn Policy>

@@ -68,22 +68,13 @@ pub struct FuzzConfig {
     pub allow_shutdown: bool,
     /// Bias generation towards domain pin/unpin churn.
     pub pin_bias: bool,
-    /// Install the per-NUMA-node sharded ready-queue backing
-    /// ([`crate::config::PolicyKind::CoopSharded`]) instead of the flat one. Pick
-    /// sequences are specified to be identical, so every oracle holds unchanged.
-    pub sharded: bool,
-    /// Install the split-lock scheduler ([`crate::config::PolicyKind::CoopSplit`]): one
-    /// dispatch lock and one policy instance per NUMA node, with cross-shard stealing
-    /// and the cross-shard aging valve arbitrating between them. The fuzz harness is
-    /// serial, so every `try_lock` probe succeeds and the recorded schedules replay
-    /// deterministically through the simulator's split path. Takes precedence over
-    /// `sharded` when both are set.
-    pub split: bool,
 }
 
 impl FuzzConfig {
-    /// The baseline configuration: 4 cores / 2 nodes, 3 processes, 8 slots, a quantum far
-    /// longer than any run (the valve never fires), no shutdown.
+    /// The baseline configuration: 4 cores / 2 nodes (two scheduler shards, so steals and
+    /// shard routing are always in play; the harness is serial, so every `try_lock`
+    /// succeeds and recorded schedules replay deterministically), 3 processes, 8 slots, a
+    /// quantum far longer than any run (no valve ever fires), no shutdown.
     pub fn base() -> Self {
         FuzzConfig {
             cores: 4,
@@ -94,13 +85,12 @@ impl FuzzConfig {
             ops: 64,
             allow_shutdown: false,
             pin_bias: false,
-            sharded: false,
-            split: false,
         }
     }
 
     /// Oversubscribed single-core variant with a 1 ns quantum: every pop crosses the
-    /// quantum and aging-valve deadlines, exercising the anti-starvation tiers.
+    /// quantum and aging-valve deadlines, exercising the anti-starvation tiers — and the
+    /// one config that runs the one-shard scheduler.
     pub fn valve() -> Self {
         FuzzConfig {
             cores: 1,
@@ -112,7 +102,7 @@ impl FuzzConfig {
     }
 
     /// Like [`FuzzConfig::base`] but [`FuzzOp::Shutdown`] can appear mid-sequence, with
-    /// submits and domain changes continuing after it.
+    /// submits and domain changes continuing after it (the multi-shard teardown paths).
     pub fn shutdown_biased() -> Self {
         FuzzConfig {
             allow_shutdown: true,
@@ -128,46 +118,11 @@ impl FuzzConfig {
         }
     }
 
-    /// [`FuzzConfig::base`] over the per-node sharded ready queues, with shutdown
-    /// interleavings allowed: same invariants, sharded storage.
-    pub fn sharded() -> Self {
+    /// [`FuzzConfig::valve`]'s 1 ns quantum on the 4-core / 2-node topology: the
+    /// *cross-shard* aging probe fires on essentially every pop, so the foreign aging
+    /// rung and the steal rung compete constantly.
+    pub fn cross_valve() -> Self {
         FuzzConfig {
-            sharded: true,
-            allow_shutdown: true,
-            ..Self::base()
-        }
-    }
-
-    /// Sharded variant of [`FuzzConfig::valve`] — but on a 4-core / 2-node topology so
-    /// the aging valve's cross-shard scan (not just the trivial single-shard case) runs
-    /// on every pop.
-    pub fn sharded_valve() -> Self {
-        FuzzConfig {
-            sharded: true,
-            slots: 12,
-            quantum: Duration::from_nanos(1),
-            ..Self::base()
-        }
-    }
-
-    /// [`FuzzConfig::base`] over the split-lock scheduler (two dispatch locks on the
-    /// 4-core / 2-node topology) with shutdown interleavings allowed: cross-shard
-    /// steals, the multi-shard teardown paths, and the shard-routing of every
-    /// scheduling point run under the full oracle set.
-    pub fn split_lock() -> Self {
-        FuzzConfig {
-            split: true,
-            allow_shutdown: true,
-            ..Self::base()
-        }
-    }
-
-    /// Split-lock variant of [`FuzzConfig::sharded_valve`]: a 1 ns quantum makes the
-    /// *cross-shard* aging valve fire on essentially every pop, so the valve tier and
-    /// the steal tier compete constantly.
-    pub fn split_valve() -> Self {
-        FuzzConfig {
-            split: true,
             slots: 12,
             quantum: Duration::from_nanos(1),
             ..Self::base()
@@ -720,14 +675,9 @@ impl Harness {
 }
 
 fn build_scheduler(cfg: &FuzzConfig) -> Scheduler {
-    let mut config =
-        NosvConfig::with_topology(Topology::new(cfg.cores, cfg.nodes)).quantum(cfg.quantum);
-    if cfg.split {
-        config = config.policy(crate::config::PolicyKind::CoopSplit);
-    } else if cfg.sharded {
-        config = config.policy(crate::config::PolicyKind::CoopSharded);
-    }
-    Scheduler::new(config)
+    Scheduler::new(
+        NosvConfig::with_topology(Topology::new(cfg.cores, cfg.nodes)).quantum(cfg.quantum),
+    )
 }
 
 fn run(
@@ -899,10 +849,7 @@ mod tests {
             FuzzConfig::valve(),
             FuzzConfig::shutdown_biased(),
             FuzzConfig::domain_heavy(),
-            FuzzConfig::sharded(),
-            FuzzConfig::sharded_valve(),
-            FuzzConfig::split_lock(),
-            FuzzConfig::split_valve(),
+            FuzzConfig::cross_valve(),
         ] {
             for seed in 0..8 {
                 let ops = generate(&cfg, seed);
@@ -1053,8 +1000,7 @@ mod tests {
             FuzzConfig::base(),
             FuzzConfig::valve(),
             FuzzConfig::shutdown_biased(),
-            FuzzConfig::sharded_valve(),
-            FuzzConfig::split_valve(),
+            FuzzConfig::cross_valve(),
         ] {
             for seed in 0..6 {
                 let ops = generate(&cfg, seed);

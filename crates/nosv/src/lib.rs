@@ -82,12 +82,9 @@ pub use obs::{
     GaugesSnapshot, Histogram, HistogramSnapshot, ProcessGauges, ShardSnapshot, ShardStats,
     StageSnapshot, StageStats, StatsRegistry, StatsSample, StatsSampler, StatsSnapshot,
 };
-pub use policy::{CoopPolicy, FifoPolicy, Policy, ShardedCoopPolicy, TaskMeta};
+pub use policy::{CoopPolicy, FifoPolicy, Policy, TaskMeta};
 pub use process::ProcessId;
-pub use readyq::{
-    CoopCore, CoreMap, CrossValve, PickTier, ProcQueues, ReadyQueues, ReadyTime, ShardedCoopCore,
-    ShardedProcQueues, TopologyView,
-};
+pub use readyq::{CoopCore, CoopShards, CoreMap, PickTier, ProcQueues, ReadyTime, TopologyView};
 pub use sched_trace::{TraceEntry, TraceEvent, TraceMeta, TraceRecorder};
 pub use scheduler::{KillReport, StallReport};
 pub use task::{Task, TaskId, TaskRef, TaskState, WaitOutcome};
@@ -97,7 +94,7 @@ pub use topology::{CoreId, Topology};
 pub mod prelude {
     pub use crate::config::{NosvConfig, PolicyKind};
     pub use crate::instance::{NosvInstance, TaskHandle};
-    pub use crate::policy::{CoopPolicy, FifoPolicy, Policy, ShardedCoopPolicy, TaskMeta};
+    pub use crate::policy::{CoopPolicy, FifoPolicy, Policy, TaskMeta};
     pub use crate::process::ProcessId;
     pub use crate::task::{TaskRef, TaskState, WaitOutcome};
     pub use crate::topology::{CoreId, Topology};

@@ -25,8 +25,8 @@ pub struct SchedulerMetrics {
     /// fast path never touches any scheduler lock.
     pub lock_acquisitions: AtomicU64,
     /// Global-section lock acquisitions only (process/task tables, id counters, shutdown).
-    /// Under the split-lock scheduler the steady-state churn window must record zero of
-    /// these: same-node scheduling points stay entirely on their shard lock.
+    /// A steady-state churn window must record zero of these: same-node scheduling
+    /// points stay entirely on their shard lock.
     pub global_lock_acquisitions: AtomicU64,
     /// `nosv_pause` calls that actually blocked (released their core).
     pub pauses: AtomicU64,

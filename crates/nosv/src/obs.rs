@@ -411,8 +411,8 @@ impl StageSnapshot {
 // ---------------------------------------------------------------------------------------
 
 /// Contention counters and the dispatch-latency histogram of one scheduler shard (one
-/// NUMA node under the split-lock scheduler; flat-locked schedulers keep everything in
-/// shard 0). Counters are bumped with relaxed atomics by the shard's lock/steal/valve
+/// NUMA node under SCHED_COOP; single-queue policies keep everything in shard 0).
+/// Counters are bumped with relaxed atomics by the shard's lock/steal/valve
 /// paths; the histogram records grant→first-run latencies attributed to the *granted*
 /// core's node, so a single slow node cannot hide inside the pooled `dispatch` p99.
 #[derive(Debug)]
@@ -596,7 +596,7 @@ pub struct StatsSnapshot {
     pub gauges: GaugesSnapshot,
     /// Stage-boundary latency histograms.
     pub stages: StageSnapshot,
-    /// Per-NUMA-node scheduler-shard stats (one entry per node; flat-locked schedulers
+    /// Per-NUMA-node scheduler-shard stats (one entry per node; single-queue policies
     /// report a single shard).
     pub shards: Vec<ShardSnapshot>,
 }

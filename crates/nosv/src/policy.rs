@@ -7,7 +7,7 @@
 //! as a template for user-defined policies.
 
 use crate::process::ProcessId;
-use crate::readyq::{CoopCore, PickTier, ShardedCoopCore};
+use crate::readyq::{CoopCore, PickTier};
 use crate::task::TaskId;
 use crate::topology::{CoreId, Topology};
 use std::collections::VecDeque;
@@ -67,9 +67,9 @@ pub trait Policy: Send {
     }
 
     /// Aging-valve-only pick on behalf of `core`: return a task that has waited longer
-    /// than its fairness deadline, or `None`. The split-lock scheduler's cross-shard
-    /// aging valve probes *foreign* shards through this method, so it must not rotate the
-    /// quantum ring or otherwise consume the process turn. Policies without an aging
+    /// than its fairness deadline, or `None`. The scheduler's cross-shard aging probe
+    /// reaches *foreign* shards through this method, so it must not rotate the quantum
+    /// ring or otherwise consume the process turn. Policies without an aging
     /// valve (e.g. the FIFO ablation) keep the default no-op.
     fn pick_aged(&mut self, topo: &Topology, core: CoreId, now: Instant) -> Option<TaskMeta> {
         let _ = (topo, core, now);
@@ -166,103 +166,6 @@ impl CoopPolicy {
 impl Policy for CoopPolicy {
     fn name(&self) -> &str {
         "sched_coop"
-    }
-
-    fn register_process(&mut self, process: ProcessId) {
-        self.core.register_process(process);
-    }
-
-    fn deregister_process(&mut self, process: ProcessId) {
-        self.core.deregister_process(process);
-    }
-
-    fn set_process_domain(&mut self, process: ProcessId, cores: Option<Vec<CoreId>>) {
-        self.core.set_process_domain(process, cores);
-    }
-
-    fn enqueue(&mut self, _topo: &Topology, task: TaskMeta, now: Instant) {
-        self.core
-            .enqueue(task.process, task, task.preferred_core, now);
-    }
-
-    fn pick(&mut self, _topo: &Topology, core: CoreId, now: Instant) -> Option<TaskMeta> {
-        self.core.pick(core, now)
-    }
-
-    fn pick_traced(
-        &mut self,
-        _topo: &Topology,
-        core: CoreId,
-        now: Instant,
-    ) -> Option<(TaskMeta, Option<PickTier>)> {
-        self.core.pick_tiered(core, now).map(|(m, t)| (m, Some(t)))
-    }
-
-    fn pick_aged(&mut self, _topo: &Topology, core: CoreId, now: Instant) -> Option<TaskMeta> {
-        self.core.pick_aged_for(core, now)
-    }
-
-    fn has_ready(&self) -> bool {
-        self.core.has_ready()
-    }
-
-    fn ready_count(&self) -> usize {
-        self.core.ready_count()
-    }
-
-    fn rotations(&self) -> u64 {
-        self.core.rotations()
-    }
-
-    fn queue_depths(&self) -> Vec<(ProcessId, usize, usize)> {
-        self.core.queue_depths()
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// SCHED_COOP, per-NUMA-node sharded
-// ---------------------------------------------------------------------------------------
-
-/// [`CoopPolicy`] over the per-NUMA-node sharded ready-queue backing.
-///
-/// Identical selection semantics — the policy drives the *same* [`CoopCore`] generic
-/// (quantum ring, turn passing, tiered pick loop); only the queue storage differs:
-/// per-core FIFOs are grouped into per-node shards, each behind its own lock, and a core
-/// touches remote shards only after its own shard and the unbound queue are exhausted
-/// (steal-on-exhaustion). Pick sequences are therefore pinned to [`CoopPolicy`]'s — the
-/// `readyq_equivalence` property tests and `sched-trace` replay enforce it — while the
-/// lock an enqueue or pick takes is (valve aside) local to the task's node.
-///
-/// Note that the [`Policy`] contract still serializes calls under the scheduler lock; the
-/// sharding pays off once the scheduler itself drives shards concurrently, and is
-/// exercised today for its equivalence properties and per-shard accounting.
-#[derive(Debug)]
-pub struct ShardedCoopPolicy {
-    core: ShardedCoopCore<ProcessId, TaskMeta, Instant>,
-}
-
-impl ShardedCoopPolicy {
-    /// Create a sharded SCHED_COOP policy for the given topology and per-process quantum.
-    pub fn new(topo: Topology, quantum: Duration) -> Self {
-        ShardedCoopPolicy {
-            core: ShardedCoopCore::new(&topo, quantum),
-        }
-    }
-
-    /// The process whose quantum is currently active, if any.
-    pub fn current_process(&self) -> Option<ProcessId> {
-        self.core.current_process()
-    }
-
-    /// Pick with tier reporting — see [`CoopPolicy::pick_tiered`].
-    pub fn pick_tiered(&mut self, core: CoreId, now: Instant) -> Option<(TaskMeta, PickTier)> {
-        self.core.pick_tiered(core, now)
-    }
-}
-
-impl Policy for ShardedCoopPolicy {
-    fn name(&self) -> &str {
-        "sched_coop_sharded"
     }
 
     fn register_process(&mut self, process: ProcessId) {

@@ -17,6 +17,12 @@
 //! exact policy code the real runtime ships (previously the two crates hand-mirrored this
 //! structure and had to be kept in sync by review).
 //!
+//! The real scheduler runs one [`CoopCore`] per NUMA node, each behind its own lock. The
+//! order in which a core consults them ([`ShardLadder`]: foreign aging probe → local
+//! tiers → steal) and the rule deciding which one a ready item is queued in
+//! ([`enqueue_shard`]) live here too, as pure code: the scheduler and the sim replay both
+//! call them, so there is one copy of the cross-shard order as well.
+//!
 //! # Complexity
 //!
 //! The seed implementation located the oldest queued entry with an O(#cores) scan of every
@@ -41,11 +47,9 @@
 //!    for free. The property tests in `tests/readyq_equivalence.rs` pin this spec.)
 
 use crate::topology::{CoreId, Topology};
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,6 +162,16 @@ impl CoreMap {
     /// Cores belonging to a node.
     pub fn cores_in_node(&self, node: usize) -> &[usize] {
         &self.node_cores[node]
+    }
+}
+
+impl TopologyView for CoreMap {
+    fn view_cores(&self) -> usize {
+        self.cores()
+    }
+
+    fn view_node_of(&self, core: CoreId) -> usize {
+        self.node_of(core)
     }
 }
 
@@ -528,440 +542,17 @@ impl<T, C: ReadyTime> ProcQueues<T, C> {
     }
 }
 
-/// The per-process ready-queue interface [`CoopCore`] schedules through: everything the
-/// quantum ring and the tiered pick need from a backing store. [`ProcQueues`] (the single
-/// structure) and [`ShardedProcQueues`] (per-NUMA-node shards with per-shard locks)
-/// implement it, which is what lets one copy of the ring/turn-passing logic drive both —
-/// the sharded policy cannot drift from the reference because there is no second copy of
-/// the pick sequence to drift.
-pub trait ReadyQueues<T, C: ReadyTime>: Sized {
-    /// Empty queues for the given core map.
-    fn new(map: Arc<CoreMap>) -> Self;
-
-    /// Number of queued items.
-    fn len(&self) -> usize;
-
-    /// Whether no item is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of queued items with no usable core preference.
-    fn unbound_len(&self) -> usize;
-
-    /// Restrict (or, with `None`, un-restrict) to a placement domain (see
-    /// [`ProcQueues::set_domain`]).
-    fn set_domain(&mut self, cores: Option<&[CoreId]>);
-
-    /// Whether `core` may pop under the current placement domain.
-    fn allows(&self, core: CoreId) -> bool;
-
-    /// Enqueue an item (see [`ProcQueues::push`]).
-    fn push(&mut self, item: T, preferred: Option<usize>, now: C);
-
-    /// The anti-starvation valve (see [`ProcQueues::pop_aged`]).
-    fn pop_aged(&mut self, now: C, aging: C::Delta) -> Option<T>;
-
-    /// Affinity-only pop (see [`ProcQueues::pop_affine`]).
-    fn pop_affine(&mut self, core: usize) -> Option<T>;
-
-    /// The tiered pop with tier reporting (see [`ProcQueues::pop_for_tiered`]).
-    fn pop_for_tiered(&mut self, core: usize, now: C, aging: C::Delta) -> Option<(T, PickTier)>;
-}
-
-impl<T, C: ReadyTime> ReadyQueues<T, C> for ProcQueues<T, C> {
-    fn new(map: Arc<CoreMap>) -> Self {
-        ProcQueues::new(map)
-    }
-
-    fn len(&self) -> usize {
-        ProcQueues::len(self)
-    }
-
-    fn unbound_len(&self) -> usize {
-        ProcQueues::unbound_len(self)
-    }
-
-    fn set_domain(&mut self, cores: Option<&[CoreId]>) {
-        ProcQueues::set_domain(self, cores)
-    }
-
-    fn allows(&self, core: CoreId) -> bool {
-        ProcQueues::allows(self, core)
-    }
-
-    fn push(&mut self, item: T, preferred: Option<usize>, now: C) {
-        ProcQueues::push(self, item, preferred, now)
-    }
-
-    fn pop_aged(&mut self, now: C, aging: C::Delta) -> Option<T> {
-        ProcQueues::pop_aged(self, now, aging)
-    }
-
-    fn pop_affine(&mut self, core: usize) -> Option<T> {
-        ProcQueues::pop_affine(self, core)
-    }
-
-    fn pop_for_tiered(&mut self, core: usize, now: C, aging: C::Delta) -> Option<(T, PickTier)> {
-        ProcQueues::pop_for_tiered(self, core, now, aging)
-    }
-}
-
-/// One per-NUMA-node shard of a [`ShardedProcQueues`]: the node's per-core FIFOs plus the
-/// lazy min-heap over their heads (same registration/compaction doctrine as
-/// [`ProcQueues`]'s `node_heads`), guarded by its own lock. FIFOs are indexed by the
-/// core's position within the node (`ShardedProcQueues::core_shard` maps global ids).
-#[derive(Debug)]
-struct NodeShard<T, C: ReadyTime> {
-    /// Per-core FIFOs, indexed by the core's position in `CoreMap::cores_in_node` order.
-    queues: Vec<VecDeque<Entry<T, C>>>,
-    /// Lazy min-heap over `(head seq, local index)` of the non-empty FIFOs.
-    heads: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl<T, C: ReadyTime> NodeShard<T, C> {
-    fn head_seq(&self, local: usize) -> Option<u64> {
-        self.queues[local].front().map(|e| e.seq)
-    }
-
-    fn register_head(&mut self, seq: u64, local: usize) {
-        self.heads.push(Reverse((seq, local)));
-        if self.heads.len() > 2 * self.queues.len() + 8 {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        self.heads.clear();
-        for (i, q) in self.queues.iter().enumerate() {
-            if let Some(e) = q.front() {
-                self.heads.push(Reverse((e.seq, i)));
-            }
-        }
-    }
-
-    /// Oldest live head in this shard, discarding stale registrations.
-    fn peek(&mut self) -> Option<(u64, usize)> {
-        loop {
-            let (seq, local) = match self.heads.peek() {
-                Some(&Reverse(top)) => top,
-                None => return None,
-            };
-            if self.head_seq(local) == Some(seq) {
-                return Some((seq, local));
-            }
-            self.heads.pop();
-        }
-    }
-
-    /// Pop the head of a local FIFO, registering the queue's new head if any.
-    fn pop_local(&mut self, local: usize) -> Entry<T, C> {
-        let entry = self.queues[local]
-            .pop_front()
-            .expect("candidate queue has a head");
-        if let Some(seq) = self.head_seq(local) {
-            self.register_head(seq, local);
-        }
-        entry
-    }
-}
-
-/// Shared (non-sharded) section of a [`ShardedProcQueues`]: the unbound FIFO — which
-/// competes in every node's tier, so no shard can own it — plus the placement domain, the
-/// counters and the aging-valve deadline.
-#[derive(Debug)]
-struct SharedQ<T, C: ReadyTime> {
-    unbound: VecDeque<Entry<T, C>>,
-    domain: Option<Vec<bool>>,
-    count: usize,
-    next_seq: u64,
-    next_valve_at: Option<C>,
-}
-
-impl<T, C: ReadyTime> SharedQ<T, C> {
-    fn allows(&self, core: CoreId) -> bool {
-        match &self.domain {
-            Some(mask) => core < mask.len() && mask[core],
-            None => true,
-        }
-    }
-}
-
-/// [`ProcQueues`] split into per-NUMA-node shards with per-shard locks.
-///
-/// Each shard owns its node's per-core FIFOs and head heap; the unbound FIFO, domain
-/// mask, counters and valve deadline live in a small shared section. The pop tiers map
-/// onto shard ownership directly: **affinity** touches only the popping core's own shard,
-/// the **node** tier compares that shard's oldest head against the unbound front, and the
-/// **remote** tier — cross-shard stealing — runs only on local exhaustion (own shard and
-/// unbound both empty), scanning the other shards for the global oldest. The **valve**
-/// scans all shards, but at most once per aging window (the deadline check keeps it off
-/// the common path).
-///
-/// Lock order: shared section → shard, never the reverse, and never two shards at once
-/// (cross-shard scans lock one shard at a time). Today every call already runs under the
-/// scheduler's global lock, so the per-shard locks are uncontended — they encode the
-/// ownership boundary this structure is sharded along, which is what a future per-shard
-/// scheduler lock split needs to already be load-bearing in the data structure.
-///
-/// The pick sequence is **identical** to [`ProcQueues`]' — same seq stamps, same tier
-/// order, same tie-breaks, same valve deadlines — pinned by `tests/readyq_equivalence.rs`
-/// and the `sched_fuzz` sharded config's trace replays.
-#[derive(Debug)]
-pub struct ShardedProcQueues<T, C: ReadyTime> {
-    map: Arc<CoreMap>,
-    /// Global core id → (owning shard, index within the shard).
-    core_shard: Vec<(usize, usize)>,
-    shards: Vec<Mutex<NodeShard<T, C>>>,
-    shared: Mutex<SharedQ<T, C>>,
-}
-
-impl<T, C: ReadyTime> ShardedProcQueues<T, C> {
-    /// Empty sharded queues for the given core map (one shard per NUMA node).
-    pub fn new(map: Arc<CoreMap>) -> Self {
-        let mut core_shard = vec![(0usize, 0usize); map.cores()];
-        let shards: Vec<Mutex<NodeShard<T, C>>> = (0..map.nodes())
-            .map(|n| {
-                let cores: Vec<usize> = map.cores_in_node(n).to_vec();
-                for (i, &c) in cores.iter().enumerate() {
-                    core_shard[c] = (n, i);
-                }
-                Mutex::new(NodeShard {
-                    queues: (0..cores.len()).map(|_| VecDeque::new()).collect(),
-                    heads: BinaryHeap::new(),
-                })
-            })
-            .collect();
-        ShardedProcQueues {
-            map,
-            core_shard,
-            shards,
-            shared: Mutex::new(SharedQ {
-                unbound: VecDeque::new(),
-                domain: None,
-                count: 0,
-                next_seq: 0,
-                next_valve_at: None,
-            }),
-        }
-    }
-
-    /// Number of shards (NUMA nodes).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of queued items in a shard's per-core FIFOs (diagnostics).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard]
-            .lock()
-            .queues
-            .iter()
-            .map(|q| q.len())
-            .sum()
-    }
-
-    /// Oldest queued entry across every shard and the unbound FIFO:
-    /// `(seq, None)` for the unbound front, `(seq, Some((shard, local)))` for a bound
-    /// head. Caller holds the shared lock; shards are locked one at a time.
-    fn global_oldest(&self, sh: &SharedQ<T, C>) -> Option<(u64, Option<(usize, usize)>)> {
-        let mut best: Option<(u64, Option<(usize, usize)>)> =
-            sh.unbound.front().map(|e| (e.seq, None));
-        for (n, shard) in self.shards.iter().enumerate() {
-            if let Some((seq, local)) = shard.lock().peek() {
-                if best.map_or(true, |(b, _)| seq < b) {
-                    best = Some((seq, Some((n, local))));
-                }
-            }
-        }
-        best
-    }
-
-    /// The valve body (see [`ProcQueues::pop_aged`] — same deadlines, same rate limit,
-    /// with `peek_global` realised as a cross-shard scan).
-    fn pop_aged_inner(&mut self, now: C, aging: C::Delta) -> Option<T> {
-        let mut sh = self.shared.lock();
-        if !sh.next_valve_at.map_or(true, |t| now >= t) {
-            return None;
-        }
-        match self.global_oldest(&sh) {
-            Some((_, src)) => {
-                let at = match src {
-                    None => sh.unbound.front().expect("live head").at,
-                    Some((n, local)) => {
-                        self.shards[n].lock().queues[local]
-                            .front()
-                            .expect("live head")
-                            .at
-                    }
-                };
-                if now.since(at) >= aging {
-                    sh.next_valve_at = Some(now.advance(aging));
-                    sh.count -= 1;
-                    match src {
-                        None => Some(sh.unbound.pop_front().expect("live head").item),
-                        Some((n, local)) => Some(self.shards[n].lock().pop_local(local).item),
-                    }
-                } else {
-                    // Nothing aged yet: the current oldest entry is the first that can
-                    // age (later entries age strictly later).
-                    sh.next_valve_at = Some(at.advance(aging));
-                    None
-                }
-            }
-            None => {
-                sh.next_valve_at = Some(now.advance(aging));
-                None
-            }
-        }
-    }
-}
-
-impl<T, C: ReadyTime> ReadyQueues<T, C> for ShardedProcQueues<T, C> {
-    fn new(map: Arc<CoreMap>) -> Self {
-        ShardedProcQueues::new(map)
-    }
-
-    fn len(&self) -> usize {
-        self.shared.lock().count
-    }
-
-    fn unbound_len(&self) -> usize {
-        self.shared.lock().unbound.len()
-    }
-
-    fn set_domain(&mut self, cores: Option<&[CoreId]>) {
-        let n = self.map.cores();
-        self.shared.lock().domain = cores.and_then(|cs| {
-            let mut mask = vec![false; n];
-            let mut any = false;
-            for &c in cs {
-                if c < mask.len() {
-                    mask[c] = true;
-                    any = true;
-                }
-            }
-            any.then_some(mask)
-        });
-    }
-
-    fn allows(&self, core: CoreId) -> bool {
-        self.shared.lock().allows(core)
-    }
-
-    fn push(&mut self, item: T, preferred: Option<usize>, now: C) {
-        let mut sh = self.shared.lock();
-        let seq = sh.next_seq;
-        sh.next_seq += 1;
-        sh.count += 1;
-        let entry = Entry { item, seq, at: now };
-        // Same unbound rule as ProcQueues::push: out-of-range or out-of-domain
-        // preferences must stay reachable through the shared unbound FIFO.
-        match preferred {
-            Some(c) if c < self.map.cores() && sh.allows(c) => {
-                let (n, local) = self.core_shard[c];
-                let mut shard = self.shards[n].lock();
-                let was_empty = shard.queues[local].is_empty();
-                shard.queues[local].push_back(entry);
-                if was_empty {
-                    shard.register_head(seq, local);
-                }
-            }
-            _ => sh.unbound.push_back(entry),
-        }
-    }
-
-    fn pop_aged(&mut self, now: C, aging: C::Delta) -> Option<T> {
-        self.pop_aged_inner(now, aging)
-    }
-
-    fn pop_affine(&mut self, core: usize) -> Option<T> {
-        let mut sh = self.shared.lock();
-        if !sh.allows(core) {
-            return None;
-        }
-        let (n, local) = self.core_shard[core];
-        let mut shard = self.shards[n].lock();
-        if shard.queues[local].front().is_some() {
-            sh.count -= 1;
-            Some(shard.pop_local(local).item)
-        } else {
-            None
-        }
-    }
-
-    fn pop_for_tiered(&mut self, core: usize, now: C, aging: C::Delta) -> Option<(T, PickTier)> {
-        if !ReadyQueues::allows(self, core) {
-            return None;
-        }
-        if let Some(t) = self.pop_aged_inner(now, aging) {
-            return Some((t, PickTier::Aged));
-        }
-        let (node, local) = self.core_shard[core];
-        let mut sh = self.shared.lock();
-        {
-            let mut shard = self.shards[node].lock();
-            if shard.queues[local].front().is_some() {
-                sh.count -= 1;
-                return Some((shard.pop_local(local).item, PickTier::Affinity));
-            }
-            // Node tier: the own shard's oldest head competes with the unbound front by
-            // enqueue order (same comparison as ProcQueues — the bound side wins the
-            // impossible tie, seqs being unique).
-            let node_best = shard.peek();
-            let unbound_seq = sh.unbound.front().map(|e| e.seq);
-            let best = match (node_best, unbound_seq) {
-                (Some((s, l)), Some(us)) => Some(if us < s { None } else { Some(l) }),
-                (Some((_, l)), None) => Some(Some(l)),
-                (None, Some(_)) => Some(None),
-                (None, None) => None,
-            };
-            if let Some(src) = best {
-                sh.count -= 1;
-                return match src {
-                    Some(l) => Some((shard.pop_local(l).item, PickTier::Node)),
-                    None => Some((
-                        sh.unbound.pop_front().expect("live head").item,
-                        PickTier::Node,
-                    )),
-                };
-            }
-        }
-        // Steal-on-exhaustion: the own shard and the unbound FIFO are empty, so the
-        // global oldest (if any) sits in another shard.
-        let mut best: Option<(u64, usize, usize)> = None;
-        for (n, s) in self.shards.iter().enumerate() {
-            if n == node {
-                continue;
-            }
-            if let Some((seq, l)) = s.lock().peek() {
-                if best.map_or(true, |(b, _, _)| seq < b) {
-                    best = Some((seq, n, l));
-                }
-            }
-        }
-        if let Some((_, n, l)) = best {
-            sh.count -= 1;
-            return Some((self.shards[n].lock().pop_local(l).item, PickTier::Remote));
-        }
-        None
-    }
-}
-
-/// The shared SCHED_COOP policy core: per-process ready queues (any [`ReadyQueues`]
-/// backing — [`ProcQueues`] by default, [`ShardedProcQueues`] for the per-node-sharded
-/// variant) plus the per-process quantum ring, generic over process id, queued item and
-/// time type.
+/// The shared SCHED_COOP policy core: [`ProcQueues`] per process domain plus the
+/// per-process quantum ring, generic over process id, queued item and time type.
 ///
 /// `usf_nosv::policy::CoopPolicy` instantiates it as
 /// `CoopCore<ProcessId, TaskMeta, Instant>`; the simulator's `CoopScheduler` as
-/// `CoopCore<ProcessId, ThreadId, SimTime>`; the sharded policy via the
-/// [`ShardedCoopCore`] alias. The ring/turn-passing logic is this one copy of code for
-/// every backing, so the sharded pick sequence cannot drift from the reference.
+/// `CoopCore<ProcessId, ThreadId, SimTime>`. The real scheduler runs one per NUMA node
+/// (see [`ShardLadder`] for how the per-node cores are arbitrated).
 #[derive(Debug)]
-pub struct CoopCore<P, T, C: ReadyTime, Q: ReadyQueues<T, C> = ProcQueues<T, C>> {
+pub struct CoopCore<P, T, C: ReadyTime> {
     map: Arc<CoreMap>,
-    queues: HashMap<P, Q>,
+    queues: HashMap<P, ProcQueues<T, C>>,
     /// Requested per-process placement domains (survive topology re-snapshots, which
     /// rebuild the queues).
     domains: HashMap<P, Vec<CoreId>>,
@@ -973,16 +564,9 @@ pub struct CoopCore<P, T, C: ReadyTime, Q: ReadyQueues<T, C> = ProcQueues<T, C>>
     rotations: u64,
     /// Total queued across every process (O(1) `has_ready`/`ready_count`).
     total: usize,
-    /// The queued-item type only appears through the `Q: ReadyQueues<T, _>` bound.
-    _item: PhantomData<fn() -> T>,
 }
 
-/// [`CoopCore`] over per-NUMA-node-sharded ready queues ([`ShardedProcQueues`]): the
-/// same ring, quantum and tier semantics, with per-shard locks and cross-shard stealing
-/// on local exhaustion.
-pub type ShardedCoopCore<P, T, C> = CoopCore<P, T, C, ShardedProcQueues<T, C>>;
-
-impl<P: Copy + Eq + Hash, T, C: ReadyTime, Q: ReadyQueues<T, C>> CoopCore<P, T, C, Q> {
+impl<P: Copy + Eq + Hash, T, C: ReadyTime> CoopCore<P, T, C> {
     /// Create a policy core for the given topology view and per-process quantum
     /// (the quantum doubles as the aging-valve window).
     pub fn new(view: &impl TopologyView, quantum: C::Delta) -> Self {
@@ -996,7 +580,6 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime, Q: ReadyQueues<T, C>> CoopCore<P, T, 
             quantum_started: None,
             rotations: 0,
             total: 0,
-            _item: PhantomData,
         }
     }
 
@@ -1011,7 +594,7 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime, Q: ReadyQueues<T, C>> CoopCore<P, T, 
         self.map = Arc::clone(&map);
         for (pid, q) in self.queues.iter_mut() {
             self.total -= q.len();
-            *q = Q::new(Arc::clone(&map));
+            *q = ProcQueues::new(Arc::clone(&map));
             q.set_domain(self.domains.get(pid).map(|d| d.as_slice()));
         }
     }
@@ -1093,7 +676,7 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime, Q: ReadyQueues<T, C>> CoopCore<P, T, 
         if self.queues.contains_key(&process) {
             return;
         }
-        let mut q = Q::new(Arc::clone(&self.map));
+        let mut q = ProcQueues::new(Arc::clone(&self.map));
         q.set_domain(self.domains.get(&process).map(|d| d.as_slice()));
         self.queues.insert(process, q);
         self.order.push(process);
@@ -1265,39 +848,174 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime, Q: ReadyQueues<T, C>> CoopCore<P, T, 
     }
 }
 
-/// Rate limiter for the cross-shard aging valve: at most one foreign-shard aged probe per
-/// `period` per shard. Same deadline discipline as the per-queue valve in
-/// [`ProcQueues::pop_for`] — first call arms without firing; once armed, a call at or past
-/// the deadline fires and re-arms from `now`. Driven under the owning shard's lock; the
-/// sim replay keeps an identical instance per shard so probe timing replays exactly.
-#[derive(Debug, Default)]
-pub struct CrossValve<C: ReadyTime> {
-    next_at: Option<C>,
+/// One rung of the cross-shard pick ladder, handed by [`ShardLadder::pick`] to the caller's
+/// "try this shard" closure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LadderStep {
+    /// Aging-valve-only probe of the given foreign shard ([`CoopCore::pick_aged_for`]).
+    ForeignAged(usize),
+    /// The home shard's ordinary tiered pick ([`CoopCore::pick_tiered`]).
+    Local,
+    /// Ordinary tiered pick from the given foreign shard, on local exhaustion.
+    Steal(usize),
 }
 
-impl<C: ReadyTime> CrossValve<C> {
-    /// An unarmed valve.
-    pub fn new() -> Self {
-        CrossValve { next_at: None }
+/// The cross-shard half of SCHED_COOP: the order in which a core of shard `home` consults
+/// the per-NUMA-node [`CoopCore`]s, as pure code over "a way to try shard *i*". The real
+/// scheduler (one ladder per independently locked shard; trying a foreign shard is a
+/// `try_lock`) and the sim replay (plain cores, [`CoopShards`]) both run this one copy,
+/// so the order cannot drift between them.
+///
+/// One [`ShardLadder::pick`] is exactly one logical pick:
+///
+/// 1. **foreign aging probe**, rate-limited to one per `period` per ladder with the same
+///    deadline discipline as the per-queue valve in [`ProcQueues::pop_for`] (the first
+///    pick arms without firing; a pick at or past the deadline fires and re-arms from
+///    `now`): per-node queues must not starve a task whose home node went quiet;
+/// 2. **local tiers** of the home shard;
+/// 3. **steal** from a foreign shard on local exhaustion.
+///
+/// Foreign shards are visited in the order `(home+1 .. home+n) mod n`; a shard the caller
+/// cannot or need not try (lost `try_lock`, nothing ready) answers `None` and the ladder
+/// moves on. With one shard the ladder is the local pick alone and the valve never ticks.
+#[derive(Debug)]
+pub struct ShardLadder<C: ReadyTime> {
+    home: usize,
+    shards: usize,
+    period: C::Delta,
+    /// Deadline of the next foreign aging probe; `None` until the first pick arms it.
+    next_probe_at: Option<C>,
+}
+
+impl<C: ReadyTime> ShardLadder<C> {
+    /// The ladder of shard `home` out of `shards`, probing foreign shards for aged work at
+    /// most once per `period` (the scheduler passes the process quantum).
+    pub fn new(home: usize, shards: usize, period: C::Delta) -> Self {
+        assert!(home < shards, "home shard {home} out of {shards}");
+        ShardLadder {
+            home,
+            shards,
+            period,
+            next_probe_at: None,
+        }
     }
 
-    /// Tick the valve at `now`: returns whether a cross-shard probe is due. Arms on first
-    /// use, re-arms `period` after every firing.
-    pub fn crossed(&mut self, now: C, period: C::Delta) -> bool {
-        match self.next_at {
-            None => {
-                self.next_at = Some(now.advance(period));
-                false
-            }
-            Some(t) => {
-                if t <= now {
-                    self.next_at = Some(now.advance(period));
-                    true
-                } else {
-                    false
-                }
+    /// The foreign shards in visiting order.
+    fn victims(&self) -> impl Iterator<Item = usize> {
+        let (home, n) = (self.home, self.shards);
+        (1..n).map(move |off| (home + off) % n)
+    }
+
+    /// Tick the probe rate limiter: whether a foreign aging probe is due at `now`.
+    fn probe_due(&mut self, now: C) -> bool {
+        if self.shards == 1 {
+            return false;
+        }
+        let due = self.next_probe_at.is_some_and(|t| t <= now);
+        if due || self.next_probe_at.is_none() {
+            self.next_probe_at = Some(now.advance(self.period));
+        }
+        due
+    }
+
+    /// One logical pick at `now`: offer `try_step` the rungs in ladder order until one
+    /// yields. `try_step` performs the actual pick on the named shard (and owns whatever
+    /// makes a shard untryable); it is called at most once per rung.
+    pub fn pick<R>(
+        &mut self,
+        now: C,
+        mut try_step: impl FnMut(LadderStep) -> Option<R>,
+    ) -> Option<R> {
+        if self.probe_due(now) {
+            let aged = self
+                .victims()
+                .find_map(|v| try_step(LadderStep::ForeignAged(v)));
+            if aged.is_some() {
+                return aged;
             }
         }
+        try_step(LadderStep::Local)
+            .or_else(|| self.victims().find_map(|v| try_step(LadderStep::Steal(v))))
+    }
+}
+
+/// The shard owning `core` when a `view` is split into `shards` shards: its NUMA node —
+/// or shard 0 when there is only one shard or the core is outside the view.
+pub fn shard_of_core(view: &impl TopologyView, shards: usize, core: usize) -> usize {
+    if shards == 1 || core >= view.view_cores() {
+        return 0;
+    }
+    view.view_node_of(core)
+}
+
+/// The enqueue routing rule: a yield requeue stays in the shard of the core that yielded
+/// (`yield_core` — the yielder surrendered its preference, and its shard is the one whose
+/// lock is already held); every other ready item goes to its `preferred` core's shard;
+/// an item with no usable core goes to shard 0.
+pub fn enqueue_shard(
+    view: &impl TopologyView,
+    shards: usize,
+    yield_core: Option<usize>,
+    preferred: Option<usize>,
+) -> usize {
+    yield_core
+        .or(preferred)
+        .map_or(0, |c| shard_of_core(view, shards, c))
+}
+
+/// One [`CoopCore`] and one [`ShardLadder`] per NUMA node of a view, every shard always
+/// tryable: the scheduler's ready side without its locks. The sim replay re-executes
+/// recorded schedules on one; the equivalence tests drive one directly.
+pub struct CoopShards<P, T, C: ReadyTime> {
+    /// `cores[i]` is shard `i`; registrations and domains go to every one of them.
+    pub cores: Vec<CoopCore<P, T, C>>,
+    ladders: Vec<ShardLadder<C>>,
+}
+
+impl<P: Copy + Eq + Hash, T, C: ReadyTime> CoopShards<P, T, C> {
+    /// Shards for the given topology view and per-process quantum.
+    pub fn new(view: &impl TopologyView, quantum: C::Delta) -> Self {
+        let n = CoreMap::from_view(view).nodes();
+        CoopShards {
+            cores: (0..n).map(|_| CoopCore::new(view, quantum)).collect(),
+            ladders: (0..n).map(|i| ShardLadder::new(i, n, quantum)).collect(),
+        }
+    }
+
+    /// Enqueue a ready item in the shard [`enqueue_shard`] names.
+    pub fn enqueue(
+        &mut self,
+        process: P,
+        item: T,
+        yield_core: Option<usize>,
+        preferred: Option<usize>,
+        now: C,
+    ) {
+        let map = &*self.cores[0].map;
+        let si = enqueue_shard(map, self.cores.len(), yield_core, preferred);
+        self.cores[si].enqueue(process, item, preferred, now);
+    }
+
+    /// Whether any shard has something queued.
+    pub fn has_ready(&self) -> bool {
+        self.cores.iter().any(|c| c.has_ready())
+    }
+
+    /// One [`ShardLadder::pick`] for `core`. A foreign shard with nothing ready is skipped
+    /// rather than picked from — even an empty pick re-arms valve deadlines and may
+    /// rotate the quantum ring — which is the same guard the real scheduler applies
+    /// through its lock-free per-shard ready counters.
+    pub fn pick(&mut self, core: usize, now: C) -> Option<(T, PickTier)> {
+        let cores = &mut self.cores;
+        let home = shard_of_core(&*cores[0].map, cores.len(), core);
+        self.ladders[home].pick(now, |step| match step {
+            LadderStep::ForeignAged(v) if cores[v].has_ready() => cores[v]
+                .pick_aged_for(core, now)
+                .map(|t| (t, PickTier::Aged)),
+            LadderStep::Local => cores[home].pick_tiered(core, now),
+            LadderStep::Steal(v) if cores[v].has_ready() => cores[v].pick_tiered(core, now),
+            _ => None,
+        })
     }
 }
 
@@ -1647,193 +1365,164 @@ mod tests {
         assert_eq!(core.ready_count(), 1);
     }
 
-    // -- per-node shards ----------------------------------------------------------------
+    // -- cross-shard ladder ---------------------------------------------------------------
+
+    type Shards = CoopShards<u32, u32, u64>;
+
+    /// The rungs a ladder offers at `now` when every one of them comes back empty.
+    fn rungs(ladder: &mut ShardLadder<u64>, now: u64) -> Vec<LadderStep> {
+        let mut seen = Vec::new();
+        let got: Option<()> = ladder.pick(now, |step| {
+            seen.push(step);
+            None
+        });
+        assert!(got.is_none());
+        seen
+    }
 
     #[test]
-    fn sharded_fifo_order_within_one_queue() {
-        let mut q: ShardedProcQueues<u32, u64> = ShardedProcQueues::new(map(1, 1));
-        for id in 1..=5 {
-            q.push(id, Some(0), 0);
+    fn ladder_order_is_probe_local_steal_from_the_next_shard_round() {
+        use LadderStep::*;
+        let mut ladder = ShardLadder::new(1, 3, 50u64);
+        // The first pick only arms the probe (deadline 60); it then fires once per period,
+        // re-armed from the firing pick. Both foreign passes go (home+1, home+2) mod 3.
+        assert_eq!(rungs(&mut ladder, 10), [Local, Steal(2), Steal(0)]);
+        assert_eq!(rungs(&mut ladder, 59), [Local, Steal(2), Steal(0)]);
+        let full = [ForeignAged(2), ForeignAged(0), Local, Steal(2), Steal(0)];
+        assert_eq!(rungs(&mut ladder, 60), full);
+        assert_eq!(rungs(&mut ladder, 109), [Local, Steal(2), Steal(0)]);
+        assert_eq!(rungs(&mut ladder, 500), full);
+        // One shard: the local pick alone, and the valve never ticks, however late.
+        let mut flat = ShardLadder::new(0, 1, 50u64);
+        for now in [0, 50, 10_000] {
+            assert_eq!(rungs(&mut flat, now), [Local]);
         }
-        let got: Vec<u32> = (0..5)
-            .map(|_| q.pop_for_tiered(0, 0, 100).unwrap().0)
-            .collect();
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
-        assert!(q.is_empty());
+        assert!(flat.next_probe_at.is_none());
+    }
+
+    #[test]
+    fn ladder_skipped_victim_falls_through_to_the_next_rung() {
+        use LadderStep::*;
+        let mut s = Shards::new(&Topology::new(6, 3), 50);
+        assert_eq!(s.pick(0, 0), None); // arm shard 0's probe
+        s.cores[1].enqueue(0, 1, Some(2), 0);
+        s.cores[2].enqueue(0, 2, Some(4), 0);
+        // Shard 1 cannot be tried (the scheduler's lost `try_lock`): the due aging probe
+        // and the steal both move on to shard 2 instead of giving up.
+        let skipping = |s: &mut Shards, now: u64| {
+            let cores = &mut s.cores;
+            s.ladders[0].pick(now, |step| match step {
+                ForeignAged(1) | Steal(1) => None,
+                ForeignAged(v) => cores[v].pick_aged_for(0, now).map(|t| (t, PickTier::Aged)),
+                Local => cores[0].pick_tiered(0, now),
+                Steal(v) => cores[v].pick_tiered(0, now),
+            })
+        };
+        assert_eq!(skipping(&mut s, 100), Some((2, PickTier::Aged)));
+        s.cores[2].enqueue(0, 3, Some(5), 100);
+        assert_eq!(skipping(&mut s, 101), Some((3, PickTier::Remote)));
+        assert_eq!(skipping(&mut s, 102), None);
+        assert_eq!(
+            s.cores[1].ready_count(),
+            1,
+            "the skipped shard's entry is untouched"
+        );
     }
 
     #[test]
     fn sharded_tiers_follow_shard_ownership() {
-        let mut q: ShardedProcQueues<u32, u64> = ShardedProcQueues::new(map(4, 2));
-        assert_eq!(q.num_shards(), 2);
-        q.push(1, Some(2), 0); // shard 1, older
-        q.push(2, Some(0), 1); // shard 0, core 0's affine entry
-        q.push(3, None, 2); // unbound
-                            // Affinity (own shard) beats the older remote-shard entry and the unbound entry.
-        assert_eq!(q.pop_for_tiered(0, 2, 1_000), Some((2, PickTier::Affinity)));
-        // Own shard exhausted: the node tier serves the unbound front...
-        assert_eq!(q.pop_for_tiered(0, 2, 1_000), Some((3, PickTier::Node)));
-        // ...and only then does the remote tier steal from shard 1.
-        assert_eq!(q.pop_for_tiered(0, 2, 1_000), Some((1, PickTier::Remote)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_steals_oldest_across_remote_shards() {
-        let mut q: ShardedProcQueues<u32, u64> = ShardedProcQueues::new(map(6, 3));
-        q.push(1, Some(4), 0); // shard 2, older
-        q.push(2, Some(2), 1); // shard 1, newer but smaller core id
-        assert_eq!(q.pop_for_tiered(0, 1, 1_000), Some((1, PickTier::Remote)));
-        assert_eq!(q.pop_for_tiered(0, 1, 1_000), Some((2, PickTier::Remote)));
+        let mut s = Shards::new(&Topology::new(4, 2), 1_000);
+        // The routing rule: preferred core's node, shard 0 without a usable core — and a
+        // yield requeue (item 5, yielded on core 3) stays in the yielding core's shard.
+        for (item, pref) in [(1, Some(2)), (2, Some(0)), (3, None), (4, Some(99))] {
+            s.enqueue(0, item, None, pref, u64::from(item));
+        }
+        s.enqueue(0, 5, Some(3), None, 5);
+        assert_eq!(s.cores[1].ready_count(), 2, "items 1 and 5");
+        // Affinity in the own shard beats the older foreign entry; the own shard's node
+        // tier follows; only on local exhaustion does core 0 steal, and the victim
+        // reports the tier its own queues see (unbound: node tier; bound: remote).
+        let picked: Vec<_> = std::iter::from_fn(|| s.pick(0, 5)).collect();
+        let tiers = [
+            (2, PickTier::Affinity),
+            (3, PickTier::Node),
+            (4, PickTier::Node),
+            (5, PickTier::Node),
+            (1, PickTier::Remote),
+        ];
+        assert_eq!(picked, tiers);
     }
 
     #[test]
     fn sharded_valve_serves_oldest_once_per_window() {
-        let mut q: ShardedProcQueues<u32, u64> = ShardedProcQueues::new(map(4, 2));
-        q.push(1, Some(2), 0); // remote shard, will age
-        q.push(2, Some(0), 5); // core 0's affine entry
-        q.push(3, Some(2), 5);
-        // The valve crosses shard boundaries: entry 1 (aged, shard 1) is served to core 0
-        // ahead of core 0's own affine entry.
-        assert_eq!(q.pop_for_tiered(0, 100, 50), Some((1, PickTier::Aged)));
-        // Rate limit: within the window the plain tiers run (affinity first).
-        assert_eq!(q.pop_for_tiered(0, 101, 50), Some((2, PickTier::Affinity)));
-        // After the window the valve fires again.
-        assert_eq!(q.pop_for_tiered(0, 200, 50), Some((3, PickTier::Aged)));
+        let mut s = Shards::new(&Topology::new(4, 2), 50);
+        assert_eq!(s.pick(0, 0), None); // arm shard 0's probe
+        s.enqueue(0, 1, None, Some(2), 0); // foreign shard, will age
+        s.enqueue(0, 3, None, Some(2), 5);
+        s.enqueue(0, 2, None, Some(0), 90);
+        // The probe crosses the shard boundary: aged entry 1 goes ahead of core 0's own
+        // affine entry 2. Within the window the local tiers run, though entry 3 has aged
+        // too; after it the probe fires again.
+        assert_eq!(s.pick(0, 100), Some((1, PickTier::Aged)));
+        assert_eq!(s.pick(0, 101), Some((2, PickTier::Affinity)));
+        assert_eq!(s.pick(0, 200), Some((3, PickTier::Aged)));
     }
 
     #[test]
     fn sharded_domain_restricts_every_pop_tier() {
-        let mut q: ShardedProcQueues<u32, u64> = ShardedProcQueues::new(map(4, 2));
-        q.set_domain(Some(&[0, 1])); // node 0 only
-        q.push(1, Some(0), 0);
-        q.push(2, None, 0);
-        assert_eq!(q.pop_for_tiered(2, 1_000_000, 1), None);
-        assert_eq!(q.pop_affine(2), None);
-        assert_eq!(q.pop_for_tiered(1, 1_000_000, 1).map(|(t, _)| t), Some(1));
-        assert_eq!(q.pop_for_tiered(0, 1_000_000, 1).map(|(t, _)| t), Some(2));
-        assert!(q.is_empty());
-        // An out-of-domain preference is clamped to unbound, like the flat queues.
-        q.set_domain(Some(&[2, 3]));
-        q.push(7, Some(0), 0);
-        assert_eq!(q.unbound_len(), 1);
-        assert_eq!(q.pop_for_tiered(2, 0, 1_000).map(|(t, _)| t), Some(7));
+        let mut s = Shards::new(&Topology::new(4, 2), 1);
+        for c in &mut s.cores {
+            c.set_process_domain(0, Some(vec![0, 1])); // node 0 only
+        }
+        assert_eq!(s.pick(2, 0), None); // arm shard 1's probe
+        s.enqueue(0, 1, None, Some(0), 0);
+        s.enqueue(0, 2, None, None, 0);
+        // A core outside the pin gets nothing from shard 0 — neither through the due
+        // aging probe nor through the steal; the pinned node's own cores are served.
+        assert_eq!(s.pick(2, 1_000_000), None);
+        assert_eq!(s.pick(1, 1_000_000).map(|(t, _)| t), Some(1));
+        assert_eq!(s.pick(0, 1_000_000).map(|(t, _)| t), Some(2));
     }
 
-    /// The load-bearing equivalence: the sharded backing must reproduce the flat
-    /// [`ProcQueues`] pick-for-pick (same item, same tier) across interleavings that
-    /// exercise every tier — affinity, node-vs-unbound tie-breaks, remote steals and
-    /// aging-valve firings. The proptest sweep in `tests/readyq_equivalence.rs` widens
-    /// this; the deterministic version here keeps the invariant in the unit tier.
-    #[test]
-    fn sharded_matches_flat_pick_for_pick() {
-        for &(cores, nodes) in &[(4usize, 2usize), (6, 3), (2, 1), (5, 2)] {
-            let mut flat: ProcQueues<u64, u64> = ProcQueues::new(map(cores, nodes));
-            let mut sharded: ShardedProcQueues<u64, u64> =
-                ShardedProcQueues::new(map(cores, nodes));
-            let mut rng: u64 = 0x9e37_79b9 ^ (cores as u64) << 8 ^ nodes as u64;
-            let mut next = move || {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                rng >> 33
+    proptest::proptest! {
+        /// The "1 node ⇒ the flat scheduler" guarantee: one shard is pick-for-pick (item,
+        /// tier, turn, rotations) its core's own `pick_tiered`, for arbitrary enqueue/pick
+        /// sequences that cross quantum and aging deadlines, with a pinned process in the
+        /// mix (over two nodes, as under a one-shard custom policy, so every tier runs).
+        #[test]
+        fn ladder_with_one_shard_is_pick_tiered(
+            ops in proptest::collection::vec((0u8..3, 0u8..3, 0u8..6, 0u32..40_000), 1..120),
+        ) {
+            let topo = Topology::new(4, 2);
+            let mut flat: CoopCore<u32, u32, u64> = CoopCore::new(&topo, 50_000);
+            let mut one = Shards {
+                cores: vec![CoopCore::new(&topo, 50_000)],
+                ladders: vec![ShardLadder::new(0, 1, 50_000)],
             };
-            let mut item = 0u64;
-            for step in 0..600u64 {
-                let now = step * 7;
-                if next() % 3 != 0 {
-                    let pref = match next() % (cores as u64 + 2) {
-                        p if (p as usize) < cores => Some(p as usize),
-                        p if p == cores as u64 => None,
-                        _ => Some(cores + 10), // out of range → unbound
-                    };
-                    flat.push(item, pref, now);
-                    sharded.push(item, pref, now);
+            flat.set_process_domain(2, Some(vec![2, 3]));
+            one.cores[0].set_process_domain(2, Some(vec![2, 3]));
+            let (mut now, mut item) = (0u64, 0u32);
+            for (kind, process, sel, dt) in ops {
+                now += u64::from(dt);
+                let sel = sel as usize;
+                if kind < 2 {
+                    let pref = (sel < 4).then_some(sel);
+                    flat.enqueue(u32::from(process), item, pref, now);
+                    one.enqueue(u32::from(process), item, None, pref, now);
                     item += 1;
                 } else {
-                    let core = (next() % cores as u64) as usize;
-                    let aging = [0u64, 13, 50, 1 << 40][(next() % 4) as usize];
-                    assert_eq!(
-                        ProcQueues::pop_for_tiered(&mut flat, core, now, aging),
-                        sharded.pop_for_tiered(core, now, aging),
-                        "cores={cores} nodes={nodes} step={step} core={core} aging={aging}"
-                    );
-                }
-                assert_eq!(flat.len(), sharded.len());
-                assert_eq!(flat.unbound_len(), sharded.unbound_len());
-            }
-            // Drain both to empty, still in lockstep.
-            loop {
-                let a = ProcQueues::pop_for_tiered(&mut flat, 0, u64::MAX - 1, 1);
-                let b = sharded.pop_for_tiered(0, u64::MAX - 1, 1);
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+                    assert_eq!(one.pick(sel % 4, now), flat.pick_tiered(sel % 4, now), "t={now}");
+                    assert_eq!(one.cores[0].current_process(), flat.current_process());
+                    assert_eq!(one.cores[0].rotations(), flat.rotations());
                 }
             }
-            assert!(sharded.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_coop_core_matches_unsharded() {
-        // The same CoopCore generic drives both backings, so rotation/turn-passing state
-        // cannot drift structurally — but the queue backing could. Pin the pick sequence.
-        let topo = Topology::new(6, 3);
-        let mut a: CoopCore<u32, u64, u64> = CoopCore::new(&topo, 10);
-        let mut b: ShardedCoopCore<u32, u64, u64> = ShardedCoopCore::new(&topo, 10);
-        for p in 0..3u32 {
-            a.register_process(p);
-            b.register_process(p);
-        }
-        a.set_process_domain(2, Some(vec![4, 5])); // pin process 2 to node 2
-        b.set_process_domain(2, Some(vec![4, 5]));
-        let mut item = 0u64;
-        for step in 0..400u64 {
-            let now = step;
-            if step % 3 != 2 {
-                let process = (step % 3) as u32;
-                let pref = match step % 7 {
-                    6 => None,
-                    p => Some((p as usize) % 6),
-                };
-                a.enqueue(process, item, pref, now);
-                b.enqueue(process, item, pref, now);
-                item += 1;
-            } else {
-                let core = (step % 6) as usize;
-                assert_eq!(
-                    a.pick_tiered(core, now),
-                    b.pick_tiered(core, now),
-                    "step {step}"
-                );
-                assert_eq!(a.current_process(), b.current_process());
-                assert_eq!(a.rotations(), b.rotations());
+            while flat.has_ready() {
+                now += 1_000;
+                for core in 0..4 {
+                    assert_eq!(one.pick(core, now), flat.pick_tiered(core, now));
+                }
             }
+            assert!(!one.cores[0].has_ready() && one.ladders[0].next_probe_at.is_none());
         }
-        while a.has_ready() || b.has_ready() {
-            assert_eq!(
-                a.pick_tiered(0, u64::MAX - 1),
-                b.pick_tiered(0, u64::MAX - 1)
-            );
-        }
-        assert_eq!(a.queue_depths(), b.queue_depths());
-    }
-
-    #[test]
-    fn sharded_coop_core_rotates_quantum() {
-        let topo = Topology::single_node(1);
-        let mut core: ShardedCoopCore<u32, u64, u64> = ShardedCoopCore::new(&topo, 10);
-        core.enqueue(0, 1, None, 0);
-        core.enqueue(1, 2, None, 0);
-        core.enqueue(0, 3, None, 0);
-        core.enqueue(1, 4, None, 0);
-        assert_eq!(core.pick(0, 0), Some(1));
-        assert_eq!(core.pick(0, 5), Some(3));
-        assert_eq!(core.pick(0, 15), Some(2));
-        assert_eq!(core.current_process(), Some(1));
-        assert_eq!(core.pick(0, 20), Some(4));
-        assert!(core.rotations() >= 1);
-        assert!(!core.has_ready());
     }
 }

@@ -19,13 +19,12 @@
 //! [`TraceEvent::IntakeDrain`], [`TraceEvent::Enqueue`], [`TraceEvent::Pop`],
 //! [`TraceEvent::Grant`], [`TraceEvent::Yield`], [`TraceEvent::Migrate`] and
 //! [`TraceEvent::Shutdown`] — carry a global atomic sequence stamp taken at the recording
-//! point; the recorder orders entries by it. Under a flat (single-shard) scheduler the
+//! point; the recorder orders entries by it. With one shard (a single-node topology) the
 //! one lock totally orders those stamps, so the recorded order *is* the order the
-//! scheduler acted in — the authoritative replay script, exactly as before the split.
-//! Under the split-lock scheduler (`sched_coop_split`) events of *different shards* are
-//! stamped under different locks: any single-threaded driver — the fuzzer, the
-//! record/replay tests — still gets an exact total order (each event completes before the
-//! next begins), while genuinely concurrent multi-shard traces are best-effort ordered
+//! scheduler acted in — the authoritative replay script. On a multi-node topology events
+//! of *different shards* are stamped under different locks: any single-threaded driver —
+//! the fuzzer, the record/replay tests — still gets an exact total order (each event
+//! completes before the next begins), while genuinely concurrent multi-shard traces are best-effort ordered
 //! (cross-shard probe side effects cannot be linearized after the fact) and replay treats
 //! them as diagnostic only. [`TraceEvent::Submit`] is recorded on the lock-free intake
 //! path, so under concurrent submitters its position is only causally ordered (it always
@@ -59,7 +58,8 @@ pub struct TraceMeta {
     pub core_nodes: Vec<usize>,
     /// The per-process quantum (doubling as the aging-valve window), in nanoseconds.
     pub quantum_nanos: u64,
-    /// Diagnostic name of the installed policy (`"sched_coop"` for replayable traces).
+    /// Diagnostic name of the installed policy (`"sched_coop"` for replayable traces;
+    /// replay itself keys only on `core_nodes`).
     pub policy: String,
 }
 
@@ -72,8 +72,6 @@ impl TraceMeta {
             quantum_nanos: config.process_quantum.as_nanos() as u64,
             policy: match &config.policy {
                 PolicyKind::Coop => "sched_coop".to_string(),
-                PolicyKind::CoopSharded => "sched_coop_sharded".to_string(),
-                PolicyKind::CoopSplit => "sched_coop_split".to_string(),
                 PolicyKind::Fifo => "fifo".to_string(),
                 PolicyKind::Custom(_) => "custom".to_string(),
             },

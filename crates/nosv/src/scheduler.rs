@@ -1,22 +1,24 @@
 //! The centralized multi-process scheduler (the "shared memory segment" of nOS-V).
 //!
 //! One [`Scheduler`] instance owns the virtual core slots and the installed [`Policy`].
-//! The scheduler section is **split along the NUMA shard boundary**: each node owns an
-//! independently locked `ShardState` (its core slots, grant/stall bookkeeping and a full
-//! SCHED_COOP ready-queue core), while the rarely-written registry — process table, task
-//! table, id counters, the shutdown flag — lives in a `GlobalState` behind its own lock.
-//! Per-task grant slots keep their own lock so a worker can wait for a core without
-//! holding any scheduler-section lock. Flat policies ([`PolicyKind::Coop`] etc.) run with
-//! a single shard owning every core, which makes the split a strict generalization of the
-//! previous single-mutex scheduler; [`PolicyKind::CoopSplit`] instantiates one shard per
-//! NUMA node.
+//! The scheduler section is **split along the NUMA shard boundary**: each node owns a
+//! `Shard` — an independently locked `ShardState` (its core slots, grant/stall bookkeeping
+//! and a full SCHED_COOP ready-queue core) plus that node's lock-free submit intake —
+//! while the rarely-written registry — process table, task table, id counters, the
+//! shutdown flag — lives in a `GlobalState` behind its own lock. Per-task grant slots
+//! keep their own lock so a worker can wait for a core without holding any
+//! scheduler-section lock. [`PolicyKind::Coop`] runs one shard per NUMA node (one node ⇒
+//! the single-lock scheduler); a global queue cannot be sharded, so [`PolicyKind::Fifo`]
+//! and custom policies run one shard owning every core. Which shard a ready task is
+//! queued in and the order in which a core consults the shards are [`crate::readyq`]
+//! code ([`readyq::enqueue_shard`], [`ShardLadder`]) shared with the sim replay.
 //!
 //! **The de-contended hot path.** The paper's central claim is that scheduling points are
 //! cheap enough for a centralized scheduler to arbitrate oversubscription, so the
 //! operations that fire on every wake-up must not serialize on a global lock:
 //!
 //! * `submit` to a busy system publishes the ready task onto a **lock-free MPSC intake
-//!   stack, sharded per NUMA node** with one CAS and returns (submitters targeting
+//!   stack, one per shard** with one CAS and returns (submitters targeting
 //!   different nodes never touch the same cache line). The intake is drained — under the
 //!   shard lock, restored to submission order by an atomic sequence stamp — by whichever
 //!   core reaches the next scheduling point (release/dispatch/yield), i.e. by threads
@@ -70,7 +72,7 @@ use crate::metrics::SchedulerMetrics;
 use crate::obs::{GaugesSnapshot, ProcessGauges, StatsRegistry, StatsSample, StatsSnapshot};
 use crate::policy::{classify_placement, PlacementKind, Policy, TaskMeta};
 use crate::process::{ProcessId, ProcessInfo};
-use crate::readyq::{CrossValve, PickTier};
+use crate::readyq::{self, LadderStep, PickTier, ShardLadder};
 use crate::sched_trace::TraceEvent;
 use crate::task::{Task, TaskId, TaskRef, TaskState, WaitOutcome};
 use crate::topology::{CoreId, Topology};
@@ -92,8 +94,8 @@ macro_rules! trace_event {
             if let Some(rec) = $sched.tracer.as_ref() {
                 // The global sequence stamp linearizes events recorded under different
                 // shard locks (the recorder stable-sorts by it), the same trick the
-                // sharded intake uses. Under a single lock (flat policies) the stamp
-                // order equals the record order, so this is a no-op there.
+                // per-shard intakes use. With one shard the stamp order equals the record
+                // order, so this is a no-op there.
                 let seq = $sched.sched_seq.fetch_add(1, Ordering::Relaxed);
                 rec.record_at_seq($at, seq, $ev);
             }
@@ -164,21 +166,19 @@ struct IntakeNode {
     /// When the submit published this node — the start of the submit→drain stage
     /// histogram (`obs::StageStats::intake_wait`).
     pushed_at: Instant,
-    /// Global submission order across every intake shard (stamped from
-    /// `Scheduler::intake_seq`): drains merge the per-node shard lists by this, so the
-    /// sharded intake restores exactly the submission order the single stack gave.
+    /// Global submission order (stamped from `Scheduler::intake_seq`): a drain sorts by
+    /// this, restoring the submission order the CAS stack reversed.
     seq: u64,
     next: *mut IntakeNode,
 }
 
 /// A Treiber stack used as the MPSC submit intake: any thread pushes with one CAS;
-/// draining swaps the whole list out (only ever done while holding the scheduler lock,
-/// so drains never race each other) and reverses it to restore submission order.
+/// draining swaps the whole list out (only ever done while holding the owning shard's
+/// lock, so drains never race each other) and reverses it to restore submission order.
 ///
-/// The scheduler keeps **one stack per NUMA node** and a submit CASes onto the shard of
-/// its preferred core's node, so concurrent submitters targeting different nodes no
-/// longer collide on one cache line (the cross-socket CAS ping-pong the single stack
-/// paid at high core counts).
+/// Every shard has its own, and a submit CASes onto the stack of the shard it will be
+/// queued in, so concurrent submitters targeting different nodes do not collide on one
+/// cache line (the cross-socket CAS ping-pong a single stack pays at high core counts).
 struct Intake {
     head: AtomicPtr<IntakeNode>,
     /// Approximate stack depth (relaxed adds around the CAS), read lock-free by the
@@ -315,10 +315,10 @@ pub(crate) struct GlobalState {
 
 /// Per-NUMA-node dispatch state, independently locked (level 2 of the lock hierarchy):
 /// the node's core slots and watchdog bookkeeping, a full SCHED_COOP ready-queue core,
-/// and the cross-shard aging valve. Flat policies run one shard owning every core, so
-/// the single-lock scheduler is the one-shard special case of this structure.
+/// and the shard's pick ladder. The single-lock scheduler is the one-shard case of this
+/// structure.
 pub(crate) struct ShardState {
-    /// This shard's index (== NUMA node id under [`PolicyKind::CoopSplit`]).
+    /// This shard's index (== NUMA node id when there is more than one shard).
     si: usize,
     /// The global ids of the cores this shard owns, ascending (parallel to `slots`).
     cores: Vec<CoreId>,
@@ -331,16 +331,29 @@ pub(crate) struct ShardState {
     /// popped [`TaskMeta`] to its [`TaskRef`] (and detect stale entries of released
     /// tasks) without the global task table.
     queued: HashMap<TaskId, TaskRef>,
-    /// Rate limiter on cross-shard aged picks: at most one foreign-shard aging probe per
-    /// quantum per shard, so the anti-starvation valve never becomes a steady cross-node
-    /// traffic source.
-    xvalve: CrossValve<Instant>,
+    /// The order in which this shard's cores consult the shards, and the rate limiter on
+    /// its foreign aging probes (one per quantum, so the anti-starvation valve never
+    /// becomes a steady cross-node traffic source).
+    ladder: ShardLadder<Instant>,
     /// When each busy core was last granted (the grant-to-run watchdog's reference
     /// point), by local core index.
     granted_at: Vec<Option<Instant>>,
     /// Whether the current grant on each core has already been flagged by a watchdog scan
     /// (each non-progressing grant is reported once, not on every scan).
     stall_flagged: Vec<bool>,
+}
+
+/// One node's slice of the scheduler: the locked dispatch state plus what other threads
+/// reach without that lock. Aligned so that two nodes' shards never share a cache line.
+#[repr(align(128))]
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Lock-free submit intake, drained under `state`'s lock.
+    intake: Intake,
+    /// Policy-ready entry count, maintained under `state`'s lock and read lock-free by
+    /// foreign shards deciding whether a steal/aging probe (or the cross-shard dispatch
+    /// sweep) is worth a `try_lock` at all.
+    ready: AtomicUsize,
 }
 
 /// One non-progressing core flagged by [`Scheduler::watchdog_scan`]: the granted task has
@@ -374,26 +387,18 @@ pub struct Scheduler {
     config: NosvConfig,
     /// The rarely-written registry section (level 1 of the lock hierarchy).
     global: Mutex<GlobalState>,
-    /// Per-node dispatch shards (level 2). One entry for flat policies; one per NUMA
-    /// node under [`PolicyKind::CoopSplit`].
-    shards: Box<[Mutex<ShardState>]>,
+    /// Dispatch shards (level 2): one per NUMA node under [`PolicyKind::Coop`], one
+    /// otherwise.
+    shards: Box<[Shard]>,
     /// Global core id → (shard index, local core index), fixed at construction.
     core_shard: Vec<(usize, usize)>,
-    /// Per-shard policy-ready entry counts, maintained under the owning shard's lock and
-    /// read lock-free by foreign shards deciding whether a steal/valve probe (or the
-    /// cross-shard dispatch sweep) is worth a `try_lock` at all.
-    shard_ready: Box<[AtomicUsize]>,
+    /// [`Policy::name`] of the installed policy, read once at construction.
+    policy_name: String,
     metrics: SchedulerMetrics,
     /// Always-on observability plane: stage-boundary latency histograms and the snapshot
     /// time base (see [`crate::obs`]). Recording never takes the scheduler lock.
     stats: StatsRegistry,
-    /// Lock-free submit intakes, one per NUMA node (see the module documentation): a
-    /// submit CASes onto the shard of its preferred core's node (unbound submits use
-    /// shard 0), and drains merge every shard by `intake_seq` stamp, restoring global
-    /// submission order exactly.
-    intakes: Box<[Intake]>,
-    /// Global submission order stamped into every intake node; what keeps the sharded
-    /// drain order identical to the old single stack's.
+    /// Global submission order stamped into every intake node.
     intake_seq: std::sync::atomic::AtomicU64,
     /// Number of idle core slots; maintained under the lock, read lock-free by `submit`
     /// to decide whether immediate placement is worth taking the lock for.
@@ -435,36 +440,40 @@ impl Scheduler {
     pub fn new(config: NosvConfig) -> Self {
         let topo = config.topology.clone();
         let cores = topo.num_cores();
-        let split = matches!(config.policy, PolicyKind::CoopSplit);
-        let nshards = if split {
-            topo.num_numa_nodes().max(1)
-        } else {
-            1
+        // SCHED_COOP's queues are per core and per node already, so it shards along the
+        // node boundary; a policy with one global queue cannot.
+        let nshards = match config.policy {
+            PolicyKind::Coop => topo.num_numa_nodes().max(1),
+            PolicyKind::Fifo | PolicyKind::Custom(_) => 1,
         };
         let mut core_shard = vec![(0usize, 0usize); cores];
-        let shards: Box<[Mutex<ShardState>]> = (0..nshards)
+        let shards: Box<[Shard]> = (0..nshards)
             .map(|si| {
-                let owned: Vec<CoreId> = if split {
-                    topo.cores_in_node(si).collect()
-                } else {
-                    topo.cores().collect()
-                };
+                let owned: Vec<CoreId> = topo
+                    .cores()
+                    .filter(|&c| readyq::shard_of_core(&topo, nshards, c) == si)
+                    .collect();
                 for (li, &c) in owned.iter().enumerate() {
                     core_shard[c] = (si, li);
                 }
                 let n = owned.len();
-                Mutex::new(ShardState {
-                    si,
-                    cores: owned,
-                    slots: vec![CoreSlot::Idle; n],
-                    policy: config.policy.build(&config),
-                    queued: HashMap::new(),
-                    xvalve: CrossValve::new(),
-                    granted_at: vec![None; n],
-                    stall_flagged: vec![false; n],
-                })
+                Shard {
+                    state: Mutex::new(ShardState {
+                        si,
+                        cores: owned,
+                        slots: vec![CoreSlot::Idle; n],
+                        policy: config.policy.build(&config),
+                        queued: HashMap::new(),
+                        ladder: ShardLadder::new(si, nshards, config.process_quantum),
+                        granted_at: vec![None; n],
+                        stall_flagged: vec![false; n],
+                    }),
+                    intake: Intake::new(),
+                    ready: AtomicUsize::new(0),
+                }
             })
             .collect();
+        let policy_name = shards[0].state.lock().policy.name().to_string();
         Scheduler {
             topo,
             global: Mutex::new(GlobalState {
@@ -476,12 +485,9 @@ impl Scheduler {
             }),
             shards,
             core_shard,
-            shard_ready: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
+            policy_name,
             metrics: SchedulerMetrics::default(),
             stats: StatsRegistry::new(cores, nshards),
-            intakes: (0..config.topology.num_numa_nodes().max(1))
-                .map(|_| Intake::new())
-                .collect(),
             intake_seq: std::sync::atomic::AtomicU64::new(0),
             config,
             idle_cores: AtomicUsize::new(cores),
@@ -541,14 +547,14 @@ impl Scheduler {
         self.stats.shards[si]
             .lock_acquisitions
             .fetch_add(1, Ordering::Relaxed);
-        self.shards[si].lock()
+        self.shards[si].state.lock()
     }
 
     /// Opportunistically acquire a *second* shard's lock (cross-shard stealing and the
     /// aging valve). Never blocks, so no ordering discipline between shard locks is
     /// needed to stay deadlock-free — a busy victim is simply skipped.
     fn try_lock_shard(&self, si: usize) -> Option<parking_lot::MutexGuard<'_, ShardState>> {
-        let g = self.shards[si].try_lock()?;
+        let g = self.shards[si].state.try_lock()?;
         SchedulerMetrics::inc(&self.metrics.lock_acquisitions);
         self.stats.shards[si]
             .lock_acquisitions
@@ -561,45 +567,27 @@ impl Scheduler {
         self.core_shard[core].0
     }
 
-    /// The shard a submit of `task` drains into: its preferred core's shard (tasks with
-    /// no usable preference go to shard 0, mirroring [`Scheduler::intake_shard`]).
+    /// The shard a submit of `task` is published to, drained by and queued in.
     fn home_shard(&self, task: &TaskRef) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        task.preferred_core()
-            .filter(|&c| c < self.topo.num_cores())
-            .map_or(0, |c| self.topo.node_of(c))
+        readyq::enqueue_shard(&self.topo, self.shards.len(), None, task.preferred_core())
     }
 
     /// Whether any *other* shard has policy-queued work (lock-free probe guard).
     fn others_ready(&self, si: usize) -> bool {
-        self.shards.len() > 1
-            && self
-                .shard_ready
-                .iter()
-                .enumerate()
-                .any(|(i, r)| i != si && r.load(Ordering::Relaxed) > 0)
+        self.shards
+            .iter()
+            .enumerate()
+            .any(|(i, s)| i != si && s.ready.load(Ordering::Relaxed) > 0)
     }
 
-    /// Total entries across the per-node intake shards (the intake-depth gauge).
+    /// Total entries across the per-shard intakes (the intake-depth gauge).
     fn intake_depth(&self) -> usize {
-        self.intakes.iter().map(|i| i.depth()).sum()
+        self.shards.iter().map(|s| s.intake.depth()).sum()
     }
 
-    /// Approximate per-node intake shard depths, for the stats plane.
+    /// Approximate per-shard intake depths, for the stats plane.
     fn intake_shard_depths(&self) -> Vec<usize> {
-        self.intakes.iter().map(|i| i.depth()).collect()
-    }
-
-    /// The intake shard a submit of `task` publishes to: its preferred core's NUMA node
-    /// (submits with no usable preference go to shard 0).
-    fn intake_shard(&self, task: &TaskRef) -> &Intake {
-        let node = task
-            .preferred_core()
-            .filter(|&c| c < self.topo.num_cores())
-            .map_or(0, |c| self.topo.node_of(c));
-        &self.intakes[node]
+        self.shards.iter().map(|s| s.intake.depth()).collect()
     }
 
     /// The topology this scheduler manages.
@@ -712,14 +700,9 @@ impl Scheduler {
         crate::obs::StatsSampler::start(period, move || sched.sample())
     }
 
-    /// Name of the installed policy.
-    pub fn policy_name(&self) -> String {
-        if matches!(self.config.policy, PolicyKind::CoopSplit) {
-            // Each shard's building block reports "sched_coop"; the assembled scheduler
-            // is the split variant.
-            return "sched_coop_split".to_string();
-        }
-        self.lock_shard(0).policy.name().to_string()
+    /// Name of the installed policy. Takes no lock.
+    pub fn policy_name(&self) -> &str {
+        &self.policy_name
     }
 
     /// Number of process-quantum rotations performed by the policy (summed over shards).
@@ -822,7 +805,7 @@ impl Scheduler {
             let dropped = before.saturating_sub(st.policy.ready_count());
             if dropped > 0 {
                 self.ready_tasks.fetch_sub(dropped as i64, Ordering::SeqCst);
-                self.shard_ready[si].fetch_sub(dropped, Ordering::Relaxed);
+                self.shards[si].ready.fetch_sub(dropped, Ordering::Relaxed);
             }
             st.queued.retain(|_, t| t.process() != process);
             drop(st);
@@ -885,7 +868,7 @@ impl Scheduler {
             let dropped = before.saturating_sub(st.policy.ready_count());
             if dropped > 0 {
                 self.ready_tasks.fetch_sub(dropped as i64, Ordering::SeqCst);
-                self.shard_ready[si].fetch_sub(dropped, Ordering::Relaxed);
+                self.shards[si].ready.fetch_sub(dropped, Ordering::Relaxed);
             }
             st.queued.retain(|_, t| t.process() != process);
             report.queued_reclaimed += dropped;
@@ -1108,14 +1091,17 @@ impl Scheduler {
         );
         self.ready_tasks.fetch_add(1, Ordering::SeqCst);
         let seq = self.intake_seq.fetch_add(1, Ordering::Relaxed);
-        self.intake_shard(task).push(TaskRef::clone(task), now, seq);
+        let home = self.home_shard(task);
+        self.shards[home]
+            .intake
+            .push(TaskRef::clone(task), now, seq);
         SchedulerMetrics::inc(&self.metrics.intake_submits);
         // SeqCst pairs with `mark_idle`: if a core went idle before our push became
         // visible to its drain, we observe `idle_cores > 0` here and place the task
         // ourselves; otherwise its drain (which runs after its idle-store) sees our node.
         if self.idle_cores.load(Ordering::SeqCst) > 0 {
             let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(self.home_shard(task));
+            let mut st = self.lock_shard(home);
             self.drain_intake(&mut st, &mut wakes);
             // If stale entries made the drain enqueue instead of granting, fill the idle
             // cores from the policy now.
@@ -1131,7 +1117,7 @@ impl Scheduler {
             // (The waiter itself is safe either way — the task was registered before the
             // shutdown flag was set, so the release loop covers it.)
             let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(self.home_shard(task));
+            let mut st = self.lock_shard(home);
             self.drain_intake(&mut st, &mut wakes);
             drop(st);
             wakes.fire();
@@ -1307,7 +1293,8 @@ impl Scheduler {
                 None => return false,
             }
         };
-        let si = self.shard_of(core);
+        // The requeue below lands in the yielding core's own shard, the one locked here.
+        let si = readyq::enqueue_shard(&self.topo, self.shards.len(), Some(core), None);
         let mut wakes = WakeBatch::new();
         let mut st = self.lock_shard(si);
         self.drain_intake(&mut st, &mut wakes);
@@ -1362,7 +1349,7 @@ impl Scheduler {
         );
         st.policy.enqueue(&self.topo, meta, now);
         st.queued.insert(task.id(), TaskRef::clone(task));
-        self.shard_ready[si].fetch_add(1, Ordering::Relaxed);
+        self.shards[si].ready.fetch_add(1, Ordering::Relaxed);
         self.ready_tasks.fetch_add(1, Ordering::SeqCst);
         self.mark_busy(&mut st, core, next_task.id());
         self.grant(&next_task, core, false, &mut wakes);
@@ -1448,12 +1435,12 @@ impl Scheduler {
             let tasks: Vec<TaskRef> = g.tasks.values().cloned().collect();
             // Raw atomic-swap drains: a shard-lock drain racing us takes disjoint
             // entries, and either drainer releases its share (the flag is already set).
-            let queued: Vec<_> = self.intakes.iter().flat_map(|i| i.drain()).collect();
+            let queued: Vec<_> = self.shards.iter().flat_map(|s| s.intake.drain()).collect();
             (tasks, queued)
         };
         self.ready_tasks.store(0, Ordering::SeqCst);
-        for sr in self.shard_ready.iter() {
-            sr.store(0, Ordering::Relaxed);
+        for s in self.shards.iter() {
+            s.ready.store(0, Ordering::Relaxed);
         }
         for t in tasks.iter().chain(queued.iter().map(|(t, _, _)| t)) {
             {
@@ -1559,7 +1546,7 @@ impl Scheduler {
             return;
         }
         for si in 0..self.shards.len() {
-            if self.shards.len() > 1 && self.intakes[si].depth() == 0 {
+            if self.shards[si].intake.depth() == 0 {
                 continue;
             }
             let mut wakes = WakeBatch::new();
@@ -1690,26 +1677,17 @@ impl Scheduler {
 
     /// The drain body proper, never subject to the [`FaultSite::DelayIntakeDrain`] fault:
     /// [`Scheduler::rescue_drain`] calls this directly because a rescue must not itself
-    /// be delayed. With one shard (flat policies) this collects every per-node intake and
-    /// merges by the global `intake_seq` stamp, so the sharded intake is processed in
-    /// exactly the order the old single stack gave; under the split scheduler each shard
-    /// drains only its own node's intake (the stamp still orders entries within it).
-    /// Returns how many intake entries were processed.
+    /// be delayed. Each shard drains only its own intake. Returns how many intake entries
+    /// were processed.
     fn drain_intake_forced(&self, st: &mut ShardState, wakes: &mut WakeBatch) -> usize {
-        let mut drained: Vec<(TaskRef, Instant, u64)> = Vec::new();
-        if self.shards.len() == 1 {
-            for intake in self.intakes.iter() {
-                drained.extend(intake.drain());
-            }
-        } else {
-            drained.extend(self.intakes[st.si].drain());
-        }
+        let mut drained = self.shards[st.si].intake.drain();
         let n = drained.len();
         if drained.is_empty() {
             return 0;
         }
-        // Restore submission order across what was collected (each intake is already
-        // oldest-first, so this is a cheap merge for the sort's adaptive path).
+        // Pushers race between taking their stamp and landing their CAS, so stack order is
+        // only almost submission order: the stamp is authoritative (and the input is
+        // nearly sorted, the sort's cheap case).
         drained.sort_by_key(|&(_, _, seq)| seq);
         let now = Instant::now();
         trace_event!(self, now, TraceEvent::IntakeDrain { n });
@@ -1777,7 +1755,7 @@ impl Scheduler {
         );
         st.policy.enqueue(&self.topo, meta, now);
         st.queued.insert(task.id(), TaskRef::clone(task));
-        self.shard_ready[st.si].fetch_add(1, Ordering::Relaxed);
+        self.shards[st.si].ready.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pick an idle core *owned by this shard* for a task with the given preference:
@@ -1831,76 +1809,63 @@ impl Scheduler {
         }
     }
 
-    /// One pick attempt for `core` across the shard boundary, in strict priority order:
-    ///
-    /// 1. **Cross-shard aging valve** (rate-limited to one probe per quantum per shard):
-    ///    a foreign shard's over-aged work is taken ahead of local work, so per-node
-    ///    locking cannot starve a task whose home node went quiet. Foreign shards are
-    ///    reached by `try_lock` only — a busy victim is skipped, never waited on.
-    /// 2. **Local pick** through the shard policy's normal tiers.
-    /// 3. **Cross-shard steal** on local exhaustion (also `try_lock`-only), oldest-victim
-    ///    order starting at the next node.
-    ///
-    /// Exactly one logical pick per call (the valve tick included), so a recorded
-    /// `Pop`/`PopEmpty` event advances replayed policy state identically. With one shard
-    /// this reduces to `policy.pick_traced` exactly.
-    fn split_pick_once(
+    /// One logical pick for `core` — one trip down the shard's [`ShardLadder`] (foreign
+    /// aging probe, local tiers, steal; see there for the order), so a recorded
+    /// `Pop`/`PopEmpty` event advances replayed policy state identically. What is
+    /// decided here is only what the ladder cannot know: a foreign shard is tried only
+    /// when its lock-free ready counter is non-zero and its lock is free right now
+    /// (`try_lock` — a busy victim is skipped, never waited on), and whichever shard
+    /// serves the task loses the entry from its `queued` map and its counters.
+    fn pick_once(
         &self,
         st: &mut ShardState,
         core: CoreId,
         now: Instant,
     ) -> Option<(TaskMeta, Option<PickTier>, Option<TaskRef>)> {
-        let n = self.shards.len();
-        if n > 1 && st.xvalve.crossed(now, self.config.process_quantum) {
-            for off in 1..n {
-                let vi = (st.si + off) % n;
-                if self.shard_ready[vi].load(Ordering::Relaxed) == 0 {
-                    continue;
+        let ShardState {
+            si,
+            ladder,
+            policy,
+            queued,
+            ..
+        } = st;
+        let home = *si;
+        ladder.pick(now, |step| {
+            let (vi, aged) = match step {
+                LadderStep::Local => {
+                    let (meta, tier) = policy.pick_traced(&self.topo, core, now)?;
+                    self.shards[home].ready.fetch_sub(1, Ordering::Relaxed);
+                    return Some((meta, tier, queued.remove(&meta.id)));
                 }
-                let Some(mut vg) = self.try_lock_shard(vi) else {
-                    continue;
-                };
-                if let Some(meta) = vg.policy.pick_aged(&self.topo, core, now) {
-                    let task = vg.queued.remove(&meta.id);
-                    self.shard_ready[vi].fetch_sub(1, Ordering::Relaxed);
-                    self.stats.shards[st.si]
-                        .valve_crossings
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some((meta, Some(PickTier::Aged), task));
-                }
+                LadderStep::ForeignAged(vi) => (vi, true),
+                LadderStep::Steal(vi) => (vi, false),
+            };
+            if self.shards[vi].ready.load(Ordering::Relaxed) == 0 {
+                return None;
             }
-        }
-        if let Some((meta, tier)) = st.policy.pick_traced(&self.topo, core, now) {
-            let task = st.queued.remove(&meta.id);
-            self.shard_ready[st.si].fetch_sub(1, Ordering::Relaxed);
-            return Some((meta, tier, task));
-        }
-        if n > 1 {
-            for off in 1..n {
-                let vi = (st.si + off) % n;
-                if self.shard_ready[vi].load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                let Some(mut vg) = self.try_lock_shard(vi) else {
-                    continue;
-                };
-                if let Some((meta, tier)) = vg.policy.pick_traced(&self.topo, core, now) {
-                    let task = vg.queued.remove(&meta.id);
-                    self.shard_ready[vi].fetch_sub(1, Ordering::Relaxed);
-                    // Steals are counted against the shard that lost the entry.
-                    self.stats.shards[vi].steals.fetch_add(1, Ordering::Relaxed);
-                    return Some((meta, tier, task));
-                }
-            }
-        }
-        None
+            let mut vg = self.try_lock_shard(vi)?;
+            let (meta, tier) = if aged {
+                let meta = vg.policy.pick_aged(&self.topo, core, now)?;
+                self.stats.shards[home]
+                    .valve_crossings
+                    .fetch_add(1, Ordering::Relaxed);
+                (meta, Some(PickTier::Aged))
+            } else {
+                let picked = vg.policy.pick_traced(&self.topo, core, now)?;
+                // Steals are counted against the shard that lost the entry.
+                self.stats.shards[vi].steals.fetch_add(1, Ordering::Relaxed);
+                picked
+            };
+            self.shards[vi].ready.fetch_sub(1, Ordering::Relaxed);
+            Some((meta, tier, vg.queued.remove(&meta.id)))
+        })
     }
 
-    /// Pop ready tasks (local, valve, or stolen — see [`Scheduler::split_pick_once`])
+    /// Pop ready tasks (local, aged-foreign, or stolen — see [`Scheduler::pick_once`])
     /// until a live one is found, maintaining the ready gauge. Stale queue entries (tasks
     /// detached while still queued) are skipped and reconciled here.
     fn pick_live(&self, st: &mut ShardState, core: CoreId, now: Instant) -> Option<TaskRef> {
-        while let Some((meta, tier, task)) = self.split_pick_once(st, core, now) {
+        while let Some((meta, tier, task)) = self.pick_once(st, core, now) {
             self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
             trace_event!(
                 self,

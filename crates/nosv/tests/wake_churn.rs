@@ -306,16 +306,16 @@ fn wakeups_are_granted_in_submission_order() {
     }
 }
 
-/// Split-lock sentinel: once workers are attached, a steady-state pause/submit churn
-/// window is entirely shard-local — the global section (process/task tables) is not
+/// Per-node-lock sentinel: once workers are attached, a steady-state pause/submit churn
+/// window on a 2-node topology is entirely shard-local — the global section (process/task tables) is not
 /// acquired even once. This is the structural guarantee behind the per-node scaling:
 /// same-node scheduling points touch only their shard's dispatch lock.
 #[test]
 fn steady_state_churn_takes_no_global_section() {
     const CYCLES: usize = 200;
-    let s = Arc::new(Scheduler::new(
-        NosvConfig::with_topology(usf_nosv::Topology::new(2, 2)).policy(PolicyKind::CoopSplit),
-    ));
+    let s = Arc::new(Scheduler::new(NosvConfig::with_topology(
+        usf_nosv::Topology::new(2, 2),
+    )));
     let p = s.register_process("p");
     let task = s.create_task(p, None).unwrap();
 
@@ -364,8 +364,9 @@ fn steady_state_churn_takes_no_global_section() {
 }
 
 /// Cross-node scaling: with producers pinned to distinct NUMA nodes (via process
-/// placement domains), wake-churn throughput on a 2-node split-lock scheduler must beat
-/// the same churn serialized through a single dispatch lock by at least 1.5×. Skipped on
+/// placement domains), wake-churn throughput on a 2-node topology (one dispatch lock per
+/// node) must beat the same churn serialized through a single dispatch lock by at least
+/// 1.5×. Skipped on
 /// hosts without enough parallelism to run the two node-churns concurrently (or when
 /// `USF_SKIP_NODE_SCALING` is set) — the contention being measured does not exist there.
 #[test]
@@ -387,9 +388,7 @@ fn cross_node_churn_scales_with_node_count() {
         let node_cores: Vec<Vec<usize>> = (0..nodes)
             .map(|n| topo.cores_in_node(n).collect())
             .collect();
-        let s = Arc::new(Scheduler::new(
-            NosvConfig::with_topology(topo).policy(PolicyKind::CoopSplit),
-        ));
+        let s = Arc::new(Scheduler::new(NosvConfig::with_topology(topo)));
         let mut pairs = Vec::new();
         for cores in node_cores {
             let p = s.register_process("pinned");

@@ -2,8 +2,8 @@
 //!
 //! A trace recorded by the real runtime ([`usf_nosv::sched_trace`], behind its
 //! `sched-trace` feature) is re-executed here through the *simulator's* instantiation of
-//! the shared SCHED_COOP generic — [`CoopCore`]`<ProcessId, TaskId, SimTime>` — and every
-//! recorded pop is compared against what the simulated policy picks at the same logical
+//! the shared SCHED_COOP generic — [`usf_nosv::CoopCore`]`<ProcessId, TaskId, SimTime>` — and
+//! every recorded pop is compared against what the simulated policy picks at the same logical
 //! step. A mismatch means the simulator and the runtime have drifted apart, which the
 //! equivalence tests turn into a CI failure.
 //!
@@ -18,30 +18,23 @@
 //! aging-valve decision of the original run (see the recording-side documentation on why
 //! the recorded instant is authoritative).
 //!
-//! # Split-lock traces
+//! # Shards
 //!
-//! A trace whose `meta.policy` is `"sched_coop_split"` was recorded by the per-NUMA-node
-//! split-lock scheduler: one policy instance per node, with `Scheduler::split_pick_once`
-//! arbitrating between the local shard, the rate-limited cross-shard aging valve, and
-//! cross-shard stealing. The replay mirrors that shape — one [`CoopCore`] plus one
-//! [`CrossValve`] per node — and re-executes the exact pick ladder per recorded
-//! `Pop`/`PopEmpty` (the recording side guarantees one trace event per
-//! `split_pick_once` call). Two recording-side properties make this deterministic for
-//! the serial traces the fuzzer produces:
-//!
-//! * the `shard_ready > 0` victim probe guard is equivalent to the victim policy's
-//!   `has_ready()` (both count exactly the shard's queued entries), and a serial
-//!   recorder never loses a `try_lock`, so victim probes always succeed here too;
-//! * enqueue shard routing is recoverable from the trace: a yielding task is requeued
-//!   into the *yield core's* shard (its `Enqueue` immediately follows the `Yield`),
-//!   every other enqueue lands in the preferred core's node, or shard 0 without a
-//!   usable preference — the same rule as `Scheduler::home_shard`.
-//!
+//! The recording scheduler runs one SCHED_COOP instance per NUMA node of
+//! `meta.core_nodes`, so the replay does too — on a [`CoopShards`], i.e. through the
+//! scheduler's own code for everything that crosses a shard boundary: one ladder trip per
+//! recorded `Pop`/`PopEmpty` (the recording side guarantees one event per trip) and the
+//! enqueue routing rule per recorded `Enqueue`. This is deterministic for the serial
+//! traces the fuzzer produces because a serial recorder never loses a `try_lock` and its
+//! lock-free `ready > 0` victim guard equals the `has_ready()` guard of
+//! [`CoopShards::pick`], so victims are tried here exactly when they were tried there;
+//! and because the one routing input missing from an `Enqueue` event — whether it is a
+//! yield requeue, and from which core — is the `Yield` event immediately before it.
 //! Concurrent multi-shard recordings are seq-stamped best-effort (see
 //! `usf_nosv::sched_trace`) and are not fed through `assert_replays_clean`.
 
 use crate::time::SimTime;
-use usf_nosv::{CoopCore, CrossValve, PickTier, ProcessId, TaskId};
+use usf_nosv::{CoopShards, PickTier, ProcessId, TaskId};
 use usf_nosv::{TraceEntry, TraceEvent, TraceMeta};
 
 /// The first step at which the simulated policy disagreed with the recorded schedule.
@@ -89,104 +82,11 @@ impl ReplayReport {
     }
 }
 
-/// The replayed side of the scheduler: one policy core per shard (exactly one for flat
-/// traces, one per NUMA node for `"sched_coop_split"` traces) plus the cross-shard aging
-/// valves that rate-limit foreign probes.
-struct ShardSet {
-    shards: Vec<CoopCore<ProcessId, TaskId, SimTime>>,
-    valves: Vec<CrossValve<SimTime>>,
-    /// `core_nodes` from the trace meta: maps a core to its owning shard in split mode.
-    core_nodes: Vec<usize>,
-    quantum: SimTime,
-}
-
-impl ShardSet {
-    fn new(meta: &TraceMeta) -> Self {
-        let quantum = SimTime::from_nanos(meta.quantum_nanos);
-        let nshards = if meta.policy == "sched_coop_split" {
-            meta.core_nodes.iter().copied().max().map_or(1, |m| m + 1)
-        } else {
-            1
-        };
-        ShardSet {
-            shards: (0..nshards).map(|_| CoopCore::new(meta, quantum)).collect(),
-            valves: (0..nshards).map(|_| CrossValve::new()).collect(),
-            core_nodes: meta.core_nodes.clone(),
-            quantum,
-        }
-    }
-
-    /// The shard owning `core` (mirrors `Scheduler::shard_of`; out-of-range → 0).
-    fn shard_of(&self, core: usize) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        self.core_nodes.get(core).copied().unwrap_or(0)
-    }
-
-    /// The shard an `Enqueue` lands in. A yield requeue goes to the *yield core's*
-    /// shard (`last_yield` carries the immediately preceding `Yield`, whose `Enqueue`
-    /// the recorder emits back-to-back under the same shard lock); everything else
-    /// follows `Scheduler::home_shard`: preferred core's node, or shard 0.
-    fn enqueue_shard(
-        &self,
-        task: TaskId,
-        preferred: Option<usize>,
-        last_yield: Option<(TaskId, usize)>,
-    ) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        if let Some((yt, yc)) = last_yield {
-            if yt == task {
-                return self.shard_of(yc);
-            }
-        }
-        preferred
-            .filter(|&c| c < self.core_nodes.len())
-            .map_or(0, |c| self.shard_of(c))
-    }
-
-    /// Re-execute one `Scheduler::split_pick_once` for `core`: cross-shard aging valve
-    /// (rate-limited, victim guarded by `has_ready` — the replay-side equivalent of the
-    /// `shard_ready` probe guard), then the local tiers, then the cross-shard steal.
-    /// With one shard this is exactly `pick_tiered`, matching the flat scheduler.
-    fn pick_once(&mut self, core: usize, now: SimTime) -> Option<(TaskId, PickTier)> {
-        let n = self.shards.len();
-        let si = self.shard_of(core);
-        if n > 1 && self.valves[si].crossed(now, self.quantum) {
-            for off in 1..n {
-                let vi = (si + off) % n;
-                if !self.shards[vi].has_ready() {
-                    continue;
-                }
-                if let Some(t) = self.shards[vi].pick_aged_for(core, now) {
-                    return Some((t, PickTier::Aged));
-                }
-            }
-        }
-        if let Some(picked) = self.shards[si].pick_tiered(core, now) {
-            return Some(picked);
-        }
-        if n > 1 {
-            for off in 1..n {
-                let vi = (si + off) % n;
-                if !self.shards[vi].has_ready() {
-                    continue;
-                }
-                if let Some(picked) = self.shards[vi].pick_tiered(core, now) {
-                    return Some(picked);
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Replay `entries` (recorded against the scheduler described by `meta`) through the
 /// simulator's SCHED_COOP instantiation, stopping at the first divergence.
 pub fn replay(meta: &TraceMeta, entries: &[TraceEntry]) -> ReplayReport {
-    let mut set = ShardSet::new(meta);
+    let mut set: CoopShards<ProcessId, TaskId, SimTime> =
+        CoopShards::new(meta, SimTime::from_nanos(meta.quantum_nanos));
     let mut report = ReplayReport {
         pops: 0,
         grants: 0,
@@ -206,17 +106,17 @@ pub fn replay(meta: &TraceMeta, entries: &[TraceEntry]) -> ReplayReport {
         };
         match &entry.event {
             TraceEvent::RegisterProcess { process } => {
-                for shard in &mut set.shards {
+                for shard in &mut set.cores {
                     shard.register_process(*process);
                 }
             }
             TraceEvent::DeregisterProcess { process } => {
-                for shard in &mut set.shards {
+                for shard in &mut set.cores {
                     shard.deregister_process(*process);
                 }
             }
             TraceEvent::SetDomain { process, cores } => {
-                for shard in &mut set.shards {
+                for shard in &mut set.cores {
                     shard.set_process_domain(*process, cores.clone());
                 }
             }
@@ -225,15 +125,17 @@ pub fn replay(meta: &TraceMeta, entries: &[TraceEntry]) -> ReplayReport {
                 task,
                 preferred,
             } => {
-                let si = set.enqueue_shard(*task, *preferred, last_yield);
-                set.shards[si].enqueue(*process, *task, *preferred, now);
+                let yield_core = last_yield
+                    .filter(|(yielder, _)| yielder == task)
+                    .map(|(_, core)| core);
+                set.enqueue(*process, *task, yield_core, *preferred, now);
             }
             TraceEvent::Pop {
                 core: at_core,
                 tier,
                 task,
             } => {
-                let picked = set.pick_once(*at_core, now);
+                let picked = set.pick(*at_core, now);
                 let matches = match picked {
                     Some((t, picked_tier)) => {
                         t == *task && tier.map_or(true, |rec| rec == picked_tier)
@@ -256,9 +158,9 @@ pub fn replay(meta: &TraceMeta, entries: &[TraceEntry]) -> ReplayReport {
             }
             TraceEvent::PopEmpty { core: at_core } => {
                 // Re-execute the empty pick: it must serve nothing here too, and its
-                // side effects (re-arming the local and cross-shard aging valves) keep
-                // later pops in lockstep.
-                if let Some(picked) = set.pick_once(*at_core, now) {
+                // side effects (re-arming the per-queue valves and the ladder's probe
+                // deadline) keep later pops in lockstep.
+                if let Some(picked) = set.pick(*at_core, now) {
                     report.divergence = Some(Divergence {
                         step: entry.step,
                         recorded: None,
@@ -391,17 +293,9 @@ mod tests {
         assert_eq!(d.replayed.map(|(t, _)| t), Some(7));
     }
 
-    fn meta_split_2x2() -> TraceMeta {
-        TraceMeta {
-            core_nodes: vec![0, 0, 1, 1],
-            quantum_nanos: 50_000,
-            policy: "sched_coop_split".to_string(),
-        }
-    }
-
     #[test]
     fn scripted_split_trace_replays_local_picks_and_steal() {
-        let meta = meta_split_2x2();
+        let meta = meta_2x2();
         let entries = vec![
             entry(0, 0, TraceEvent::RegisterProcess { process: 1 }),
             // Preferred cores route the enqueues to their home shards.
@@ -480,7 +374,7 @@ mod tests {
 
     #[test]
     fn split_yield_requeue_routes_to_the_yield_cores_shard() {
-        let meta = meta_split_2x2();
+        let meta = meta_2x2();
         let entries = vec![
             entry(0, 0, TraceEvent::RegisterProcess { process: 1 }),
             entry(
@@ -561,7 +455,7 @@ mod tests {
 
     #[test]
     fn split_cross_shard_valve_serves_foreign_aged_work() {
-        let meta = meta_split_2x2();
+        let meta = meta_2x2();
         let entries = vec![
             entry(0, 0, TraceEvent::RegisterProcess { process: 1 }),
             // An early empty pick on core 2 arms shard 1's cross-shard valve.

@@ -190,49 +190,4 @@ mod tests {
         s.enqueue(ready(9, 7, Some(1)), SimTime::ZERO);
         assert_eq!(s.pick(1, SimTime::ZERO), Some(9));
     }
-
-    #[test]
-    fn sharded_core_matches_simulated_coop_at_sim_time() {
-        // The per-node sharded backing instantiates at virtual time exactly like the flat
-        // one (CoopCore is generic over both the clock and the queue backing). Drive the
-        // simulator's CoopScheduler and a SimTime ShardedCoopCore through a deterministic
-        // interleaving spanning every tier — affinity, socket, remote steal and the aging
-        // valve (quantum == aging window == 1ms, far shorter than the trace) — and
-        // require pick-for-pick agreement.
-        use usf_nosv::readyq::ShardedCoopCore;
-
-        let machine = Machine::small_numa(6, 3);
-        let quantum = SimTime::from_millis(1);
-        let mut sim = CoopScheduler::new(quantum);
-        sim.init(
-            &machine,
-            &[ProcessDesc::new(0, "p0"), ProcessDesc::new(1, "p1")],
-        );
-        let mut sharded: ShardedCoopCore<ProcessId, ThreadId, SimTime> =
-            ShardedCoopCore::new(&machine.topology, quantum);
-        sharded.register_process(0);
-        sharded.register_process(1);
-
-        let mut id = 1usize;
-        for step in 0..400u64 {
-            let now = SimTime::from_micros(step * 300);
-            if step % 3 != 2 {
-                let process = (step % 2) as usize;
-                let last_core = match step % 7 {
-                    6 => None,
-                    p => Some((p as usize) % 6),
-                };
-                sim.enqueue(ready(id, process, last_core), now);
-                sharded.enqueue(process, id, last_core, now);
-                id += 1;
-            } else {
-                let core = (step % 6) as usize;
-                assert_eq!(sim.pick(core, now), sharded.pick(core, now), "step {step}");
-            }
-        }
-        let end = SimTime::from_micros(400 * 300);
-        while sim.has_ready() || sharded.has_ready() {
-            assert_eq!(sim.pick(0, end), sharded.pick(0, end));
-        }
-    }
 }

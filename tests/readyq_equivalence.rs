@@ -7,15 +7,17 @@
 //! 2. `CoopPolicy` (real time, `Instant`) and the simulator's `CoopScheduler` (virtual
 //!    time, `SimTime`) agree on the task sequence for the same trace — they are the same
 //!    `CoopCore` instantiated at two time types, and this test keeps it that way; and
-//! 3. the per-NUMA-node sharded backing (`ShardedProcQueues` / `ShardedCoopPolicy`) picks
-//!    the identical sequence as the flat one — including aging-valve steps — and its
-//!    hand-recorded traces replay divergence-free through `usf::simsched::replay`.
+//! 3. the scheduler's ready side — `readyq::CoopShards`: one SCHED_COOP core per NUMA
+//!    node behind `ShardLadder` and `enqueue_shard` — replays divergence-free
+//!    through `usf::simsched::replay` when hand-recorded at real time, and, where the
+//!    two are comparable (bound tasks, no valve), picks the identical sequence as one
+//!    flat policy over the whole machine.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use usf::nosv::readyq::{CoreMap, ProcQueues, ReadyQueues, ShardedProcQueues};
-use usf::nosv::{CoopPolicy, PickTier, Policy, ShardedCoopPolicy, TaskMeta, Topology};
+use usf::nosv::readyq::{CoopShards, CoreMap, ProcQueues};
+use usf::nosv::{CoopPolicy, PickTier, Policy, ProcessId, TaskMeta, Topology};
 use usf::nosv::{TraceEntry, TraceEvent, TraceMeta};
 use usf::simsched::replay::replay;
 use usf::simsched::sched::{CoopScheduler, ReadyThread, SimPolicy};
@@ -135,6 +137,14 @@ impl RefQueues {
     }
 }
 
+/// The scheduler's ready side at real time, without the scheduler around it.
+type NodeShards = CoopShards<ProcessId, TaskMeta, Instant>;
+
+/// Enqueue `meta` (never a yield requeue here) through the routing rule.
+fn enqueue(shards: &mut NodeShards, meta: TaskMeta, at: Instant) {
+    shards.enqueue(meta.process, meta, None, meta.preferred_core, at);
+}
+
 /// Decode a preference selector: values below `CORES` are a core, the rest `None`. Each
 /// trace step is a `(kind, sel, core, dt)` tuple — `kind < 2` enqueues, otherwise picks,
 /// with `dt` the time advance in ns.
@@ -246,18 +256,19 @@ proptest! {
     }
 
     /// The replay harness closes the same loop through the trace format: a schedule
-    /// hand-recorded from the real-time `CoopPolicy` (enqueues and tiered picks, stamped
-    /// with the exact nanosecond offsets the policy saw) replays through
-    /// `usf::simsched::replay` with zero divergence, and aged picks land at the same
-    /// logical steps. Unlike tests/sched_trace_replay.rs this needs no cargo feature —
-    /// the trace types compile unconditionally.
+    /// hand-recorded from the real-time per-node cores (enqueues and ladder picks, stamped
+    /// with the exact nanosecond offsets the cores saw) replays through
+    /// `usf::simsched::replay` with zero divergence, and aged picks — per-queue valve and
+    /// foreign aging probe alike — land at the same logical steps. Unlike
+    /// tests/sched_trace_replay.rs this needs no cargo feature — the trace types compile
+    /// unconditionally.
     #[test]
     fn hand_recorded_policy_trace_replays_in_sim(
         ops in proptest::collection::vec((0u8..4, 0u8..10, 0u8..4, 0u32..40_000), 1..80),
     ) {
         let topo = Topology::new(CORES, NODES);
         let quantum = 50_000u64; // ns; aging window == quantum in SCHED_COOP
-        let mut real = CoopPolicy::new(topo.clone(), Duration::from_nanos(quantum));
+        let mut real = NodeShards::new(&topo, Duration::from_nanos(quantum));
 
         let meta = TraceMeta {
             core_nodes: (0..CORES).map(|c| topo.node_of(c)).collect(),
@@ -273,12 +284,12 @@ proptest! {
         let base = Instant::now();
         let mut now = 0u64;
         let mut next_id = 1u64;
-        let pick = |real: &mut CoopPolicy,
+        let pick = |real: &mut NodeShards,
                         core: usize,
                         now: u64,
                         entries: &mut Vec<TraceEntry>,
                         expected_aged: &mut Vec<u64>| {
-            match real.pick_tiered(core, base + Duration::from_nanos(now)) {
+            match real.pick(core, base + Duration::from_nanos(now)) {
                 Some((meta, tier)) => {
                     if tier == PickTier::Aged {
                         expected_aged.push(entries.len() as u64);
@@ -303,7 +314,7 @@ proptest! {
             if kind < 2 {
                 let process = u32::from(sel % 2);
                 let pref = pref_of(sel / 2);
-                real.enqueue(&topo, TaskMeta {
+                enqueue(&mut real, TaskMeta {
                     id: next_id,
                     process,
                     preferred_core: pref,
@@ -331,202 +342,15 @@ proptest! {
         prop_assert_eq!(report.aged_steps, expected_aged,
             "aged picks must replay at the recorded logical steps");
     }
-
-    /// The per-node sharded queues serve the identical item sequence as the linear-scan
-    /// reference model (hence, by test 1, as the flat `ProcQueues`) for arbitrary traces —
-    /// aging-valve service, node-vs-unbound tie-breaks and cross-shard steals included.
-    #[test]
-    fn sharded_queues_match_reference_model(
-        ops in proptest::collection::vec((0u8..4, 0u8..8, 0u8..4, 0u32..40_000), 1..80),
-    ) {
-        let topo = Topology::new(CORES, NODES);
-        let mut sharded: ShardedProcQueues<u64, u64> =
-            ShardedProcQueues::new(std::sync::Arc::new(CoreMap::from_view(&topo)));
-        let mut reference = RefQueues::new(topo);
-        let mut now = 0u64;
-        let mut next_item = 0u64;
-        for (kind, sel, core, dt) in ops {
-            now += u64::from(dt);
-            if kind < 2 {
-                sharded.push(next_item, pref_of(sel), now);
-                reference.push(next_item, pref_of(sel), now);
-                next_item += 1;
-            } else {
-                let core = core as usize;
-                let got = sharded.pop_for_tiered(core, now, AGING).map(|(t, _)| t);
-                let want = reference.pop_for(core, now, AGING);
-                prop_assert_eq!(got, want, "divergence at t={}", now);
-            }
-        }
-        loop {
-            now += 1_000;
-            let got = sharded.pop_for_tiered(0, now, AGING).map(|(t, _)| t);
-            let want = reference.pop_for(0, now, AGING);
-            prop_assert_eq!(got, want);
-            if want.is_none() { break; }
-        }
-        prop_assert!(sharded.is_empty());
-    }
-
-    /// `ShardedCoopPolicy` and `CoopPolicy` pick the same task at the same tier for the
-    /// same trace: the sharding changes queue storage and locking, never the schedule.
-    #[test]
-    fn sharded_policy_matches_flat_policy(
-        ops in proptest::collection::vec((0u8..4, 0u8..10, 0u8..4, 0u32..40_000), 1..80),
-    ) {
-        let topo = Topology::new(CORES, NODES);
-        let quantum = Duration::from_nanos(50_000);
-        let mut flat = CoopPolicy::new(topo.clone(), quantum);
-        let mut sharded = ShardedCoopPolicy::new(topo.clone(), quantum);
-
-        let base = Instant::now();
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        for (kind, sel, core, dt) in ops {
-            now += u64::from(dt);
-            let at = base + Duration::from_nanos(now);
-            if kind < 2 {
-                let meta = TaskMeta {
-                    id: next_id,
-                    process: u32::from(sel % 2),
-                    preferred_core: pref_of(sel / 2),
-                };
-                flat.enqueue(&topo, meta, at);
-                sharded.enqueue(&topo, meta, at);
-                next_id += 1;
-            } else {
-                let core = core as usize;
-                let got_flat = flat.pick_tiered(core, at).map(|(m, t)| (m.id, t));
-                let got_sharded = sharded.pick_tiered(core, at).map(|(m, t)| (m.id, t));
-                prop_assert_eq!(got_flat, got_sharded, "divergence at t={}ns", now);
-                prop_assert_eq!(flat.ready_count(), sharded.ready_count());
-            }
-        }
-        loop {
-            now += 1_000;
-            let at = base + Duration::from_nanos(now);
-            let got_flat = flat.pick_tiered(0, at).map(|(m, t)| (m.id, t));
-            let got_sharded = sharded.pick_tiered(0, at).map(|(m, t)| (m.id, t));
-            prop_assert_eq!(got_flat, got_sharded.clone());
-            if got_sharded.is_none() { break; }
-        }
-        prop_assert!(!sharded.has_ready());
-    }
-
-    /// Schedules hand-recorded from the *sharded* policy replay through the simulator's
-    /// (unsharded) SCHED_COOP instantiation with zero divergence, and the aging-valve
-    /// picks land at the same logical steps — the replay-level statement of
-    /// sharded/unsharded equivalence the acceptance criteria pin.
-    #[test]
-    fn sharded_policy_trace_replays_in_sim(
-        ops in proptest::collection::vec((0u8..4, 0u8..10, 0u8..4, 0u32..40_000), 1..80),
-    ) {
-        let topo = Topology::new(CORES, NODES);
-        let quantum = 50_000u64; // ns; aging window == quantum in SCHED_COOP
-        let mut real = ShardedCoopPolicy::new(topo.clone(), Duration::from_nanos(quantum));
-
-        let meta = TraceMeta {
-            core_nodes: (0..CORES).map(|c| topo.node_of(c)).collect(),
-            quantum_nanos: quantum,
-            policy: "sched_coop_sharded".to_string(),
-        };
-        let mut entries: Vec<TraceEntry> = Vec::new();
-        let mut expected_aged: Vec<u64> = Vec::new();
-        let record = |at_nanos: u64, event: TraceEvent, entries: &mut Vec<TraceEntry>| {
-            entries.push(TraceEntry { step: entries.len() as u64, at_nanos, event });
-        };
-
-        let base = Instant::now();
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        let pick = |real: &mut ShardedCoopPolicy,
-                        core: usize,
-                        now: u64,
-                        entries: &mut Vec<TraceEntry>,
-                        expected_aged: &mut Vec<u64>| {
-            match real.pick_tiered(core, base + Duration::from_nanos(now)) {
-                Some((meta, tier)) => {
-                    if tier == PickTier::Aged {
-                        expected_aged.push(entries.len() as u64);
-                    }
-                    entries.push(TraceEntry {
-                        step: entries.len() as u64,
-                        at_nanos: now,
-                        event: TraceEvent::Pop { core, tier: Some(tier), task: meta.id },
-                    });
-                }
-                None => entries.push(TraceEntry {
-                    step: entries.len() as u64,
-                    at_nanos: now,
-                    event: TraceEvent::PopEmpty { core },
-                }),
-            }
-        };
-        for (kind, sel, core, dt) in ops {
-            now += u64::from(dt);
-            if kind < 2 {
-                let process = u32::from(sel % 2);
-                let pref = pref_of(sel / 2);
-                real.enqueue(&topo, TaskMeta {
-                    id: next_id,
-                    process,
-                    preferred_core: pref,
-                }, base + Duration::from_nanos(now));
-                record(now, TraceEvent::Enqueue {
-                    process,
-                    task: next_id,
-                    preferred: pref,
-                }, &mut entries);
-                next_id += 1;
-            } else {
-                pick(&mut real, core as usize, now, &mut entries, &mut expected_aged);
-            }
-        }
-        while real.has_ready() {
-            now += 1_000;
-            pick(&mut real, 0, now, &mut entries, &mut expected_aged);
-        }
-
-        let expected_pops =
-            entries.iter().filter(|e| matches!(e.event, TraceEvent::Pop { .. })).count();
-        let report = replay(&meta, &entries);
-        prop_assert!(report.divergence.is_none(), "drift: {:?}", report.divergence);
-        prop_assert_eq!(report.pops, expected_pops as u64);
-        prop_assert_eq!(report.aged_steps, expected_aged,
-            "sharded aged picks must replay at the recorded logical steps");
-    }
-}
-
-/// One split pick step against two per-node policies: local tiers first, then a steal
-/// from the other shard — the readyq-level model of `Scheduler::split_pick_once` with
-/// the aging valve disabled (quantum longer than any run).
-fn split_pick(
-    shards: &mut [CoopPolicy],
-    topo: &Topology,
-    core: usize,
-    at: Instant,
-) -> Option<(TaskMeta, PickTier)> {
-    let si = topo.node_of(core);
-    if let Some(p) = shards[si].pick_tiered(core, at) {
-        return Some(p);
-    }
-    for off in 1..shards.len() {
-        let vi = (si + off) % shards.len();
-        if let Some(p) = shards[vi].pick_tiered(core, at) {
-            return Some(p);
-        }
-    }
-    None
 }
 
 proptest! {
-    /// Split-lock satellite gate: with bound-only tasks, a single process and a quantum
-    /// longer than any run (the aging valves never fire), the split model — one flat
-    /// SCHED_COOP policy per NUMA node, enqueues routed by the preferred core's node,
-    /// local-first picks with a cross-shard steal on local exhaustion — produces the
-    /// identical (task, tier) sequence as one flat policy over the whole machine. A
-    /// steal surfaces as exactly the flat pick's `Remote` tier: the stolen entry is the
-    /// oldest in the victim shard, which is the oldest remote entry of the flat view.
+    /// With bound-only tasks, a single process and a quantum longer than any run (no
+    /// valve or probe ever fires), the per-node cores — enqueues routed by
+    /// `enqueue_shard`, picks through `ShardLadder` — produce the identical (task, tier)
+    /// sequence as one flat policy over the whole machine. A steal surfaces as exactly
+    /// the flat pick's `Remote` tier: the stolen entry is the oldest in the victim shard,
+    /// which is the oldest remote entry of the flat view.
     #[test]
     fn split_steals_match_the_flat_pick_sequence(
         ops in proptest::collection::vec((0u8..2, 0u8..4, 0u32..40_000), 1..80),
@@ -534,8 +358,7 @@ proptest! {
         let topo = Topology::new(CORES, NODES);
         let quantum = Duration::from_secs(3600);
         let mut flat = CoopPolicy::new(topo.clone(), quantum);
-        let mut shards: Vec<CoopPolicy> =
-            (0..NODES).map(|_| CoopPolicy::new(topo.clone(), quantum)).collect();
+        let mut shards = NodeShards::new(&topo, quantum);
         let base = Instant::now();
         let mut now = 0u64;
         let mut next_id = 1u64;
@@ -547,11 +370,11 @@ proptest! {
             if kind == 0 {
                 let meta = TaskMeta { id: next_id, process: 1, preferred_core: Some(core) };
                 flat.enqueue(&topo, meta, at);
-                shards[topo.node_of(core)].enqueue(&topo, meta, at);
+                enqueue(&mut shards, meta, at);
                 next_id += 1;
             } else {
                 let expect = flat.pick_tiered(core, at);
-                let got = split_pick(&mut shards, &topo, core, at);
+                let got = shards.pick(core, at);
                 prop_assert_eq!(got, expect, "split pick at core {} diverged", core);
                 drain_cores.push_back(core);
             }
@@ -559,11 +382,11 @@ proptest! {
         // Drain both models to empty through the same core sequence: every residual
         // entry must also be picked identically (steals included).
         let mut drain_core = 0usize;
-        while flat.has_ready() || shards.iter().any(|s| s.has_ready()) {
+        while flat.has_ready() || shards.has_ready() {
             now += 1_000;
             let at = base + Duration::from_nanos(now);
             let expect = flat.pick_tiered(drain_core, at);
-            let got = split_pick(&mut shards, &topo, drain_core, at);
+            let got = shards.pick(drain_core, at);
             prop_assert_eq!(got, expect, "drain pick at core {} diverged", drain_core);
             prop_assert!(got.is_some(), "both report ready work but neither picks");
             drain_core = (drain_core + 1) % CORES;
@@ -572,15 +395,13 @@ proptest! {
 }
 
 /// Deterministic steal scenario: work bound to node 0 only, picked from a node-1 core.
-/// The split model must steal it and report the flat pick's `Remote` tier.
+/// The ladder must steal it and report the flat pick's `Remote` tier.
 #[test]
 fn split_steal_reports_the_flat_remote_tier() {
     let topo = Topology::new(CORES, NODES);
     let quantum = Duration::from_secs(3600);
     let mut flat = CoopPolicy::new(topo.clone(), quantum);
-    let mut shards: Vec<CoopPolicy> = (0..NODES)
-        .map(|_| CoopPolicy::new(topo.clone(), quantum))
-        .collect();
+    let mut shards = NodeShards::new(&topo, quantum);
     let base = Instant::now();
     let meta = TaskMeta {
         id: 1,
@@ -588,13 +409,13 @@ fn split_steal_reports_the_flat_remote_tier() {
         preferred_core: Some(0),
     };
     flat.enqueue(&topo, meta, base);
-    shards[0].enqueue(&topo, meta, base);
-    // Core 3 lives in node 1: its shard is empty, so the split pick must steal from
-    // shard 0 — and agree with the flat policy that this is a Remote-tier pick.
+    enqueue(&mut shards, meta, base);
+    // Core 3 lives in node 1: its shard is empty, so the pick must steal from shard 0 —
+    // and agree with the flat policy that this is a Remote-tier pick.
     let at = base + Duration::from_nanos(10);
     let expect = flat.pick_tiered(3, at);
     assert_eq!(expect, Some((meta, PickTier::Remote)));
-    let got = split_pick(&mut shards, &topo, 3, at);
+    let got = shards.pick(3, at);
     assert_eq!(got, expect);
-    assert!(!shards.iter().any(|s| s.has_ready()));
+    assert!(!shards.has_ready());
 }
