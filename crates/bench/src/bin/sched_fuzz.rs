@@ -90,7 +90,7 @@ fn without_healing_ops(ops: Vec<FuzzOp>) -> Vec<FuzzOp> {
             matches!(
                 op,
                 FuzzOp::Submit { .. }
-                    | FuzzOp::SubmitLocked { .. }
+                    | FuzzOp::RescueDrain
                     | FuzzOp::PinNode { .. }
                     | FuzzOp::Unpin { .. }
             )
@@ -106,9 +106,7 @@ fn run_canary() {
     let mutation = Some(Mutation::DropSubmit { nth: 0 });
     for seed in 0..64u64 {
         let ops = without_healing_ops(generate(&cfg, seed));
-        let has_submit = ops
-            .iter()
-            .any(|o| matches!(o, FuzzOp::Submit { .. } | FuzzOp::SubmitLocked { .. }));
+        let has_submit = ops.iter().any(|o| matches!(o, FuzzOp::Submit { .. }));
         if !has_submit {
             continue;
         }

@@ -9,9 +9,8 @@ use crate::json::{JsonObject, JsonValue};
 use usf_nosv::{HistogramSnapshot, ShardSnapshot, StageSnapshot, StatsSample};
 use usf_scenarios::ScenarioReport;
 
-/// Render one stage histogram as the standard percentile bundle (the same fields
-/// [`HistogramSnapshot::to_json`] emits, but as a [`JsonObject`] so it nests into the
-/// ordered BENCH documents).
+/// Render one stage histogram as the standard percentile bundle (a [`JsonObject`], so it
+/// nests into the ordered BENCH documents).
 pub fn histogram_json(h: &HistogramSnapshot) -> JsonObject {
     JsonObject::new()
         .field("count", h.count)
@@ -35,8 +34,8 @@ pub fn stages_json(stages: &StageSnapshot) -> JsonObject {
 }
 
 /// Render the per-scheduler-shard breakdown — dispatch-lock acquisitions, ready entries
-/// lost to cross-shard steals, cross-shard aging-valve crossings, and the shard's own
-/// grant→first-run dispatch histogram — as an ordered array, one object per NUMA node
+/// lost to cross-shard steals, cross-shard aging-valve crossings, process-quantum
+/// rotations, and the shard's own grant→first-run dispatch histogram — as an ordered array, one object per NUMA node
 /// (a single object on flat schedulers).
 pub fn shards_json(shards: &[ShardSnapshot]) -> Vec<JsonValue> {
     shards
@@ -47,6 +46,7 @@ pub fn shards_json(shards: &[ShardSnapshot]) -> Vec<JsonValue> {
                     .field("lock_acquisitions", s.lock_acquisitions)
                     .field("steals", s.steals)
                     .field("valve_crossings", s.valve_crossings)
+                    .field("rotations", s.rotations)
                     .field("dispatch", histogram_json(&s.dispatch)),
             )
         })

@@ -171,13 +171,13 @@ impl Usf {
         &self.inner.config
     }
 
-    /// Scheduler metrics snapshot.
+    /// Lock-free snapshot of the scheduler's event counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.nosv.metrics()
     }
 
-    /// Unified observability snapshot (counters + gauges + stage histograms). Takes the
-    /// scheduler lock once; see [`usf_nosv::StatsSnapshot`].
+    /// Unified observability snapshot (counters + stage histograms + per-shard stats).
+    /// Takes each shard lock once; see [`usf_nosv::StatsSnapshot`].
     pub fn stats_snapshot(&self) -> usf_nosv::StatsSnapshot {
         self.inner.nosv.stats_snapshot()
     }

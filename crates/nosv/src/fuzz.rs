@@ -2,7 +2,7 @@
 //!
 //! The fuzzer drives a single-threaded [`Scheduler`] through a generated sequence of
 //! [`FuzzOp`]s — the scheduler's *non-blocking* entry points only (`submit`,
-//! `submit_locked`, `detach`, `set_process_domain`, `deregister_process`, `kill_process`,
+//! `rescue_drain`, `detach`, `set_process_domain`, `deregister_process`, `kill_process`,
 //! `watchdog_scan`, `shutdown`; the blocking points `attach`/`pause`/`yield_now`/`waitfor`
 //! would park the fuzzing thread in `wait_grant` forever) — and checks a set of invariants
 //! after **every** op:
@@ -31,7 +31,7 @@
 //! actually catches lost tasks.
 //!
 //! The interleavings explored here are exactly the record/replay choice points of
-//! [`crate::sched_trace`]: submits racing intake drains (`submit` vs `submit_locked`),
+//! [`crate::sched_trace`]: submits racing intake drains (`submit` vs `rescue_drain`),
 //! grants delayed behind `Detach`-driven dispatches, domain changes and deregistrations
 //! between placement decisions, and shutdown cutting through all of them.
 //!
@@ -141,11 +141,10 @@ pub enum FuzzOp {
         /// Task-slot index.
         slot: usize,
     },
-    /// Submit the slot's task via the pre-intake locked path.
-    SubmitLocked {
-        /// Task-slot index.
-        slot: usize,
-    },
+    /// Run [`Scheduler::rescue_drain`]: an artificial scheduling point on every shard —
+    /// whatever sits in the intakes is drained and placed right now instead of at the
+    /// next organic scheduling point.
+    RescueDrain,
     /// Detach the slot's task (no-op on an empty slot).
     Detach {
         /// Task-slot index.
@@ -186,7 +185,7 @@ impl fmt::Display for FuzzOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FuzzOp::Submit { slot } => write!(f, "submit(slot {slot})"),
-            FuzzOp::SubmitLocked { slot } => write!(f, "submit_locked(slot {slot})"),
+            FuzzOp::RescueDrain => write!(f, "rescue_drain"),
             FuzzOp::Detach { slot } => write!(f, "detach(slot {slot})"),
             FuzzOp::PinNode { proc_index, node } => {
                 write!(f, "pin(proc {proc_index} -> node {node})")
@@ -207,7 +206,7 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Vec<FuzzOp> {
     let w_pin: u32 = if cfg.pin_bias { 25 } else { 8 };
     let w_unpin: u32 = if cfg.pin_bias { 12 } else { 5 };
     let w_shutdown: u32 = if cfg.allow_shutdown { 4 } else { 0 };
-    // Submit, SubmitLocked, Detach, PinNode, Unpin, Deregister, KillProcess,
+    // Submit, RescueDrain, Detach, PinNode, Unpin, Deregister, KillProcess,
     // WatchdogScan, Shutdown.
     let weights = [35u32, 10, 25, w_pin, w_unpin, 4, 3, 3, w_shutdown];
     let total: u32 = weights.iter().sum();
@@ -223,9 +222,7 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Vec<FuzzOp> {
                 0 => FuzzOp::Submit {
                     slot: rng.gen_range(0..cfg.slots),
                 },
-                1 => FuzzOp::SubmitLocked {
-                    slot: rng.gen_range(0..cfg.slots),
-                },
+                1 => FuzzOp::RescueDrain,
                 2 => FuzzOp::Detach {
                     slot: rng.gen_range(0..cfg.slots),
                 },
@@ -441,8 +438,10 @@ impl Harness {
     /// Apply one op to the real scheduler and mirror it in the model.
     fn apply(&mut self, op: FuzzOp, mutation: Option<Mutation>, stats: &mut FuzzStats) {
         match op {
-            FuzzOp::Submit { slot } => self.do_submit(slot, false, mutation, stats),
-            FuzzOp::SubmitLocked { slot } => self.do_submit(slot, true, mutation, stats),
+            FuzzOp::Submit { slot } => self.do_submit(slot, mutation, stats),
+            FuzzOp::RescueDrain => {
+                self.sched.rescue_drain();
+            }
             FuzzOp::Detach { slot } => {
                 if let Some(t) = self.slots[slot].take() {
                     self.sched.detach(&t);
@@ -500,13 +499,7 @@ impl Harness {
         }
     }
 
-    fn do_submit(
-        &mut self,
-        slot: usize,
-        locked: bool,
-        mutation: Option<Mutation>,
-        stats: &mut FuzzStats,
-    ) {
+    fn do_submit(&mut self, slot: usize, mutation: Option<Mutation>, stats: &mut FuzzStats) {
         let p = self.proc_of_slot(slot);
         if self.slots[slot].is_none() {
             // (Re)create the slot's task; fails (and the op becomes a no-op) once the
@@ -536,11 +529,7 @@ impl Harness {
             return; // the injected bug: model updated, real submit(s) skipped
         }
         stats.submits += 1;
-        if locked {
-            self.sched.submit_locked(&t);
-        } else {
-            self.sched.submit(&t);
-        }
+        self.sched.submit(&t);
     }
 
     /// Check every per-step invariant against the current scheduler state.
@@ -704,7 +693,7 @@ fn run(
             op_index: None,
         });
     }
-    stats.grants = h.sched.metrics().snapshot().grants;
+    stats.grants = h.sched.stats().counters().grants;
     Ok(stats)
 }
 
@@ -868,7 +857,7 @@ mod tests {
                 matches!(
                     op,
                     FuzzOp::Submit { .. }
-                        | FuzzOp::SubmitLocked { .. }
+                        | FuzzOp::RescueDrain
                         | FuzzOp::PinNode { .. }
                         | FuzzOp::Unpin { .. }
                 )
@@ -892,21 +881,48 @@ mod tests {
     }
 
     #[test]
-    fn submit_locked_counterexample_shrinks() {
-        // The deregister-then-submit_locked interleaving that exposed the missing
-        // process-liveness check in `submit_locked` (a Created task of a purged process
-        // was granted / resurrected the process in the quantum rotation). With the fix
-        // the sequence is green; the sequence is pinned here as a regression.
+    fn deregister_then_submit_counterexample_shrinks() {
+        // The deregister-then-submit-and-drain interleaving that exposed a missing
+        // process-liveness check (a Created task of a purged process was granted /
+        // resurrected the process in the quantum rotation). The rule now lives in the
+        // intake drain (`Scheduler::drain_intake_forced`); the sequence is green and
+        // pinned here as a regression.
         let cfg = FuzzConfig::base();
         let ops = vec![
             FuzzOp::Submit { slot: 0 },
             FuzzOp::Detach { slot: 0 },
             FuzzOp::Deregister { proc_index: 0 },
-            FuzzOp::SubmitLocked { slot: 0 },
+            FuzzOp::Submit { slot: 0 },
+            FuzzOp::RescueDrain,
             FuzzOp::Submit { slot: 1 },
             FuzzOp::Detach { slot: 1 },
         ];
         execute(&cfg, &ops, None).unwrap_or_else(|f| panic!("regression: {f}"));
+    }
+
+    #[test]
+    fn rescue_drain_places_intake_entries_without_losing_them() {
+        // Slots 0..4 occupy all four cores, so slot 4's submit stays in the intake (the
+        // fast path takes no lock). The rescue drain must move it into the policy queues
+        // — intake empty, still exactly one task ready — and the run must stay green.
+        let cfg = FuzzConfig::base();
+        let ops: Vec<FuzzOp> = (0..=cfg.cores)
+            .map(|slot| FuzzOp::Submit { slot })
+            .chain([FuzzOp::RescueDrain])
+            .collect();
+        let mut h = Harness::new(&cfg, build_scheduler(&cfg));
+        let mut stats = FuzzStats::default();
+        for &op in &ops[..ops.len() - 1] {
+            h.apply(op, None, &mut stats);
+        }
+        let before = h.sched.sample();
+        assert_eq!((before.busy_cores, before.intake_depth), (cfg.cores, 1));
+        h.apply(FuzzOp::RescueDrain, None, &mut stats);
+        let after = h.sched.sample();
+        assert_eq!(after.intake_depth, 0);
+        assert_eq!(after.ready_tasks, before.ready_tasks);
+        h.check().expect("invariants hold after the rescue drain");
+        execute(&cfg, &ops, None).unwrap_or_else(|f| panic!("rescue drain run failed: {f}"));
     }
 
     #[test]
@@ -958,7 +974,7 @@ mod tests {
         let cfg = FuzzConfig::base();
         let ops = [
             FuzzOp::Submit { slot: 0 },
-            FuzzOp::SubmitLocked { slot: 3 },
+            FuzzOp::Submit { slot: 3 },
             FuzzOp::Detach { slot: 0 },
             FuzzOp::Deregister { proc_index: 0 },
             FuzzOp::Submit { slot: 1 },
@@ -983,7 +999,8 @@ mod tests {
             FuzzOp::Submit { slot: 6 },
             FuzzOp::KillProcess { proc_index: 0 },
             FuzzOp::Submit { slot: 0 },
-            FuzzOp::SubmitLocked { slot: 3 },
+            FuzzOp::Submit { slot: 3 },
+            FuzzOp::RescueDrain,
             FuzzOp::WatchdogScan,
             FuzzOp::Detach { slot: 6 },
         ];

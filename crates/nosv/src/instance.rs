@@ -8,7 +8,7 @@
 
 use crate::config::NosvConfig;
 use crate::error::Result;
-use crate::metrics::MetricsSnapshot;
+use crate::obs::MetricsSnapshot;
 use crate::process::ProcessId;
 use crate::scheduler::Scheduler;
 use crate::task::{TaskRef, TaskState, WaitOutcome};
@@ -131,13 +131,13 @@ impl NosvInstance {
         self.sched.submit(task)
     }
 
-    /// Snapshot of the scheduler metrics.
+    /// Lock-free snapshot of the scheduler's event counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.sched.metrics().snapshot()
+        self.sched.stats().counters()
     }
 
-    /// One unified stats observation — counters, gauges and stage-boundary latency
-    /// histograms (see [`crate::obs::StatsSnapshot`]).
+    /// One unified stats observation — counters, stage-boundary latency histograms and
+    /// per-shard stats (see [`crate::obs::StatsSnapshot`]).
     pub fn stats_snapshot(&self) -> crate::obs::StatsSnapshot {
         self.sched.stats_snapshot()
     }

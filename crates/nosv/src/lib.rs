@@ -63,7 +63,6 @@ pub mod error;
 pub mod faults;
 pub mod fuzz;
 pub mod instance;
-pub mod metrics;
 pub mod obs;
 pub mod policy;
 pub mod process;
@@ -77,9 +76,8 @@ pub use config::{NosvConfig, PolicyKind};
 pub use error::NosvError;
 pub use faults::{FaultPlan, FaultRecord, FaultSite, FaultSpec, FaultState};
 pub use instance::{NosvInstance, TaskHandle};
-pub use metrics::{MetricsSnapshot, SchedulerMetrics};
 pub use obs::{
-    GaugesSnapshot, Histogram, HistogramSnapshot, ProcessGauges, ShardSnapshot, ShardStats,
+    Counters, Histogram, HistogramSnapshot, MetricsSnapshot, ShardSnapshot, ShardStats,
     StageSnapshot, StageStats, StatsRegistry, StatsSample, StatsSampler, StatsSnapshot,
 };
 pub use policy::{CoopPolicy, FifoPolicy, Policy, TaskMeta};

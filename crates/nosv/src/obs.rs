@@ -1,21 +1,25 @@
-//! Observability plane: lock-free latency histograms, runtime gauges, and unified
-//! stats snapshots for the scheduler.
+//! Observability plane: event counters, lock-free latency histograms, and unified stats
+//! snapshots for the scheduler.
 //!
-//! SCHED_COOP's pitch is *scheduling noise you can measure*; the counters in
-//! [`crate::metrics`] say how often things happened, but localizing a latency regression
-//! (e.g. the wake-churn p99 tracked in `BENCH_sched.json`) needs *distributions* per
-//! pipeline stage. This module provides them, always on:
+//! SCHED_COOP's pitch is *scheduling noise you can measure*: the [`Counters`] say how
+//! often things happened (zero preemptions, affinity hit rates, bounded worker swaps), and
+//! localizing a latency regression (e.g. the wake-churn p99 tracked in `BENCH_sched.json`)
+//! needs *distributions* per pipeline stage. One [`StatsRegistry`] owns both, always on:
 //!
+//! * [`Counters`] — the monotonic event counters, declared once (see `counters!`) and read
+//!   lock-free as a [`MetricsSnapshot`].
 //! * [`Histogram`] — a mergeable, log₂-bucketed latency histogram sharded per recording
 //!   thread. Recording is lock-free (relaxed atomic adds on a thread-local shard) and
 //!   never takes the scheduler lock, so instrumenting the submit fast path preserves its
-//!   lock-freedom (the `sched_stress --smoke` sentinel still holds).
+//!   lock-freedom (`scheduler::tests::submit_fast_path_takes_no_scheduler_lock` still
+//!   holds).
 //! * [`StageStats`] — one histogram per stage boundary of the scheduling pipeline:
 //!   submit→intake-drain, enqueue→grant (wake latency), grant→first-run (dispatch
 //!   latency), and the off-core durations of pauses and yields.
-//! * [`StatsSnapshot`] — counters + gauges + stage histograms behind one value with
-//!   `delta(&prev)` and `to_json()`, assembled by
-//!   [`Scheduler::stats_snapshot`](crate::scheduler::Scheduler::stats_snapshot).
+//! * [`StatsSnapshot`] — counters + stage histograms + shard stats behind one value with
+//!   `delta(&prev)`, assembled by
+//!   [`Scheduler::stats_snapshot`](crate::scheduler::Scheduler::stats_snapshot) and
+//!   rendered by the harnesses (`usf_bench::scenario_json`).
 //! * [`StatsSampler`] — an optional background thread (default: not running) appending
 //!   lock-free [`StatsSample`] time-series points for scenario reports and Perfetto
 //!   counter tracks.
@@ -28,11 +32,122 @@
 //! cache-line-padded shard. Production observability that has to be switched on after
 //! the incident is not observability.
 
-use crate::metrics::MetricsSnapshot;
-use crate::process::ProcessId;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bump a counter by one. All counters use relaxed ordering — they are diagnostics, not
+/// synchronization.
+#[inline]
+pub(crate) fn inc(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Declares the scheduler's event counters once: the atomic [`Counters`] the scheduler
+/// bumps, their plain [`MetricsSnapshot`], and the field-wise load and delta between them.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic event counters updated by the scheduler (relaxed atomics).
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Plain-old-data snapshot of [`Counters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Scheduler-section lock acquisitions — shard locks and the global section
+            /// combined. Derived at snapshot time as `Σ shards[i].lock_acquisitions +
+            /// global_lock_acquisitions` (no atomic of its own); lets tests verify that
+            /// the submit fast path never touches any scheduler lock.
+            pub lock_acquisitions: u64,
+        }
+
+        impl Counters {
+            /// Load every counter; `shard_locks` is the summed per-shard lock count the
+            /// derived `lock_acquisitions` is built from.
+            fn snapshot(&self, shard_locks: u64) -> MetricsSnapshot {
+                let mut s = MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    lock_acquisitions: 0,
+                };
+                s.lock_acquisitions = shard_locks + s.global_lock_acquisitions;
+                s
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// The counter increments between `prev` (an earlier snapshot of the same
+            /// scheduler) and `self`, field-wise and saturating — the one way every
+            /// executor and bench isolates a phase.
+            pub fn delta(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.saturating_sub(prev.$name),)*
+                    lock_acquisitions: self
+                        .lock_acquisitions
+                        .saturating_sub(prev.lock_acquisitions),
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Tasks submitted (made ready) via `nosv_submit` or attach.
+    submits,
+    /// Submits that found the target task still holding a core (counted wake-ups).
+    pending_wakeups,
+    /// Submits published through the lock-free intake stack (one CAS, no scheduler-lock
+    /// acquisition).
+    intake_submits,
+    /// Global-section lock acquisitions (process/task tables, id counters, shutdown). A
+    /// steady-state churn window must record zero of these: same-node scheduling points
+    /// stay entirely on their shard lock.
+    global_lock_acquisitions,
+    /// `nosv_pause` calls that actually blocked (released their core).
+    pauses,
+    /// `nosv_pause` calls satisfied immediately by a counted wake-up.
+    pauses_elided,
+    /// Voluntary yields that switched to another task.
+    yields,
+    /// Voluntary yields that kept the core because nothing else was ready.
+    yields_noop,
+    /// Timed waits started.
+    waitfors,
+    /// Timed waits that expired (and re-submitted their task).
+    waitfor_timeouts,
+    /// Threads attached as workers.
+    attaches,
+    /// Workers detached.
+    detaches,
+    /// Core grants delivered to tasks (worker swaps + initial placements).
+    grants,
+    /// Grants on the task's preferred core.
+    affinity_hits,
+    /// Non-progressing cores flagged by [`crate::scheduler::Scheduler::watchdog_scan`]
+    /// (at most once per grant).
+    stalls_detected,
+    /// Processes forcibly reclaimed via [`crate::scheduler::Scheduler::kill_process`].
+    processes_killed,
+    /// Tasks reclaimed (released / evicted) by `kill_process`.
+    tasks_reclaimed,
+    /// Fault-site firings injected by an installed [`crate::faults::FaultState`]
+    /// (always 0 without the `fault-inject` feature).
+    faults_injected,
+}
+
+impl MetricsSnapshot {
+    /// Fraction of grants that honoured the task's preferred core. Returns `None` when no
+    /// grant has happened yet.
+    pub fn affinity_hit_rate(&self) -> Option<f64> {
+        if self.grants == 0 {
+            None
+        } else {
+            Some(self.affinity_hits as f64 / self.grants as f64)
+        }
+    }
+}
 
 /// Number of log₂ buckets. Bucket 0 holds exact zeros; bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i)` nanoseconds; the last bucket absorbs everything from ~4.6 seconds up.
@@ -271,21 +386,6 @@ impl HistogramSnapshot {
     pub fn percentile(&self, p: f64) -> u64 {
         self.percentile_bounds(p).1
     }
-
-    /// Render the summary fields as a JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{}}}",
-            self.count,
-            self.mean_ns(),
-            if self.count == 0 { 0 } else { self.min_ns },
-            self.max_ns,
-            self.percentile(0.50),
-            self.percentile(0.90),
-            self.percentile(0.99),
-            self.percentile(0.999),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -394,16 +494,6 @@ impl StageSnapshot {
             ("yield_block", &self.yield_block),
         ]
     }
-
-    /// Render every stage as a JSON object of histogram summaries.
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .named()
-            .iter()
-            .map(|(name, h)| format!("\"{name}\":{}", h.to_json()))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -438,12 +528,14 @@ impl ShardStats {
         }
     }
 
-    /// Plain snapshot of the shard counters and histogram.
-    pub fn snapshot(&self) -> ShardSnapshot {
+    /// Plain snapshot of the shard counters and histogram. `rotations` lives in the
+    /// shard's policy, behind the shard lock, so the caller reads it and passes it in.
+    fn snapshot(&self, rotations: u64) -> ShardSnapshot {
         ShardSnapshot {
             lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             valve_crossings: self.valve_crossings.load(Ordering::Relaxed),
+            rotations,
             dispatch: self.dispatch.snapshot(),
         }
     }
@@ -458,6 +550,8 @@ pub struct ShardSnapshot {
     pub steals: u64,
     /// See [`ShardStats::valve_crossings`].
     pub valve_crossings: u64,
+    /// Process-quantum rotations performed by this shard's policy (its quantum ring).
+    pub rotations: u64,
     /// See [`ShardStats::dispatch`].
     pub dispatch: HistogramSnapshot,
 }
@@ -471,129 +565,29 @@ impl ShardSnapshot {
                 .saturating_sub(prev.lock_acquisitions),
             steals: self.steals.saturating_sub(prev.steals),
             valve_crossings: self.valve_crossings.saturating_sub(prev.valve_crossings),
+            rotations: self.rotations.saturating_sub(prev.rotations),
             dispatch: self.dispatch.delta(&prev.dispatch),
         }
     }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"lock_acquisitions\":{},\"steals\":{},\"valve_crossings\":{},\"dispatch\":{}}}",
-            self.lock_acquisitions,
-            self.steals,
-            self.valve_crossings,
-            self.dispatch.to_json()
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------------------
-// Gauges and the unified snapshot
+// The unified snapshot
 // ---------------------------------------------------------------------------------------
 
-/// Point-in-time ready-state of one registered process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessGauges {
-    /// The process id.
-    pub id: ProcessId,
-    /// The registered name.
-    pub name: String,
-    /// Ready entries in the process's per-core (bound) FIFOs.
-    pub queued_bound: usize,
-    /// Ready entries in the process's unbound FIFO.
-    pub queued_unbound: usize,
-    /// Cores currently running a task of this process.
-    pub running: usize,
-}
-
-/// Point-in-time gauges of the scheduler (instantaneous state, not cumulative — a delta
-/// of two [`StatsSnapshot`]s keeps the *later* gauges verbatim).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GaugesSnapshot {
-    /// Ready-task gauge: intake entries plus policy-queued entries (clamped at 0).
-    pub ready_tasks: usize,
-    /// Entries currently sitting in the lock-free intake stack (approximate under
-    /// concurrent pushes), summed over the per-node shards.
-    pub intake_depth: usize,
-    /// Per-NUMA-node intake shard depths (same approximation; `intake_depth` is their
-    /// sum). Lets a dashboard see a hot shard that the summed gauge hides.
-    pub intake_shards: Vec<usize>,
-    /// Cores currently running a task.
-    pub busy_cores: usize,
-    /// Cores currently idle.
-    pub idle_cores: usize,
-    /// Live (registered, unfinished) tasks.
-    pub live_tasks: usize,
-    /// Per-process ready-queue depths (bound vs unbound tiers) and running counts,
-    /// ordered by process id.
-    pub processes: Vec<ProcessGauges>,
-}
-
-impl GaugesSnapshot {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let procs: Vec<String> = self
-            .processes
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"id\":{},\"name\":{},\"queued_bound\":{},\"queued_unbound\":{},\"running\":{}}}",
-                    p.id,
-                    json_string(&p.name),
-                    p.queued_bound,
-                    p.queued_unbound,
-                    p.running
-                )
-            })
-            .collect();
-        let shards: Vec<String> = self.intake_shards.iter().map(|d| d.to_string()).collect();
-        format!(
-            "{{\"ready_tasks\":{},\"intake_depth\":{},\"intake_shards\":[{}],\"busy_cores\":{},\"idle_cores\":{},\"live_tasks\":{},\"processes\":[{}]}}",
-            self.ready_tasks,
-            self.intake_depth,
-            shards.join(","),
-            self.busy_cores,
-            self.idle_cores,
-            self.live_tasks,
-            procs.join(",")
-        )
-    }
-}
-
-/// Escape a string as a JSON string literal (the subset the scheduler emits: process
-/// names and policy names).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// One unified observation of the scheduler: cumulative counters, instantaneous gauges
-/// and stage histograms, stamped with the time since the scheduler was created.
+/// One unified observation of the scheduler: cumulative counters, stage histograms and
+/// per-shard stats, stamped with the time since the scheduler was created. (Instantaneous
+/// gauges are the lock-free [`StatsSample`].)
 ///
 /// Obtain via [`Scheduler::stats_snapshot`](crate::scheduler::Scheduler::stats_snapshot)
 /// (or the instance/runtime wrappers); subtract two with [`StatsSnapshot::delta`] to
-/// isolate one benchmark phase; render with [`StatsSnapshot::to_json`].
+/// isolate one benchmark phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Time since the scheduler was created.
     pub at: Duration,
     /// Cumulative scheduler counters.
     pub counters: MetricsSnapshot,
-    /// Instantaneous gauges.
-    pub gauges: GaugesSnapshot,
     /// Stage-boundary latency histograms.
     pub stages: StageSnapshot,
     /// Per-NUMA-node scheduler-shard stats (one entry per node; single-queue policies
@@ -602,13 +596,11 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The activity between `prev` and `self`: counters and histograms are subtracted
-    /// (cumulative), gauges are kept from `self` (instantaneous).
+    /// The activity between `prev` and `self`: counters and histograms are subtracted.
     pub fn delta(&self, prev: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             at: self.at,
             counters: self.counters.delta(&prev.counters),
-            gauges: self.gauges.clone(),
             stages: self.stages.delta(&prev.stages),
             shards: self
                 .shards
@@ -621,44 +613,20 @@ impl StatsSnapshot {
                 .collect(),
         }
     }
-
-    /// Render the whole snapshot as one JSON object (hand-rolled: `usf-nosv` has no
-    /// JSON dependency and must not grow one for the sake of a debug dump).
-    pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self.shards.iter().map(|s| s.to_json()).collect();
-        format!(
-            "{{\"at_s\":{:.6},\"counters\":{{\"submits\":{},\"intake_submits\":{},\"grants\":{},\"pauses\":{},\"yields\":{},\"waitfors\":{},\"lock_acquisitions\":{},\"global_lock_acquisitions\":{},\"stalls_detected\":{},\"faults_injected\":{}}},\"gauges\":{},\"stages\":{},\"shards\":[{}]}}",
-            self.at.as_secs_f64(),
-            self.counters.submits,
-            self.counters.intake_submits,
-            self.counters.grants,
-            self.counters.pauses,
-            self.counters.yields,
-            self.counters.waitfors,
-            self.counters.lock_acquisitions,
-            self.counters.global_lock_acquisitions,
-            self.counters.stalls_detected,
-            self.counters.faults_injected,
-            self.gauges.to_json(),
-            self.stages.to_json(),
-            shards.join(","),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------------------
 // Registry and sampler
 // ---------------------------------------------------------------------------------------
 
-/// The scheduler-resident half of the stats plane: creation instant (the time base every
-/// snapshot and sample is stamped against) plus the always-on stage histograms.
-///
-/// Counters live in [`crate::metrics::SchedulerMetrics`] and gauges are read from the
-/// scheduler's atomics/locked state at snapshot time; this registry unifies them into
-/// [`StatsSnapshot`]s via the scheduler.
+/// The scheduler-resident stats plane: creation instant (the time base every snapshot
+/// and sample is stamped against), the event counters, the always-on stage histograms and
+/// the per-shard stats.
 #[derive(Debug)]
 pub struct StatsRegistry {
     created: Instant,
+    /// Event counters (bumped by the scheduler hot paths).
+    pub counters: Counters,
     /// Stage-boundary histograms (recorded by the scheduler hot paths).
     pub stages: StageStats,
     /// Per-NUMA-node scheduler-shard stats (one entry per node).
@@ -670,19 +638,37 @@ impl StatsRegistry {
     pub fn new(shards: usize, nodes: usize) -> Self {
         StatsRegistry {
             created: Instant::now(),
+            counters: Counters::default(),
             stages: StageStats::new(shards),
             shards: (0..nodes.max(1)).map(|_| ShardStats::new(shards)).collect(),
         }
     }
 
-    /// Snapshot every scheduler-shard stat, ordered by node.
-    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shards.iter().map(ShardStats::snapshot).collect()
+    /// Lock-free snapshot of the event counters.
+    pub fn counters(&self) -> MetricsSnapshot {
+        let shard_locks = self
+            .shards
+            .iter()
+            .map(|s| s.lock_acquisitions.load(Ordering::Relaxed));
+        self.counters.snapshot(shard_locks.sum())
     }
 
-    /// The instant the registry (and scheduler) was created — the snapshot time base.
-    pub fn created(&self) -> Instant {
-        self.created
+    /// Snapshot the counters and every scheduler-shard stat (ordered by node) from one
+    /// set of loads, so `counters.lock_acquisitions` is exactly the shards' sum plus the
+    /// global count. `rotations[i]` is shard `i`'s policy rotation count, read by the
+    /// scheduler under that shard's lock.
+    pub(crate) fn counters_and_shards(
+        &self,
+        rotations: &[u64],
+    ) -> (MetricsSnapshot, Vec<ShardSnapshot>) {
+        let shards: Vec<ShardSnapshot> = self
+            .shards
+            .iter()
+            .zip(rotations)
+            .map(|(s, &r)| s.snapshot(r))
+            .collect();
+        let shard_locks = shards.iter().map(|s| s.lock_acquisitions).sum();
+        (self.counters.snapshot(shard_locks), shards)
     }
 
     /// Time since creation.
@@ -808,6 +794,48 @@ mod tests {
     use super::*;
 
     #[test]
+    fn snapshot_reflects_increments() {
+        let r = StatsRegistry::new(1, 2);
+        inc(&r.counters.submits);
+        inc(&r.counters.submits);
+        inc(&r.counters.grants);
+        inc(&r.counters.affinity_hits);
+        inc(&r.counters.global_lock_acquisitions);
+        inc(&r.shards[0].lock_acquisitions);
+        inc(&r.shards[1].lock_acquisitions);
+        let s = r.counters();
+        assert_eq!(s.submits, 2);
+        assert_eq!(s.grants, 1);
+        assert_eq!(s.affinity_hits, 1);
+        assert_eq!(s.affinity_hit_rate(), Some(1.0));
+        assert_eq!(s.lock_acquisitions, 3, "derived: both shards plus global");
+        assert_eq!(r.counters_and_shards(&[0, 0]).0, s);
+    }
+
+    #[test]
+    fn affinity_rate_none_without_grants() {
+        let s = MetricsSnapshot::default();
+        assert_eq!(s.affinity_hit_rate(), None);
+    }
+
+    #[test]
+    fn delta_is_fieldwise_and_saturating() {
+        let r = StatsRegistry::new(1, 1);
+        inc(&r.counters.submits);
+        let before = r.counters();
+        inc(&r.counters.submits);
+        inc(&r.counters.grants);
+        inc(&r.shards[0].lock_acquisitions);
+        let d = r.counters().delta(&before);
+        assert_eq!(d.submits, 1);
+        assert_eq!(d.grants, 1);
+        assert_eq!(d.pauses, 0);
+        assert_eq!(d.lock_acquisitions, 1);
+        // Saturation: a "later" snapshot with smaller counters clamps at zero.
+        assert_eq!(before.delta(&r.counters()).submits, 0);
+    }
+
+    #[test]
     fn bucket_layout_is_log2() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 1);
@@ -862,16 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_flat_object() {
-        let h = Histogram::new(1);
-        h.record_ns(5000);
-        let j = h.snapshot().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"count\":1"));
-        assert!(j.contains("\"p99_ns\":"));
-    }
-
-    #[test]
     fn sampler_collects_and_stops() {
         let n = Arc::new(AtomicU64::new(0));
         let n2 = Arc::clone(&n);
@@ -906,10 +924,5 @@ mod tests {
         assert!(StatsSample::from_jsonl_line("{\"at_nanos\":1}")
             .unwrap_err()
             .contains("ready_tasks"));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -86,37 +86,6 @@ pub trait Policy: Send {
     fn rotations(&self) -> u64 {
         0
     }
-
-    /// Per-process ready-queue depths as `(process, bound, unbound)` — the stats plane's
-    /// queue-depth gauges. Policies without per-process structure report nothing (the
-    /// default), and the gauges fall back to zero.
-    fn queue_depths(&self) -> Vec<(ProcessId, usize, usize)> {
-        Vec::new()
-    }
-}
-
-/// How a grant's placement relates to the task's preference; used for metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementKind {
-    /// Granted the preferred core.
-    Affinity,
-    /// Granted a core in the preferred core's NUMA node.
-    Numa,
-    /// Granted a remote core, or the task had no preference.
-    Remote,
-}
-
-/// Classify a placement for metric purposes.
-pub fn classify_placement(
-    topo: &Topology,
-    preferred: Option<CoreId>,
-    granted: CoreId,
-) -> PlacementKind {
-    match preferred {
-        Some(p) if p == granted => PlacementKind::Affinity,
-        Some(p) if topo.same_node(p, granted) => PlacementKind::Numa,
-        _ => PlacementKind::Remote,
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -212,10 +181,6 @@ impl Policy for CoopPolicy {
 
     fn rotations(&self) -> u64 {
         self.core.rotations()
-    }
-
-    fn queue_depths(&self) -> Vec<(ProcessId, usize, usize)> {
-        self.core.queue_depths()
     }
 }
 
@@ -415,18 +380,6 @@ mod tests {
         p.enqueue(&topo, meta(1, 0, None), now);
         assert!(p.pick(&topo, 0, now).is_none(), "core 0 is outside the pin");
         assert_eq!(p.pick(&topo, 3, now).unwrap().id, 1);
-    }
-
-    #[test]
-    fn classify_placement_kinds() {
-        let topo = Topology::new(4, 2);
-        assert_eq!(
-            classify_placement(&topo, Some(1), 1),
-            PlacementKind::Affinity
-        );
-        assert_eq!(classify_placement(&topo, Some(0), 1), PlacementKind::Numa);
-        assert_eq!(classify_placement(&topo, Some(0), 3), PlacementKind::Remote);
-        assert_eq!(classify_placement(&topo, None, 2), PlacementKind::Remote);
     }
 
     #[test]

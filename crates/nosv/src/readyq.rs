@@ -261,12 +261,6 @@ impl<T, C: ReadyTime> ProcQueues<T, C> {
         self.count == 0
     }
 
-    /// Number of queued items in the unbound FIFO (no usable core preference). The
-    /// remainder (`len() - unbound_len()`) sits in the per-core bound FIFOs.
-    pub fn unbound_len(&self) -> usize {
-        self.unbound.len()
-    }
-
     /// The core map these queues were built for.
     pub fn core_map(&self) -> &CoreMap {
         &self.map
@@ -642,21 +636,6 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime> CoopCore<P, T, C> {
     /// Whether anything is queued.
     pub fn has_ready(&self) -> bool {
         self.total > 0
-    }
-
-    /// Per-process ready-queue depths as `(process, bound, unbound)` — bound entries sit
-    /// in per-core FIFOs, unbound entries in the process's anywhere queue. Ordered by the
-    /// registration ring (deterministic), which is what the stats plane reports as the
-    /// per-tier queue-depth gauges.
-    pub fn queue_depths(&self) -> Vec<(P, usize, usize)> {
-        self.order
-            .iter()
-            .filter_map(|p| {
-                self.queues
-                    .get(p)
-                    .map(|q| (*p, q.len() - q.unbound_len(), q.unbound_len()))
-            })
-            .collect()
     }
 
     /// Whether anything is queued that `core` would be allowed to run — i.e. some

@@ -38,11 +38,12 @@
 //! * `has_ready`, `ready_count` and `busy_cores` read relaxed-ish atomic gauges
 //!   (`ready_tasks`, `idle_cores`), so `yield_now`'s "is switching useful" check never
 //!   contends with submitters.
-//! * Every scheduler-section lock acquisition bumps the `lock_acquisitions` debug
-//!   counter and global-section acquisitions additionally bump
-//!   `global_lock_acquisitions`, which is how tests (and `sched_stress --smoke` in CI)
-//!   verify that the submit fast path takes no lock at all and that steady-state wake
-//!   churn never touches the global section.
+//! * Every shard-lock acquisition bumps that shard's `lock_acquisitions` counter and
+//!   every global-section acquisition bumps `global_lock_acquisitions` (their sum is the
+//!   snapshot's `lock_acquisitions`), which is how the tests verify that the submit fast
+//!   path takes no lock at all (`tests::submit_fast_path_takes_no_scheduler_lock`) and
+//!   that steady-state wake churn never touches the global section
+//!   (`wake_churn.rs::steady_state_churn_takes_no_global_section`).
 //!
 //! # Lock hierarchy
 //!
@@ -68,9 +69,8 @@
 use crate::config::{NosvConfig, PolicyKind};
 use crate::error::{NosvError, Result};
 use crate::faults::FaultSite;
-use crate::metrics::SchedulerMetrics;
-use crate::obs::{GaugesSnapshot, ProcessGauges, StatsRegistry, StatsSample, StatsSnapshot};
-use crate::policy::{classify_placement, PlacementKind, Policy, TaskMeta};
+use crate::obs::{inc, StatsRegistry, StatsSample, StatsSnapshot};
+use crate::policy::{Policy, TaskMeta};
 use crate::process::{ProcessId, ProcessInfo};
 use crate::readyq::{self, LadderStep, PickTier, ShardLadder};
 use crate::sched_trace::TraceEvent;
@@ -109,7 +109,8 @@ macro_rules! trace_event {
 }
 
 /// Consult the installed fault plan at a site; the expression is `true` when the fault
-/// fires on this visit.
+/// fires on this visit. A firing is counted (`faults_injected`) and traced
+/// (`FaultInjected`) right here, before the caller acts on it.
 ///
 /// With the `fault-inject` feature off this expands to a constant `false` (the operands
 /// are still type-checked inside a never-built closure) — the same zero-cost-when-disabled
@@ -118,10 +119,12 @@ macro_rules! fault_fires {
     ($sched:expr, $site:expr, $task:expr) => {{
         #[cfg(feature = "fault-inject")]
         {
-            match $sched.faults.get() {
-                Some(f) => f.consult($site, $task),
-                None => false,
+            let (site, task) = ($site, $task);
+            let fired = $sched.faults.get().is_some_and(|f| f.consult(site, task));
+            if fired {
+                $sched.note_fault(site, task);
             }
+            fired
         }
         #[cfg(not(feature = "fault-inject"))]
         {
@@ -137,10 +140,15 @@ macro_rules! fault_stall {
     ($sched:expr, $site:expr, $task:expr) => {{
         #[cfg(feature = "fault-inject")]
         {
-            match $sched.faults.get() {
-                Some(f) => f.consult_stall($site, $task),
-                None => None,
+            let (site, task) = ($site, $task);
+            let stall = $sched
+                .faults
+                .get()
+                .and_then(|f| f.consult_stall(site, task));
+            if stall.is_some() {
+                $sched.note_fault(site, task);
             }
+            stall
         }
         #[cfg(not(feature = "fault-inject"))]
         {
@@ -303,8 +311,8 @@ impl Drop for WakeBatch {
 /// The rarely-written registry section of the scheduler, behind its own lock (level 1 of
 /// the lock hierarchy — see the module documentation): process and task tables, id
 /// counters and the shutdown flag. Steady-state wake churn never touches it; every
-/// acquisition additionally bumps `global_lock_acquisitions`, which is how the
-/// `sched_stress --smoke` sentinel proves that.
+/// acquisition bumps `global_lock_acquisitions`, which is how
+/// `wake_churn.rs::steady_state_churn_takes_no_global_section` proves that.
 pub(crate) struct GlobalState {
     tasks: HashMap<TaskId, TaskRef>,
     processes: HashMap<ProcessId, ProcessInfo>,
@@ -394,9 +402,9 @@ pub struct Scheduler {
     core_shard: Vec<(usize, usize)>,
     /// [`Policy::name`] of the installed policy, read once at construction.
     policy_name: String,
-    metrics: SchedulerMetrics,
-    /// Always-on observability plane: stage-boundary latency histograms and the snapshot
-    /// time base (see [`crate::obs`]). Recording never takes the scheduler lock.
+    /// Always-on observability plane: event counters, stage-boundary latency histograms,
+    /// per-shard stats and the snapshot time base (see [`crate::obs`]). Recording never
+    /// takes the scheduler lock.
     stats: StatsRegistry,
     /// Global submission order stamped into every intake node.
     intake_seq: std::sync::atomic::AtomicU64,
@@ -486,7 +494,6 @@ impl Scheduler {
             shards,
             core_shard,
             policy_name,
-            metrics: SchedulerMetrics::default(),
             stats: StatsRegistry::new(cores, nshards),
             intake_seq: std::sync::atomic::AtomicU64::new(0),
             config,
@@ -529,13 +536,21 @@ impl Scheduler {
         std::sync::Arc::clone(self.faults.get_or_init(|| st))
     }
 
-    /// Acquire the global-section lock (registry tables), bumping both the debug counter
-    /// that lets tests prove which paths stay off every scheduler-section lock and the
-    /// global-specific counter the `sched_stress --smoke` churn sentinel asserts stays
-    /// flat in steady state.
+    /// Count and trace one fault-site firing (the tail of `fault_fires!`/`fault_stall!`).
+    #[cfg(feature = "fault-inject")]
+    fn note_fault(&self, site: FaultSite, task: Option<TaskId>) {
+        inc(&self.stats.counters.faults_injected);
+        trace_event!(
+            self,
+            Instant::now(),
+            TraceEvent::FaultInjected { site, task }
+        );
+    }
+
+    /// Acquire the global-section lock (registry tables), bumping the counter that lets
+    /// tests prove which paths stay off it (steady-state churn must leave it flat).
     fn lock_global(&self) -> parking_lot::MutexGuard<'_, GlobalState> {
-        SchedulerMetrics::inc(&self.metrics.lock_acquisitions);
-        SchedulerMetrics::inc(&self.metrics.global_lock_acquisitions);
+        inc(&self.stats.counters.global_lock_acquisitions);
         self.global.lock()
     }
 
@@ -543,10 +558,7 @@ impl Scheduler {
     /// block-acquired at a time (the hierarchy's level-2 rule); additional shards are
     /// reached only through [`Scheduler::try_lock_shard`].
     fn lock_shard(&self, si: usize) -> parking_lot::MutexGuard<'_, ShardState> {
-        SchedulerMetrics::inc(&self.metrics.lock_acquisitions);
-        self.stats.shards[si]
-            .lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        inc(&self.stats.shards[si].lock_acquisitions);
         self.shards[si].state.lock()
     }
 
@@ -555,10 +567,7 @@ impl Scheduler {
     /// needed to stay deadlock-free — a busy victim is simply skipped.
     fn try_lock_shard(&self, si: usize) -> Option<parking_lot::MutexGuard<'_, ShardState>> {
         let g = self.shards[si].state.try_lock()?;
-        SchedulerMetrics::inc(&self.metrics.lock_acquisitions);
-        self.stats.shards[si]
-            .lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        inc(&self.stats.shards[si].lock_acquisitions);
         Some(g)
     }
 
@@ -585,11 +594,6 @@ impl Scheduler {
         self.shards.iter().map(|s| s.intake.depth()).sum()
     }
 
-    /// Approximate per-shard intake depths, for the stats plane.
-    fn intake_shard_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.intake.depth()).collect()
-    }
-
     /// The topology this scheduler manages.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -600,79 +604,28 @@ impl Scheduler {
         &self.config
     }
 
-    /// Scheduler metrics.
-    pub fn metrics(&self) -> &SchedulerMetrics {
-        &self.metrics
-    }
-
-    /// The always-on stats registry (stage-boundary histograms and the snapshot time
-    /// base). Most callers want [`Scheduler::stats_snapshot`] instead.
+    /// The always-on stats registry: event counters (lock-free via
+    /// [`StatsRegistry::counters`]), stage-boundary histograms, per-shard stats and the
+    /// snapshot time base.
     pub fn stats(&self) -> &StatsRegistry {
         &self.stats
     }
 
-    /// One unified observation of the scheduler: cumulative counters, instantaneous
-    /// gauges (including per-process ready-queue depths) and the stage-boundary latency
-    /// histograms. Takes each shard lock briefly (one at a time) plus the global lock for
-    /// the per-process gauges — an observation tool, not a hot-path call (the lock
-    /// acquisitions show up in `lock_acquisitions` like any others).
+    /// One unified observation of the scheduler: cumulative counters, stage-boundary
+    /// latency histograms and per-shard stats. Takes each shard lock briefly (one at a
+    /// time) to read its policy's quantum rotations; everything else is lock-free — an
+    /// observation tool, not a hot-path call (the lock acquisitions show up in
+    /// `lock_acquisitions` like any others).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let counters = self.metrics.snapshot();
-        let stages = self.stats.stages.snapshot();
-        let mut running_tids: Vec<TaskId> = Vec::new();
-        let mut depths: HashMap<ProcessId, (usize, usize)> = HashMap::new();
-        for si in 0..self.shards.len() {
-            let st = self.lock_shard(si);
-            for slot in &st.slots {
-                if let CoreSlot::Busy(tid) = slot {
-                    running_tids.push(*tid);
-                }
-            }
-            for (p, bound, unbound) in st.policy.queue_depths() {
-                let e = depths.entry(p).or_insert((0, 0));
-                e.0 += bound;
-                e.1 += unbound;
-            }
-        }
-        let (live_tasks, processes) = {
-            let g = self.lock_global();
-            let mut running: HashMap<ProcessId, usize> = HashMap::new();
-            for tid in &running_tids {
-                if let Some(t) = g.tasks.get(tid) {
-                    *running.entry(t.process()).or_insert(0) += 1;
-                }
-            }
-            let mut procs: Vec<ProcessGauges> = g
-                .processes
-                .values()
-                .map(|p| {
-                    let (bound, unbound) = depths.get(&p.id).copied().unwrap_or((0, 0));
-                    ProcessGauges {
-                        id: p.id,
-                        name: p.name.clone(),
-                        queued_bound: bound,
-                        queued_unbound: unbound,
-                        running: running.get(&p.id).copied().unwrap_or(0),
-                    }
-                })
-                .collect();
-            procs.sort_by_key(|p| p.id);
-            (g.tasks.len(), procs)
-        };
+        let rotations: Vec<u64> = (0..self.shards.len())
+            .map(|si| self.lock_shard(si).policy.rotations())
+            .collect();
+        let (counters, shards) = self.stats.counters_and_shards(&rotations);
         StatsSnapshot {
             at: self.stats.elapsed(),
             counters,
-            gauges: GaugesSnapshot {
-                ready_tasks: self.ready_count(),
-                intake_depth: self.intake_depth(),
-                intake_shards: self.intake_shard_depths(),
-                busy_cores: self.busy_cores(),
-                idle_cores: self.idle_cores.load(Ordering::SeqCst),
-                live_tasks,
-                processes,
-            },
-            stages,
-            shards: self.stats.shard_snapshots(),
+            stages: self.stats.stages.snapshot(),
+            shards,
         }
     }
 
@@ -684,8 +637,8 @@ impl Scheduler {
             ready_tasks: self.ready_count(),
             intake_depth: self.intake_depth(),
             busy_cores: self.busy_cores(),
-            submits: self.metrics.submits.load(Ordering::Relaxed),
-            grants: self.metrics.grants.load(Ordering::Relaxed),
+            submits: self.stats.counters.submits.load(Ordering::Relaxed),
+            grants: self.stats.counters.grants.load(Ordering::Relaxed),
         }
     }
 
@@ -771,13 +724,11 @@ impl Scheduler {
     /// deregister must never leave a waiter parked forever, whatever state the race with
     /// submit/pause left it in.
     pub fn deregister_process(&self, process: ProcessId) {
-        let mut wakes = WakeBatch::new();
         let stranded: Vec<TaskRef> = {
             let mut g = self.lock_global();
             if let Some(p) = g.processes.remove(&process) {
-                // Marking the shared cell dead is what lets shard-local paths (intake
-                // drains, submit_locked) reject the process's tasks from now on without
-                // the global lock.
+                // Marking the shared cell dead is what lets the shard-local intake drains
+                // reject the process's tasks from now on without the global lock.
                 p.cell.mark_dead();
             }
             g.tasks
@@ -791,13 +742,27 @@ impl Scheduler {
             Instant::now(),
             TraceEvent::DeregisterProcess { process }
         );
-        // Purge every shard, one lock at a time. Each shard's intake drain runs first: a
-        // task of this process still sitting in the intake would otherwise be enqueued at
-        // a later drain — the dead process cell makes the drain release it instead. The
-        // policy then drops any entries still queued for the process; the lock-free ready
-        // gauges must shed them too or has_ready() would stay stuck true and permanently
-        // defeat the yield fast path.
+        self.purge_from_shards(process);
+        // Every scheduler-section lock is dropped; release each stranded waiter and
+        // notify only after its grant guard is dropped too (collect-then-notify).
+        for t in stranded {
+            if t.release_if_waiting() {
+                t.grant_cv.notify_all();
+            }
+        }
+    }
+
+    /// Purge a dead process (its shared cell already marked) from every shard, one lock
+    /// at a time, returning how many queued entries were dropped. Each shard's intake
+    /// drain runs first: a task of this process still sitting in the intake would
+    /// otherwise be enqueued at a later drain — the dead process cell makes the drain
+    /// release it instead. The policy then drops any entries still queued for the
+    /// process; the lock-free ready gauges must shed them too or has_ready() would stay
+    /// stuck true and permanently defeat the yield fast path.
+    fn purge_from_shards(&self, process: ProcessId) -> usize {
+        let mut purged = 0;
         for si in 0..self.shards.len() {
+            let mut wakes = WakeBatch::new();
             let mut st = self.lock_shard(si);
             self.drain_intake(&mut st, &mut wakes);
             let before = st.policy.ready_count();
@@ -808,17 +773,11 @@ impl Scheduler {
                 self.shards[si].ready.fetch_sub(dropped, Ordering::Relaxed);
             }
             st.queued.retain(|_, t| t.process() != process);
+            purged += dropped;
             drop(st);
             wakes.fire();
         }
-        // Every scheduler-section lock is dropped; release each stranded waiter and
-        // notify only after its grant guard is dropped too (collect-then-notify).
-        for t in stranded {
-            if t.release_if_waiting() {
-                t.grant_cv.notify_all();
-            }
-        }
-        wakes.fire();
+        purged
     }
 
     /// Forcibly reclaim a process that died mid-run: like
@@ -839,7 +798,7 @@ impl Scheduler {
                 return report;
             };
             p.cell.mark_dead();
-            SchedulerMetrics::inc(&self.metrics.processes_killed);
+            inc(&self.stats.counters.processes_killed);
             let victims: Vec<TaskRef> = g
                 .tasks
                 .values()
@@ -848,7 +807,7 @@ impl Scheduler {
                 .collect();
             for t in &victims {
                 g.tasks.remove(&t.id());
-                SchedulerMetrics::inc(&self.metrics.tasks_reclaimed);
+                inc(&self.stats.counters.tasks_reclaimed);
             }
             victims
         };
@@ -860,21 +819,7 @@ impl Scheduler {
         // Phase 2 (per shard, one lock at a time): flush the intake (victims sitting
         // there are released by the drain — their process cell is dead) and purge the
         // policy queues, shedding the ready gauges.
-        for si in 0..self.shards.len() {
-            let mut st = self.lock_shard(si);
-            self.drain_intake(&mut st, &mut wakes);
-            let before = st.policy.ready_count();
-            st.policy.deregister_process(process);
-            let dropped = before.saturating_sub(st.policy.ready_count());
-            if dropped > 0 {
-                self.ready_tasks.fetch_sub(dropped as i64, Ordering::SeqCst);
-                self.shards[si].ready.fetch_sub(dropped, Ordering::Relaxed);
-            }
-            st.queued.retain(|_, t| t.process() != process);
-            report.queued_reclaimed += dropped;
-            drop(st);
-            wakes.fire();
-        }
+        report.queued_reclaimed = self.purge_from_shards(process);
         // Phase 3 (grant teardown, no scheduler-section lock held): evict running
         // victims, release waiting ones.
         let mut freed: Vec<CoreId> = Vec::new();
@@ -1001,7 +946,7 @@ impl Scheduler {
     /// a core. This is the `nosv_attach` pattern (§4.3.1): the thread is recruited as a
     /// worker and can no longer run freely.
     pub fn attach(&self, task: &TaskRef) {
-        SchedulerMetrics::inc(&self.metrics.attaches);
+        inc(&self.stats.counters.attaches);
         self.submit(task);
         self.prepark_drain();
         let _ = task.wait_grant_observed(self.record_dispatch());
@@ -1020,12 +965,11 @@ impl Scheduler {
             // The task still holds a core (it has not reached its pause yet): count the
             // wake-up so the upcoming pause returns immediately (nOS-V event counter).
             g.pending_wakeups += 1;
-            SchedulerMetrics::inc(&self.metrics.pending_wakeups);
+            inc(&self.stats.counters.pending_wakeups);
             return None;
         }
         if g.queued {
             // Already sitting in the ready queues; nothing to do.
-            SchedulerMetrics::inc(&self.metrics.redundant_submits);
             return None;
         }
         let now = Instant::now();
@@ -1040,35 +984,15 @@ impl Scheduler {
     /// the lock-free intake with a single CAS and the call returns without touching the
     /// scheduler lock. Safe to call from any thread.
     pub fn submit(&self, task: &TaskRef) {
-        SchedulerMetrics::inc(&self.metrics.submits);
+        inc(&self.stats.counters.submits);
         // Fault site: drop the wake-up before any grant-slot bookkeeping, so the loss is
         // "clean" — the scheduler has no trace of the submit, exactly like a lost signal.
         if fault_fires!(self, FaultSite::DropWakeup, Some(task.id())) {
-            SchedulerMetrics::inc(&self.metrics.faults_injected);
-            trace_event!(
-                self,
-                Instant::now(),
-                TraceEvent::FaultInjected {
-                    site: FaultSite::DropWakeup,
-                    task: Some(task.id()),
-                }
-            );
             return;
         }
         // Fault site: deliver the wake-up twice; the second delivery must be absorbed by
         // the level-triggered grant slot (pending-wakeup counter / redundant-submit path).
         let duplicate = fault_fires!(self, FaultSite::DuplicateWakeup, Some(task.id()));
-        if duplicate {
-            SchedulerMetrics::inc(&self.metrics.faults_injected);
-            trace_event!(
-                self,
-                Instant::now(),
-                TraceEvent::FaultInjected {
-                    site: FaultSite::DuplicateWakeup,
-                    task: Some(task.id()),
-                }
-            );
-        }
         self.submit_inner(task);
         if duplicate {
             self.submit_inner(task);
@@ -1095,80 +1019,25 @@ impl Scheduler {
         self.shards[home]
             .intake
             .push(TaskRef::clone(task), now, seq);
-        SchedulerMetrics::inc(&self.metrics.intake_submits);
+        inc(&self.stats.counters.intake_submits);
         // SeqCst pairs with `mark_idle`: if a core went idle before our push became
         // visible to its drain, we observe `idle_cores > 0` here and place the task
         // ourselves; otherwise its drain (which runs after its idle-store) sees our node.
         if self.idle_cores.load(Ordering::SeqCst) > 0 {
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(home);
-            self.drain_intake(&mut st, &mut wakes);
-            // If stale entries made the drain enqueue instead of granting, fill the idle
-            // cores from the policy now.
-            self.dispatch_idle_cores(&mut st, &mut wakes);
-            drop(st);
-            wakes.fire();
+            // Place the task ourselves (if stale entries make the drain enqueue instead
+            // of granting, the scheduling point fills the idle cores from the policy).
+            self.scheduling_point(home, false);
             // The idle core may live in a foreign shard (whose lock we never block on
             // from here): the guarded sweep visits the other shards one at a time.
             self.dispatch_sweep();
         } else if self.shutting_down.load(Ordering::SeqCst) {
             // We published after shutdown's drain: self-heal so the gauge does not stay
-            // stuck positive and the node does not pin the task until Scheduler drop.
-            // (The waiter itself is safe either way — the task was registered before the
-            // shutdown flag was set, so the release loop covers it.)
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(home);
-            self.drain_intake(&mut st, &mut wakes);
-            drop(st);
-            wakes.fire();
+            // stuck positive and the node does not pin the task until Scheduler drop (the
+            // drain drops the entry; nothing is dispatched once the flag is set). The
+            // waiter itself is safe either way — the task was registered before the
+            // shutdown flag was set, so the release loop covers it.
+            self.scheduling_point(home, false);
         }
-    }
-
-    /// The pre-intake submit path, kept for comparison benchmarking (`sched_stress
-    /// --baseline`): the grant-slot bookkeeping is identical but the task is placed under
-    /// the global scheduler lock, which is what every submit contended on before the
-    /// intake stack existed.
-    pub fn submit_locked(&self, task: &TaskRef) {
-        SchedulerMetrics::inc(&self.metrics.submits);
-        let Some(now) = self.mark_ready(task) else {
-            return;
-        };
-        trace_event!(
-            self,
-            now,
-            TraceEvent::Submit {
-                process: task.process(),
-                task: task.id(),
-            }
-        );
-        self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-        let mut wakes = WakeBatch::new();
-        let mut st = self.lock_shard(self.home_shard(task));
-        self.drain_intake(&mut st, &mut wakes);
-        // `is_released()` is the shard-local equivalent of the old "still in the task
-        // table" check: detach/kill mark a task released exactly when they remove it.
-        if self.shutting_down.load(Ordering::SeqCst) || task.is_released() {
-            self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        if !task.proc_alive() {
-            // Same rule as the intake drain: a task whose process was deregistered must be
-            // released, never placed — granting it would run it outside any registered
-            // domain, and enqueueing it would resurrect the purged process in the policy's
-            // quantum rotation as a ghost. (Found by the schedule fuzzer: see
-            // `fuzz::tests::submit_locked_counterexample_shrinks`.)
-            self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-            drop(st);
-            if task.release_if_unreleased() {
-                task.grant_cv.notify_all();
-            }
-            return;
-        }
-        self.place_ready_task(&mut st, task, &mut wakes);
-        self.dispatch_idle_cores(&mut st, &mut wakes);
-        drop(st);
-        wakes.fire();
-        self.dispatch_sweep();
     }
 
     /// Fault site: a worker stalls at a scheduling point (pause / yield), sleeping while
@@ -1176,39 +1045,30 @@ impl Scheduler {
     /// ([`Scheduler::watchdog_scan`]) exists to detect. No lock is held while sleeping.
     fn stall_point(&self, task: &TaskRef) {
         if let Some(stall) = fault_stall!(self, FaultSite::WorkerStall, Some(task.id())) {
-            SchedulerMetrics::inc(&self.metrics.faults_injected);
-            trace_event!(
-                self,
-                Instant::now(),
-                TraceEvent::FaultInjected {
-                    site: FaultSite::WorkerStall,
-                    task: Some(task.id()),
-                }
-            );
             std::thread::sleep(stall);
         }
     }
 
-    /// Block the calling task: release its core (handing it to the next ready task) and wait
-    /// until a later [`Scheduler::submit`] reschedules it. This is `nosv_pause`.
-    pub fn pause(&self, task: &TaskRef) {
-        self.stall_point(task);
+    /// The prologue shared by the blocking scheduling points (`pause`, `waitfor`): settle
+    /// the grant slot, give up the held core and run the pre-park drain. Returns the
+    /// instant the task went off-core, or `None` when the call must return at once —
+    /// the task was released, or a counted wake-up elides the block.
+    fn block_prologue(&self, task: &TaskRef) -> Option<Instant> {
         let released;
         {
             let mut g = task.grant.lock();
             if g.released {
-                return;
+                return None;
             }
             if g.pending_wakeups > 0 {
                 g.pending_wakeups -= 1;
-                SchedulerMetrics::inc(&self.metrics.pauses_elided);
-                return;
+                inc(&self.stats.counters.pauses_elided);
+                return None;
             }
             released = g.granted.take();
             g.state = TaskState::Blocked;
         }
-        SchedulerMetrics::inc(&self.metrics.pauses);
-        SchedulerMetrics::inc(&task.stats.blocks);
+        inc(&task.stats.blocks);
         let off_core = Instant::now();
         if let Some(core) = released {
             let mut wakes = WakeBatch::new();
@@ -1216,11 +1076,22 @@ impl Scheduler {
             self.release_core(&mut st, core, &mut wakes);
             drop(st);
             // About to park: deliver the owed notifications *now* — the Drop safety net
-            // only runs when this frame unwinds, which is after the wait below.
+            // only runs when this frame unwinds, and the caller waits right after.
             wakes.fire();
             self.dispatch_sweep();
         }
         self.prepark_drain();
+        Some(off_core)
+    }
+
+    /// Block the calling task: release its core (handing it to the next ready task) and wait
+    /// until a later [`Scheduler::submit`] reschedules it. This is `nosv_pause`.
+    pub fn pause(&self, task: &TaskRef) {
+        self.stall_point(task);
+        let Some(off_core) = self.block_prologue(task) else {
+            return;
+        };
+        inc(&self.stats.counters.pauses);
         let _ = task.wait_grant_observed(self.record_dispatch());
         self.stats.stages.pause_block.record(off_core.elapsed());
     }
@@ -1229,39 +1100,16 @@ impl Scheduler {
     /// task re-submits itself and waits to be rescheduled. This is `nosv_waitfor` and is the
     /// building block for sleeps and the poll/epoll integration (§4.3.4).
     pub fn waitfor(&self, task: &TaskRef, timeout: Duration) -> WaitOutcome {
-        SchedulerMetrics::inc(&self.metrics.waitfors);
-        let released;
-        {
-            let mut g = task.grant.lock();
-            if g.released {
-                return WaitOutcome::Woken;
-            }
-            if g.pending_wakeups > 0 {
-                g.pending_wakeups -= 1;
-                SchedulerMetrics::inc(&self.metrics.pauses_elided);
-                return WaitOutcome::Woken;
-            }
-            released = g.granted.take();
-            g.state = TaskState::Blocked;
-        }
-        SchedulerMetrics::inc(&task.stats.blocks);
-        let off_core = Instant::now();
-        if let Some(core) = released {
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(self.shard_of(core));
-            self.release_core(&mut st, core, &mut wakes);
-            drop(st);
-            // About to park (timed): fire before the wait, same as `pause`.
-            wakes.fire();
-            self.dispatch_sweep();
-        }
-        self.prepark_drain();
+        inc(&self.stats.counters.waitfors);
+        let Some(off_core) = self.block_prologue(task) else {
+            return WaitOutcome::Woken;
+        };
         let deadline = off_core + timeout;
         let outcome = match task.wait_grant_until_observed(deadline, self.record_dispatch()) {
             Some(_) => WaitOutcome::Woken,
             None => {
                 // Timed out without being woken: resubmit ourselves and wait for a core.
-                SchedulerMetrics::inc(&self.metrics.waitfor_timeouts);
+                inc(&self.stats.counters.waitfor_timeouts);
                 self.submit(task);
                 let _ = task.wait_grant_observed(self.record_dispatch());
                 WaitOutcome::TimedOut
@@ -1280,7 +1128,7 @@ impl Scheduler {
         // with nothing ready (the busy-wait-barrier pattern) touches neither the task's
         // grant lock nor the scheduler lock.
         if !self.has_ready() {
-            SchedulerMetrics::inc(&self.metrics.yields_noop);
+            inc(&self.stats.counters.yields_noop);
             return false;
         }
         let core = {
@@ -1307,7 +1155,7 @@ impl Scheduler {
             None => {
                 // The gauge raced or every queued entry was stale; nothing to switch to.
                 drop(st);
-                SchedulerMetrics::inc(&self.metrics.yields_noop);
+                inc(&self.stats.counters.yields_noop);
                 return false;
             }
         };
@@ -1357,8 +1205,8 @@ impl Scheduler {
         // About to park waiting for our own next grant: hand the successor its wakeup
         // first (the Drop safety net would only fire after the wait returns).
         wakes.fire();
-        SchedulerMetrics::inc(&self.metrics.yields);
-        SchedulerMetrics::inc(&task.stats.yields);
+        inc(&self.stats.counters.yields);
+        inc(&task.stats.yields);
         let off_core = Instant::now();
         let _ = task.wait_grant_observed(self.record_dispatch());
         self.stats.stages.yield_block.record(off_core.elapsed());
@@ -1368,7 +1216,7 @@ impl Scheduler {
     /// Detach: the task finishes, its core is handed to the next ready task and it is removed
     /// from the scheduler. This is `nosv_detach`.
     pub fn detach(&self, task: &TaskRef) {
-        SchedulerMetrics::inc(&self.metrics.detaches);
+        inc(&self.stats.counters.detaches);
         let released;
         {
             let mut g = task.grant.lock();
@@ -1419,15 +1267,6 @@ impl Scheduler {
             // Fault site: widen the flag-set → drain window so racing submits actually
             // land inside it (the self-heal path above is what must absorb them).
             if let Some(stall) = fault_stall!(self, FaultSite::ShutdownRace, None::<TaskId>) {
-                SchedulerMetrics::inc(&self.metrics.faults_injected);
-                trace_event!(
-                    self,
-                    Instant::now(),
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::ShutdownRace,
-                        task: None,
-                    }
-                );
                 drop(g);
                 std::thread::sleep(stall);
                 g = self.lock_global();
@@ -1461,7 +1300,7 @@ impl Scheduler {
     /// Grant-to-run watchdog: report every core whose current grant has been held for at
     /// least `max_hold` without reaching a scheduling point. Each non-progressing grant
     /// is flagged once (repeat scans stay quiet until the core is re-granted), and
-    /// flagging bumps [`crate::metrics::SchedulerMetrics::stalls_detected`].
+    /// flagging bumps [`crate::obs::Counters::stalls_detected`].
     ///
     /// Detection is deliberately report-only: a task that holds a core past the deadline
     /// is *running* on its bound worker thread (the USF binding of §4.2), so "requeueing"
@@ -1486,7 +1325,7 @@ impl Scheduler {
                 let held_for = now.saturating_duration_since(at);
                 if held_for >= max_hold && !st.stall_flagged[li] {
                     st.stall_flagged[li] = true;
-                    SchedulerMetrics::inc(&self.metrics.stalls_detected);
+                    inc(&self.stats.counters.stalls_detected);
                     flagged.push((st.cores[li], task, held_for));
                 }
             }
@@ -1522,16 +1361,9 @@ impl Scheduler {
         if self.shutting_down.load(Ordering::SeqCst) {
             return 0;
         }
-        let mut n = 0;
-        for si in 0..self.shards.len() {
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(si);
-            n += self.drain_intake_forced(&mut st, &mut wakes);
-            self.dispatch_idle_cores(&mut st, &mut wakes);
-            drop(st);
-            wakes.fire();
-        }
-        n
+        (0..self.shards.len())
+            .map(|si| self.scheduling_point(si, true))
+            .sum()
     }
 
     /// The featureless idle-worker drain: called on the block paths (`attach`, `pause`,
@@ -1546,17 +1378,30 @@ impl Scheduler {
             return;
         }
         for si in 0..self.shards.len() {
-            if self.shards[si].intake.depth() == 0 {
-                continue;
+            if self.shards[si].intake.depth() > 0 {
+                self.scheduling_point(si, false);
             }
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(si);
-            self.drain_intake(&mut st, &mut wakes);
-            self.dispatch_idle_cores(&mut st, &mut wakes);
-            drop(st);
-            wakes.fire();
         }
         self.dispatch_sweep();
+    }
+
+    /// One artificial scheduling point on shard `si`: under its lock, drain the intake
+    /// and dispatch ready work onto its idle cores; then, with the lock dropped, deliver
+    /// the owed grant notifications. `forced` bypasses an armed
+    /// [`FaultSite::DelayIntakeDrain`] ([`Scheduler::rescue_drain`] only). Returns how
+    /// many intake entries were drained.
+    fn scheduling_point(&self, si: usize, forced: bool) -> usize {
+        let mut wakes = WakeBatch::new();
+        let mut st = self.lock_shard(si);
+        let n = if forced {
+            self.drain_intake_forced(&mut st, &mut wakes)
+        } else {
+            self.drain_intake(&mut st, &mut wakes)
+        };
+        self.dispatch_idle_cores(&mut st, &mut wakes);
+        drop(st);
+        wakes.fire();
+        n
     }
 
     // -------------------------------------------------------------------------------------
@@ -1570,16 +1415,12 @@ impl Scheduler {
     /// which the caller fires after dropping the scheduler lock (collect-then-notify; the
     /// grant-slot predicate is fully published below, so the deferral loses no wakeup).
     fn grant(&self, task: &TaskRef, core: CoreId, immediate: bool, wakes: &mut WakeBatch) {
-        let placement = classify_placement(&self.topo, task.preferred_core(), core);
-        SchedulerMetrics::inc(&self.metrics.grants);
-        SchedulerMetrics::inc(&task.stats.grants);
-        match placement {
-            PlacementKind::Affinity => SchedulerMetrics::inc(&self.metrics.affinity_hits),
-            PlacementKind::Numa => SchedulerMetrics::inc(&self.metrics.numa_hits),
-            PlacementKind::Remote => SchedulerMetrics::inc(&self.metrics.remote_grants),
-        }
+        inc(&self.stats.counters.grants);
+        inc(&task.stats.grants);
         if let Some(from) = task.preferred_core() {
-            if from != core {
+            if from == core {
+                inc(&self.stats.counters.affinity_hits);
+            } else {
                 trace_event!(
                     self,
                     Instant::now(),
@@ -1653,7 +1494,7 @@ impl Scheduler {
     /// rotation, and they could never be picked once purged again), and live ones are
     /// placed ([`Scheduler::place_ready_task`]). Callers hold the shard lock, which is
     /// what serializes drains of that shard's intake.
-    fn drain_intake(&self, st: &mut ShardState, wakes: &mut WakeBatch) {
+    fn drain_intake(&self, st: &mut ShardState, wakes: &mut WakeBatch) -> usize {
         // Fault site: skip this drain, delaying queued submits to the next scheduling
         // point. Never skipped once shutdown is underway — the released-waiter guarantee
         // relies on the shutdown drain, and a fault plan must not turn a delay into a
@@ -1661,18 +1502,9 @@ impl Scheduler {
         if !self.shutting_down.load(Ordering::SeqCst)
             && fault_fires!(self, FaultSite::DelayIntakeDrain, None::<TaskId>)
         {
-            SchedulerMetrics::inc(&self.metrics.faults_injected);
-            trace_event!(
-                self,
-                Instant::now(),
-                TraceEvent::FaultInjected {
-                    site: FaultSite::DelayIntakeDrain,
-                    task: None,
-                }
-            );
-            return;
+            return 0;
         }
-        self.drain_intake_forced(st, wakes);
+        self.drain_intake_forced(st, wakes)
     }
 
     /// The drain body proper, never subject to the [`FaultSite::DelayIntakeDrain`] fault:
@@ -1940,12 +1772,7 @@ impl Scheduler {
             {
                 return;
             }
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(si);
-            self.drain_intake(&mut st, &mut wakes);
-            self.dispatch_idle_cores(&mut st, &mut wakes);
-            drop(st);
-            wakes.fire();
+            self.scheduling_point(si, false);
         }
     }
 }
@@ -2014,17 +1841,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_locked_after_deregister_releases_instead_of_granting() {
+    fn submit_after_deregister_releases_instead_of_granting() {
         let s = sched(2);
         let p = s.register_process("p");
         let t = s.create_task(p, None).unwrap();
         s.deregister_process(p);
         // The task was created before the deregister and never submitted, so the
-        // scheduler still knows it — but its process is gone. The locked submit path
-        // must release it, not grant it a core (it would run outside any registered
-        // domain) and not enqueue it (the policy would auto-re-register the purged
-        // process in the quantum rotation as a ghost).
-        s.submit_locked(&t);
+        // scheduler still knows it — but its process is gone. The submit sees idle cores
+        // and runs a scheduling point at once; its drain must release the task, not
+        // grant it a core (it would run outside any registered domain) and not enqueue
+        // it (the policy would auto-re-register the purged process in the quantum
+        // rotation as a ghost).
+        s.submit(&t);
         assert_ne!(t.state(), TaskState::Running);
         assert_eq!(s.busy_cores(), 0);
         assert_eq!(s.ready_count(), 0);
@@ -2059,7 +1887,7 @@ mod tests {
                       // The pause must not block (it consumes the counted wake-up).
         s.pause(&t);
         assert_eq!(t.state(), TaskState::Running);
-        let m = s.metrics().snapshot();
+        let m = s.stats().counters();
         assert_eq!(m.pending_wakeups, 1);
         assert_eq!(m.pauses_elided, 1);
     }
@@ -2106,7 +1934,7 @@ mod tests {
         let outcome = s.waitfor(&t, Duration::from_millis(5));
         assert_eq!(outcome, WaitOutcome::TimedOut);
         assert_eq!(t.state(), TaskState::Running);
-        let m = s.metrics().snapshot();
+        let m = s.stats().counters();
         assert_eq!(m.waitfors, 1);
         assert_eq!(m.waitfor_timeouts, 1);
     }
@@ -2136,7 +1964,7 @@ mod tests {
         s.submit(&t);
         assert!(!s.yield_now(&t));
         assert_eq!(t.state(), TaskState::Running);
-        assert_eq!(s.metrics().snapshot().yields_noop, 1);
+        assert_eq!(s.stats().counters().yields_noop, 1);
     }
 
     #[test]
@@ -2280,7 +2108,7 @@ mod tests {
             first,
             "resubmit should honour the preferred core"
         );
-        let m = s.metrics().snapshot();
+        let m = s.stats().counters();
         assert!(m.affinity_hits >= 1);
     }
 
@@ -2291,11 +2119,11 @@ mod tests {
         let t1 = s.create_task(p, None).unwrap();
         s.submit(&t1); // occupies the only core
         let tasks: Vec<_> = (0..8).map(|_| s.create_task(p, None).unwrap()).collect();
-        let before = s.metrics().snapshot().lock_acquisitions;
+        let before = s.stats().counters().lock_acquisitions;
         for t in &tasks {
             s.submit(t); // all cores busy: intake CAS only
         }
-        let snap = s.metrics().snapshot();
+        let snap = s.stats().counters();
         assert_eq!(
             snap.lock_acquisitions, before,
             "submit to a fully busy system must not acquire the scheduler lock"
@@ -2319,11 +2147,11 @@ mod tests {
         let p = s.register_process("p");
         let t = s.create_task(p, None).unwrap();
         s.submit(&t);
-        let before = s.metrics().snapshot().lock_acquisitions;
+        let before = s.stats().counters().lock_acquisitions;
         for _ in 0..16 {
             assert!(!s.yield_now(&t));
         }
-        let snap = s.metrics().snapshot();
+        let snap = s.stats().counters();
         assert_eq!(
             snap.lock_acquisitions, before,
             "yield with nothing ready must not acquire the scheduler lock"
@@ -2486,7 +2314,7 @@ mod tests {
         assert_eq!(reports[0].task, t.id());
         assert_eq!(reports[0].process, p);
         assert!(reports[0].held_for >= Duration::from_millis(5));
-        assert_eq!(s.metrics().snapshot().stalls_detected, 1);
+        assert_eq!(s.stats().counters().stalls_detected, 1);
         // The same grant is not re-flagged.
         assert!(s.watchdog_scan(Duration::from_millis(5)).is_empty());
         // A fresh grant re-arms the flag.
@@ -2526,7 +2354,7 @@ mod tests {
         assert_eq!(s.live_tasks(), 1);
         assert_eq!(s.processes().len(), 1);
         assert_eq!(s.ready_count(), 0);
-        let m = s.metrics().snapshot();
+        let m = s.stats().counters();
         assert_eq!(m.processes_killed, 1);
         assert_eq!(m.tasks_reclaimed, 2);
         // A detach from the evicted task's worker (it finishes as a plain OS thread)
@@ -2544,7 +2372,7 @@ mod tests {
         let report = s.kill_process(999);
         assert_eq!(report, KillReport::default());
         assert_eq!(t.state(), TaskState::Running);
-        assert_eq!(s.metrics().snapshot().processes_killed, 0);
+        assert_eq!(s.stats().counters().processes_killed, 0);
     }
 
     #[test]
@@ -2590,7 +2418,7 @@ mod tests {
             assert_eq!(s.ready_count(), 0);
             assert_eq!(s.busy_cores(), 0);
             assert_eq!(fs.fires(FaultSite::DropWakeup), 1);
-            assert_eq!(s.metrics().snapshot().faults_injected, 1);
+            assert_eq!(s.stats().counters().faults_injected, 1);
             // The level-triggered retry contract: re-submitting recovers the task.
             s.submit(&t);
             assert_eq!(t.state(), TaskState::Running);
@@ -2609,7 +2437,7 @@ mod tests {
             s.submit(&t); // granted; the duplicate delivery counts a pending wake-up
             assert_eq!(t.state(), TaskState::Running);
             assert_eq!(fs.fires(FaultSite::DuplicateWakeup), 1);
-            let m = s.metrics().snapshot();
+            let m = s.stats().counters();
             assert_eq!(
                 m.pending_wakeups, 1,
                 "second delivery absorbed as counted wake-up"
@@ -2617,7 +2445,7 @@ mod tests {
             // The counted wake-up elides the next pause instead of corrupting anything.
             s.pause(&t);
             assert_eq!(t.state(), TaskState::Running);
-            assert_eq!(s.metrics().snapshot().pauses_elided, 1);
+            assert_eq!(s.stats().counters().pauses_elided, 1);
         }
 
         #[test]
@@ -2731,7 +2559,7 @@ mod tests {
             s.submit(&t);
             assert_eq!(t.state(), TaskState::Running);
             assert_eq!(fs.total_fires(), 0);
-            assert_eq!(s.metrics().snapshot().faults_injected, 0);
+            assert_eq!(s.stats().counters().faults_injected, 0);
         }
     }
 }

@@ -211,9 +211,8 @@ impl Task {
     }
 
     /// Release the task from scheduler control unless it already was (dead-process intake
-    /// entries, a `submit_locked` against a purged process). Returns whether a
-    /// notification is owed, under the same collect-then-notify contract as
-    /// [`Task::release_if_waiting`].
+    /// entries). Returns whether a notification is owed, under the same
+    /// collect-then-notify contract as [`Task::release_if_waiting`].
     pub(crate) fn release_if_unreleased(&self) -> bool {
         let mut g = self.grant.lock();
         if g.released {

@@ -1,12 +1,14 @@
-//! Randomized property tests for the observability-plane histogram
-//! (`usf_nosv::Histogram`): merge algebra, exact counting, percentile bracketing, delta
-//! consistency, and lossless concurrent recording.
+//! Randomized property tests for the observability plane: the histogram
+//! (`usf_nosv::Histogram`) — merge algebra, exact counting, percentile bracketing, delta
+//! consistency, lossless concurrent recording — and the derived `lock_acquisitions`
+//! counter of a scheduler's `StatsSnapshot`.
 //!
 //! The repo carries no external property-testing dependency, so these are hand-rolled:
 //! a deterministic splitmix64 generator drives many random cases per property, and every
 //! assertion prints the seed of the failing case.
 
-use usf_nosv::{Histogram, HistogramSnapshot};
+use usf_nosv::scheduler::Scheduler;
+use usf_nosv::{Histogram, HistogramSnapshot, NosvConfig, StatsSnapshot, TaskRef, Topology};
 
 /// splitmix64 — the same deterministic generator idiom the fault plane uses.
 struct Rng(u64);
@@ -184,4 +186,67 @@ fn concurrent_recording_loses_no_samples() {
     );
     assert_eq!(s.sum, expected_sum);
     assert_eq!(s.count, s.buckets.iter().sum::<u64>());
+}
+
+/// `counters.lock_acquisitions` has no atomic of its own: it must equal the per-shard
+/// lock counts plus the global-section count in every snapshot, and `delta` must keep
+/// that identity.
+#[test]
+fn lock_acquisitions_is_the_sum_of_shard_and_global_locks() {
+    fn assert_identity(s: &StatsSnapshot, what: &str, seed: u64) {
+        let shard_locks: u64 = s.shards.iter().map(|sh| sh.lock_acquisitions).sum();
+        assert_eq!(
+            s.counters.lock_acquisitions,
+            shard_locks + s.counters.global_lock_acquisitions,
+            "seed {seed}: {what}"
+        );
+    }
+    for seed in 0..32u64 {
+        let mut rng = Rng(seed);
+        let s = Scheduler::new(NosvConfig::with_topology(Topology::new(4, 2)));
+        let pids = [s.register_process("a"), s.register_process("b")];
+        let mut tasks: Vec<TaskRef> = Vec::new();
+        let mut mid = None;
+        for step in 0..96 {
+            match rng.next() % 6 {
+                0 | 1 => {
+                    let t = s
+                        .create_task(pids[(rng.next() % 2) as usize], None)
+                        .unwrap();
+                    s.submit(&t);
+                    tasks.push(t);
+                }
+                2 if !tasks.is_empty() => {
+                    let t = tasks.swap_remove((rng.next() as usize) % tasks.len());
+                    s.detach(&t);
+                }
+                3 => {
+                    s.rescue_drain();
+                }
+                4 => {
+                    let node = (rng.next() % 2) as usize;
+                    let cores = s.topology().cores_in_node(node).collect();
+                    s.set_process_domain(pids[(rng.next() % 2) as usize], Some(cores));
+                }
+                _ => {
+                    let _ = s.watchdog_scan(std::time::Duration::ZERO);
+                }
+            }
+            if step == 47 {
+                mid = Some(s.stats_snapshot());
+            }
+        }
+        let (mid, end) = (mid.unwrap(), s.stats_snapshot());
+        assert_identity(&mid, "mid-run snapshot", seed);
+        assert_identity(&end, "final snapshot", seed);
+        assert_identity(&end.delta(&mid), "delta", seed);
+        assert!(
+            end.delta(&mid).counters.lock_acquisitions > 0,
+            "seed {seed}"
+        );
+        assert_eq!(
+            s.stats().counters().lock_acquisitions,
+            end.counters.lock_acquisitions
+        );
+    }
 }

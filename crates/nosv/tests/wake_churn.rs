@@ -1,9 +1,9 @@
 //! Wake-churn regression tests: pin the scheduler's wake-path behaviour under rapid
 //! pause/submit cycles and concurrent wakers.
 //!
-//! The lock-free intake (BENCH_sched.json: ~2031 grants/s intake vs ~2525 grants/s on the
-//! locked baseline under 16×-oversubscription churn) reordered *where* submits are
-//! absorbed, and these tests pin what must not change with it:
+//! The lock-free intake moved *where* submits are absorbed — from the submitter, under a
+//! scheduler lock, to whichever core reaches the next scheduling point — and these tests
+//! pin what must not change with it:
 //!
 //! * grant ordering stays FIFO for same-preference tasks submitted in sequence;
 //! * no wake-up is ever lost under concurrent wakers — a paused task resubmitted by
@@ -119,7 +119,7 @@ fn concurrent_wake_churn_loses_no_wakeups() {
         assert_eq!(blocks, CYCLES as u64, "every pause must block exactly once");
     }
 
-    let m = s.metrics().snapshot();
+    let m = s.stats().counters();
     assert_eq!(
         m.pauses_elided, 0,
         "wakers only fire on Blocked, so no pause may consume a pending wake-up"
@@ -329,12 +329,12 @@ fn steady_state_churn_takes_no_global_section() {
         std::thread::spawn(move || {
             s.attach(&task);
             // Attach (task-table write) is done: open the measurement window.
-            let before = s.metrics().snapshot().global_lock_acquisitions;
+            let before = s.stats().counters().global_lock_acquisitions;
             in_window.store(true, Ordering::SeqCst);
             for _ in 0..CYCLES {
                 s.pause(&task);
             }
-            let after = s.metrics().snapshot().global_lock_acquisitions;
+            let after = s.stats().counters().global_lock_acquisitions;
             in_window.store(false, Ordering::SeqCst);
             *window_global.lock().unwrap() = Some((before, after));
             s.detach(&task);
@@ -427,7 +427,7 @@ fn cross_node_churn_scales_with_node_count() {
             worker.join().unwrap();
             waker.join().unwrap();
         }
-        let grants = s.metrics().snapshot().grants;
+        let grants = s.stats().counters().grants;
         grants as f64 / t0.elapsed().as_secs_f64()
     };
 

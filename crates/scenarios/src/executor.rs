@@ -13,7 +13,7 @@ use crate::spec::{FaultPlanSpec, FaultSite, ScenarioSpec, WorkloadKind};
 use std::time::{Duration, Instant};
 use usf_core::exec::ExecMode;
 use usf_core::runtime::Usf;
-use usf_nosv::{FaultState, MetricsSnapshot, Topology};
+use usf_nosv::{FaultState, StatsSnapshot, Topology};
 use usf_workloads::workload::{
     CholeskyWorkload, MatmulWorkload, RuntimeFlavor, SyntheticWorkload, Workload,
 };
@@ -363,8 +363,15 @@ impl Executor for UsfExecutor {
             .numa_nodes
             .unwrap_or_else(|| Topology::detect().num_numa_nodes())
             .clamp(1, cores);
-        let plan = spec.plan();
         let usf = Usf::builder().cores(cores).numa_nodes(nodes).build();
+        self.run_on(&usf, spec)
+    }
+}
+
+impl UsfExecutor {
+    /// Run `spec` on an already-built instance, which is shut down before returning.
+    fn run_on(&self, usf: &Usf, spec: &ScenarioSpec) -> ScenarioReport {
+        let plan = spec.plan();
         // Placement lowers over the instance topology into per-process scheduler domains
         // (enforced by the grant/pick paths) plus recorded affinity hints (§4.3.2).
         let masks = plan.placement_masks(usf.topology());
@@ -443,7 +450,7 @@ impl Executor for UsfExecutor {
         usf.shutdown();
         let stats_delta = after.delta(&before);
         #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-        let mut delta = usf_sched_delta(&stats_delta.counters);
+        let mut delta = usf_sched_delta(&stats_delta);
         // Per-site ground truth for chaos oracles: how often each armed scheduler-level
         // site actually fired (e.g. `stalls_detected >= fault_fires_worker_stall`).
         #[cfg(feature = "fault-inject")]
@@ -466,8 +473,11 @@ impl Executor for UsfExecutor {
 }
 
 /// Scheduler-metrics delta of a USF run, from an already-computed
-/// [`MetricsSnapshot::delta`] interval.
-fn usf_sched_delta(d: &MetricsSnapshot) -> SchedDelta {
+/// [`StatsSnapshot::delta`] interval.
+fn usf_sched_delta(stats: &StatsSnapshot) -> SchedDelta {
+    let d = &stats.counters;
+    // Quantum rotations live in the per-node policy rings, not in a scheduler counter.
+    let rotations: u64 = stats.shards.iter().map(|s| s.rotations).sum();
     SchedDelta {
         scheduler: "sched_coop".to_string(),
         counters: vec![
@@ -478,7 +488,7 @@ fn usf_sched_delta(d: &MetricsSnapshot) -> SchedDelta {
             ("pauses".into(), d.pauses as f64),
             ("attaches".into(), d.attaches as f64),
             ("affinity_hits".into(), d.affinity_hits as f64),
-            ("process_rotations".into(), d.process_rotations as f64),
+            ("process_rotations".into(), rotations as f64),
             ("lock_acquisitions".into(), d.lock_acquisitions as f64),
             // Robustness counters: zero on clean runs, non-zero under the fault plane.
             ("faults_injected".into(), d.faults_injected as f64),
@@ -532,6 +542,31 @@ mod tests {
         let sched = r.sched.expect("USF runs report scheduler metrics");
         assert!(sched.get("attaches").unwrap() >= 2.0, "{sched:?}");
         assert!(sched.get("grants").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn usf_executor_reports_the_quantum_rotations_of_the_run() {
+        // Two 3-thread processes on 2 cores with a 1 ms quantum: each pick past the
+        // quantum with the other process ready rotates the per-node ring. The report
+        // must carry exactly what the policy rings counted over the run.
+        let spec = ScenarioSpec::new("exec-test-rotations", 2)
+            .process(ProcSpec::new("a", WorkloadKind::Md).threads(3).units(8))
+            .process(ProcSpec::new("b", WorkloadKind::Md).threads(3).units(8));
+        let usf = Usf::builder()
+            .cores(2)
+            .numa_nodes(1)
+            .quantum(Duration::from_millis(1))
+            .build();
+        let sched = std::sync::Arc::clone(usf.nosv().scheduler());
+        let before = sched.policy_rotations();
+        let r = UsfExecutor::new().run_on(&usf, &spec);
+        let rotated = sched.policy_rotations() - before;
+        let reported = r.sched.unwrap().get("process_rotations").unwrap();
+        assert!(
+            reported > 0.0,
+            "an oversubscribed two-process run must rotate"
+        );
+        assert_eq!(reported, rotated as f64);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn without_healing_ops(ops: Vec<FuzzOp>) -> Vec<FuzzOp> {
             matches!(
                 op,
                 FuzzOp::Submit { .. }
-                    | FuzzOp::SubmitLocked { .. }
+                    | FuzzOp::RescueDrain
                     | FuzzOp::PinNode { .. }
                     | FuzzOp::Unpin { .. }
             )
@@ -68,7 +68,7 @@ proptest! {
         let effective = ops
             .iter()
             .filter_map(|o| match o {
-                FuzzOp::Submit { slot } | FuzzOp::SubmitLocked { slot } => Some(*slot),
+                FuzzOp::Submit { slot } => Some(*slot),
                 _ => None,
             })
             .filter(|s| seen.insert(*s))
