@@ -21,11 +21,14 @@
 //!
 //! ```
 //! use usf_scenarios::{library, Executor, OsExecutor, SimExecutor};
-//! use usf_scenarios::spec::ProblemSize;
+//! use usf_scenarios::spec::{ModelSel, ProblemSize};
+//! use usf_simsched::Machine;
 //!
 //! let spec = library::oversub_ramp(2, 2, ProblemSize::Tiny);
 //! let real = OsExecutor.run_spec(&spec);           // kernel scheduler, real threads
-//! let sim = SimExecutor::sched_coop().run_spec(&spec); // 112 simulated cores, SCHED_COOP
+//! // 112 simulated cores, SCHED_COOP
+//! let sim = SimExecutor::for_model(Machine::marenostrum5(), ModelSel::Coop, &spec);
+//! let sim = sim.run_spec(&spec);
 //! assert_eq!(real.processes.len(), sim.processes.len());
 //! ```
 

@@ -8,8 +8,8 @@
 //! arrival gaps. Every unit ends in a `UnitMark` instrumentation op, so reports carry
 //! *measured* per-unit completion latencies rather than a fabricated uniform share. The
 //! scheduling model is pluggable — the identical spec compares the preemptive fair
-//! baseline, SCHED_COOP, and the bl-eq/bl-opt static-partitioning baselines (core maps
-//! derived from the plan by [`SimExecutor::partitioned_eq`]/[`SimExecutor::partitioned_opt`])
+//! baseline, SCHED_COOP, and the bl-eq/bl-opt static-partitioning baselines (the fair
+//! scheduler inside core maps that [`SimExecutor::for_model`] derives from the plan)
 //! without touching the spec; [`SimExecutor::sweep_models`] runs the whole
 //! [`ModelSel`] matrix in one call.
 
@@ -84,55 +84,21 @@ impl SimExecutor {
         }
     }
 
-    /// The preemptive-fair (Linux baseline) simulator over the paper's full node.
-    pub fn os_baseline() -> Self {
-        SimExecutor::new(Machine::marenostrum5(), SchedModel::Fair)
-    }
-
-    /// The SCHED_COOP simulator over the paper's full node.
-    pub fn sched_coop() -> Self {
-        SimExecutor::new(Machine::marenostrum5(), SchedModel::coop_default())
-    }
-
-    /// The bl-eq static-partitioning baseline over the paper's full node: the machine's
-    /// cores are split *equally* among the spec's processes (in spec order, contiguously,
-    /// so partitions respect socket boundaries where the split allows).
-    pub fn partitioned_eq(spec: &ScenarioSpec) -> Self {
-        SimExecutor::partitioned_eq_on(Machine::marenostrum5(), spec)
-    }
-
-    /// [`SimExecutor::partitioned_eq`] over an explicit machine (smoke/test scale).
-    pub fn partitioned_eq_on(machine: Machine, spec: &ScenarioSpec) -> Self {
-        SimExecutor::partitioned_on(machine, spec, ModelSel::BlEq)
-    }
-
-    /// The bl-opt static-partitioning baseline over the paper's full node: cores are split
-    /// proportionally to each process's total nominal work (`units × unit_work`) — the
-    /// demand-weighted "optimal" static split an oracle operator would pick.
-    pub fn partitioned_opt(spec: &ScenarioSpec) -> Self {
-        SimExecutor::partitioned_opt_on(Machine::marenostrum5(), spec)
-    }
-
-    /// [`SimExecutor::partitioned_opt`] over an explicit machine (smoke/test scale).
-    pub fn partitioned_opt_on(machine: Machine, spec: &ScenarioSpec) -> Self {
-        SimExecutor::partitioned_on(machine, spec, ModelSel::BlOpt)
-    }
-
-    fn partitioned_on(machine: Machine, spec: &ScenarioSpec, sel: ModelSel) -> Self {
-        let assignments = partition_assignments(&machine, &spec.plan(), sel == ModelSel::BlOpt);
-        let mut exec = SimExecutor::new(machine, SchedModel::Partitioned { assignments });
-        exec.sel = Some(sel);
-        exec
-    }
-
     /// Resolve one [`ModelSel`] of a spec's model matrix into a concrete executor over the
-    /// given machine.
+    /// given machine. The static-partitioning baselines take their `(process, cores)` map
+    /// from the spec's plan: bl-eq splits the cores equally among the processes, bl-opt
+    /// proportionally to each process's total nominal work.
     pub fn for_model(machine: Machine, sel: ModelSel, spec: &ScenarioSpec) -> Self {
-        match sel {
-            ModelSel::Fair => SimExecutor::new(machine, SchedModel::Fair),
-            ModelSel::Coop => SimExecutor::new(machine, SchedModel::coop_default()),
-            ModelSel::BlEq => SimExecutor::partitioned_eq_on(machine, spec),
-            ModelSel::BlOpt => SimExecutor::partitioned_opt_on(machine, spec),
+        let model = match sel {
+            ModelSel::Fair => SchedModel::Fair,
+            ModelSel::Coop => SchedModel::coop_default(),
+            ModelSel::BlEq | ModelSel::BlOpt => SchedModel::Partitioned {
+                assignments: partition_assignments(&machine, &spec.plan(), sel == ModelSel::BlOpt),
+            },
+        };
+        SimExecutor {
+            sel: Some(sel),
+            ..SimExecutor::new(machine, model)
         }
     }
 
@@ -165,8 +131,8 @@ impl SimExecutor {
         // Lower the plan's placements into core masks over the machine's topology (the
         // shared `usf_nosv::Topology`) and install them as per-process restrictions. The
         // fair model enforces them (OS affinity is a hard limit), the Coop model turns
-        // them into scheduler process domains; the partitioned models express placement
-        // through their own assignments and ignore the masks.
+        // them into scheduler process domains; under the partitioned models the bl-eq /
+        // bl-opt assignments are the masks and replace them.
         let masks = plan.placement_masks(&self.machine.topology);
         let mut shapes = Vec::with_capacity(plan.procs.len());
         for p in &plan.procs {
@@ -364,8 +330,8 @@ impl SimExecutor {
 /// bl-eq) or proportionally to each process's total nominal work — `units × unit_work`,
 /// already summed over the process's threads — (`weighted = true`, bl-opt), by largest
 /// remainder with every process guaranteed at least one core. Processes beyond the core
-/// count (a degenerate spec) are left unassigned and fall back to the scheduler's shared
-/// queue.
+/// count are left unassigned and compete by vruntime on every core — this degenerate
+/// more-processes-than-cores spec is the only producer of an unassigned process.
 fn partition_assignments(
     machine: &Machine,
     plan: &ScenarioPlan,
@@ -555,8 +521,8 @@ mod tests {
     #[test]
     fn partitioned_constructors_cover_the_machine() {
         let spec = ramp(3, 4);
-        let eq = small_sim(SchedModel::Fair); // for the machine shape only
-        let exec = SimExecutor::partitioned_eq_on(eq.machine.clone(), &spec);
+        let machine = Machine::small_numa(8, 2);
+        let exec = SimExecutor::for_model(machine.clone(), ModelSel::BlEq, &spec);
         assert_eq!(exec.label(), "sim-bl-eq");
         let SchedModel::Partitioned { assignments } = &exec.model else {
             panic!("bl-eq must build a partitioned model");
@@ -592,7 +558,7 @@ mod tests {
                     .threads(4)
                     .units(4),
             );
-        let exec = SimExecutor::partitioned_opt_on(exec.machine.clone(), &heavy);
+        let exec = SimExecutor::for_model(machine, ModelSel::BlOpt, &heavy);
         assert_eq!(exec.label(), "sim-bl-opt");
         let SchedModel::Partitioned { assignments } = &exec.model else {
             panic!("bl-opt must build a partitioned model");

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 use usf_scenarios::{
-    Arrival, Executor, ProblemSize, ProcSpec, ScenarioSpec, SimExecutor, WorkloadKind,
+    Arrival, Executor, ModelSel, ProblemSize, ProcSpec, ScenarioSpec, SimExecutor, WorkloadKind,
 };
 use usf_simsched::{Machine, SchedModel};
 
@@ -42,7 +42,7 @@ fn latencies_telescope_to_the_makespan_for_every_model() {
     for exec in [
         sim(SchedModel::Fair),
         sim(SchedModel::coop_default()),
-        SimExecutor::partitioned_eq_on(sim(SchedModel::Fair).machine.clone(), &spec),
+        SimExecutor::for_model(Machine::small_numa(8, 2), ModelSel::BlEq, &spec),
     ] {
         let r = exec.run_spec(&spec);
         for p in &r.processes {

@@ -4,7 +4,7 @@
 //! virtual time event by event. Scheduling decisions are delegated to a
 //! [`crate::sched::SimPolicy`]; everything else — op execution, blocking,
 //! barriers, busy-waiting, bandwidth contention, accounting — is handled here so that the
-//! fair, cooperative and partitioned policies are compared on exactly the same mechanics.
+//! scheduling models are compared on exactly the same mechanics.
 
 use crate::machine::Machine;
 use crate::metrics::{BwSample, SimMetrics, SimReportData};
@@ -12,7 +12,7 @@ use crate::program::{BarrierId, BarrierWaitKind, EventId, LockId, Op, ProgramRef
 use crate::sched::{ReadyThread, SchedModel, SimPolicy};
 use crate::thread::{BlockReason, ProcessDesc, ProcessId, SimThread, ThreadId, ThreadRunState};
 use crate::time::SimTime;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 /// Full report of a simulation run (re-exported as the crate-level `SimReport`).
 pub type SimReport = SimReportData;
@@ -75,20 +75,8 @@ struct EventState {
 pub struct Engine {
     machine: Machine,
     policy: Box<dyn SimPolicy>,
-    policy_label: String,
     processes: Vec<ProcessDesc>,
     threads: Vec<SimThread>,
-
-    // Engine-side per-thread state.
-    op_seq: Vec<u64>,
-    run_seq: Vec<u64>,
-    locks_held: Vec<usize>,
-    pending_overhead: Vec<SimTime>,
-    on_core_since: Vec<SimTime>,
-    spinning: Vec<bool>,
-    spin_kind: Vec<Option<BarrierWaitKind>>,
-    unit_marks: Vec<Vec<(usize, SimTime)>>,
-    cores_used: Vec<BTreeSet<usize>>,
 
     // Cores.
     cores: Vec<Option<ThreadId>>,
@@ -104,8 +92,9 @@ pub struct Engine {
     barriers: HashMap<BarrierId, BarrierState>,
     events: HashMap<EventId, EventState>,
 
-    // Bandwidth model.
-    computing: HashSet<ThreadId>,
+    // Bandwidth model. Ordered: the set is iterated to sum `f64` demands and to hand out
+    // the event sequence numbers that break same-time ties, so its order is behaviour.
+    computing: BTreeSet<ThreadId>,
     bw_factor: f64,
     bw_last_update: SimTime,
     bw_trace: Vec<BwSample>,
@@ -126,19 +115,9 @@ impl Engine {
         let policy = model.build(&machine);
         let cores = machine.cores();
         Engine {
-            policy_label: model.label().to_string(),
             policy,
             processes: Vec::new(),
             threads: Vec::new(),
-            op_seq: Vec::new(),
-            run_seq: Vec::new(),
-            locks_held: Vec::new(),
-            pending_overhead: Vec::new(),
-            on_core_since: Vec::new(),
-            spinning: Vec::new(),
-            spin_kind: Vec::new(),
-            unit_marks: Vec::new(),
-            cores_used: Vec::new(),
             cores: vec![None; cores],
             core_idle_since: vec![SimTime::ZERO; cores],
             core_last_thread: vec![None; cores],
@@ -147,7 +126,7 @@ impl Engine {
             locks: HashMap::new(),
             barriers: HashMap::new(),
             events: HashMap::new(),
-            computing: HashSet::new(),
+            computing: BTreeSet::new(),
             bw_factor: 1.0,
             bw_last_update: SimTime::ZERO,
             bw_trace: Vec::new(),
@@ -158,11 +137,6 @@ impl Engine {
             deadlocked: false,
             machine,
         }
-    }
-
-    /// Label of the installed policy.
-    pub fn policy_label(&self) -> &str {
-        &self.policy_label
     }
 
     /// Register a process with a scheduling weight (1.0 = nice 0).
@@ -205,15 +179,6 @@ impl Engine {
         let id = self.threads.len();
         self.threads
             .push(SimThread::new(id, process, program, arrival));
-        self.op_seq.push(0);
-        self.run_seq.push(0);
-        self.locks_held.push(0);
-        self.pending_overhead.push(SimTime::ZERO);
-        self.on_core_since.push(SimTime::ZERO);
-        self.spinning.push(false);
-        self.spin_kind.push(None);
-        self.unit_marks.push(Vec::new());
-        self.cores_used.push(BTreeSet::new());
         self.push_event(arrival, EventKind::Arrival(id));
         id
     }
@@ -349,11 +314,11 @@ impl Engine {
 
     /// (Re)schedule the completion event of the compute op `tid` is currently running.
     fn schedule_op_complete(&mut self, tid: ThreadId) {
-        self.op_seq[tid] += 1;
+        self.threads[tid].op_seq += 1;
         let factor = self.per_thread_factor(tid).max(1e-9);
         let remaining = self.threads[tid].remaining_work;
         let finish = self.now + remaining.scale(1.0 / factor);
-        let seq = self.op_seq[tid];
+        let seq = self.threads[tid].op_seq;
         self.push_event(
             finish,
             EventKind::OpComplete {
@@ -363,16 +328,57 @@ impl Engine {
         );
     }
 
+    /// Schedule the next yield point of a busy-waiter; a fresh `op_seq` invalidates any
+    /// slice still pending. A plain `Spin` waiter never yields, so nothing is armed.
+    fn arm_spin_slice(&mut self, tid: ThreadId) {
+        if let Some(BarrierWaitKind::SpinYield { slice }) = self.threads[tid].spin_kind {
+            self.threads[tid].op_seq += 1;
+            let op_seq = self.threads[tid].op_seq;
+            self.push_event(
+                self.now + slice,
+                EventKind::SpinSlice {
+                    thread: tid,
+                    op_seq,
+                },
+            );
+        }
+    }
+
+    /// Arm the preemption quantum for the thread's current stay on its core (nothing under
+    /// a cooperative policy).
+    fn arm_quantum(&mut self, tid: ThreadId) {
+        if let Some(q) = self.policy.preemption_quantum() {
+            let run_seq = self.threads[tid].run_seq;
+            self.push_event(
+                self.now + q,
+                EventKind::Quantum {
+                    thread: tid,
+                    run_seq,
+                },
+            );
+        }
+    }
+
+    /// Whether a `sched_yield` by `tid` would hand its core to anyone: only threads
+    /// eligible on *its* core make switching useful — work pinned to other cores cannot
+    /// take it over.
+    fn yield_is_useful(&self, tid: ThreadId) -> bool {
+        match self.threads[tid].state {
+            ThreadRunState::Running(core) => self.policy.has_ready_for(core),
+            _ => self.policy.has_ready(),
+        }
+    }
+
     // -------------------------------------------------------------------------------------
     // Accounting helpers
     // -------------------------------------------------------------------------------------
 
     /// Close the current on-core accounting interval of a running thread.
     fn close_core_interval(&mut self, tid: ThreadId) {
-        let since = self.on_core_since[tid];
+        let since = self.threads[tid].on_core_since;
         let elapsed = self.now.saturating_sub(since);
         let weight = self.processes[self.threads[tid].process].weight;
-        if self.spinning[tid] {
+        if self.threads[tid].spinning {
             self.threads[tid].stats.spin_time += elapsed;
             self.metrics.spin_time += elapsed;
         } else {
@@ -380,14 +386,14 @@ impl Engine {
             self.metrics.busy_time += elapsed;
         }
         self.threads[tid].vruntime += elapsed.as_secs_f64() / weight;
-        self.on_core_since[tid] = self.now;
+        self.threads[tid].on_core_since = self.now;
     }
 
     /// Switch a running thread's accounting between useful work and spinning.
     fn set_spinning(&mut self, tid: ThreadId, spinning: bool) {
-        if self.spinning[tid] != spinning {
+        if self.threads[tid].spinning != spinning {
             self.close_core_interval(tid);
-            self.spinning[tid] = spinning;
+            self.threads[tid].spinning = spinning;
         }
     }
 
@@ -415,12 +421,12 @@ impl Engine {
             self.cores[core] = None;
             self.core_idle_since[core] = self.now;
         }
-        self.spinning[tid] = false;
+        self.threads[tid].spinning = false;
         if self.computing.remove(&tid) {
             self.bandwidth_changed();
         }
-        self.op_seq[tid] += 1;
-        self.run_seq[tid] += 1;
+        self.threads[tid].op_seq += 1;
+        self.threads[tid].run_seq += 1;
     }
 
     fn block(&mut self, tid: ThreadId, reason: BlockReason) {
@@ -467,7 +473,7 @@ impl Engine {
     fn preempt(&mut self, tid: ThreadId) {
         self.metrics.preemptions += 1;
         self.threads[tid].stats.preemptions += 1;
-        if self.locks_held[tid] > 0 {
+        if self.threads[tid].locks_held > 0 {
             self.metrics.lock_holder_preemptions += 1;
         }
         self.deschedule_to_ready(tid);
@@ -548,47 +554,27 @@ impl Engine {
                 }
             }
         }
-        self.pending_overhead[tid] += overhead;
+        self.threads[tid].pending_overhead += overhead;
         // First-touch: the process's home node is wherever its first thread lands.
         let process = self.threads[tid].process;
         if self.process_home[process].is_none() {
             self.process_home[process] = Some(self.machine.socket_of(core));
         }
         // Mount the thread.
-        self.cores_used[tid].insert(core);
+        self.threads[tid].cores_used.insert(core);
         self.cores[core] = Some(tid);
         self.core_last_thread[core] = Some(tid);
         self.threads[tid].state = ThreadRunState::Running(core);
         self.threads[tid].last_core = Some(core);
         self.threads[tid].stats.dispatches += 1;
-        self.on_core_since[tid] = self.now;
-        self.spinning[tid] = false;
-        self.run_seq[tid] += 1;
-        // Arm the preemption quantum.
-        if let Some(q) = self.policy.preemption_quantum() {
-            let seq = self.run_seq[tid];
-            self.push_event(
-                self.now + q,
-                EventKind::Quantum {
-                    thread: tid,
-                    run_seq: seq,
-                },
-            );
-        }
+        self.threads[tid].on_core_since = self.now;
+        self.threads[tid].spinning = false;
+        self.threads[tid].run_seq += 1;
+        self.arm_quantum(tid);
         // Resume a preempted busy-waiter, or continue the program.
         if matches!(self.threads[tid].block_reason, BlockReason::BarrierSpin(_)) {
             self.set_spinning(tid, true);
-            if let Some(BarrierWaitKind::SpinYield { slice }) = self.spin_kind[tid] {
-                self.op_seq[tid] += 1;
-                let seq = self.op_seq[tid];
-                self.push_event(
-                    self.now + slice,
-                    EventKind::SpinSlice {
-                        thread: tid,
-                        op_seq: seq,
-                    },
-                );
-            }
+            self.arm_spin_slice(tid);
             return;
         }
         self.continue_thread(tid);
@@ -611,10 +597,9 @@ impl Engine {
                         if t.remaining_work == SimTime::ZERO {
                             t.remaining_work = work;
                         }
-                        t.remaining_work += self.pending_overhead[tid];
+                        t.remaining_work += std::mem::take(&mut t.pending_overhead);
                         t.current_bw = bw_gbps;
                     }
-                    self.pending_overhead[tid] = SimTime::ZERO;
                     self.computing.insert(tid);
                     self.bandwidth_changed();
                     self.schedule_op_complete(tid);
@@ -624,7 +609,7 @@ impl Engine {
                     let lock = self.locks.entry(id).or_default();
                     if lock.owner.is_none() {
                         lock.owner = Some(tid);
-                        self.locks_held[tid] += 1;
+                        self.threads[tid].locks_held += 1;
                         self.threads[tid].pc += 1;
                     } else {
                         lock.waiters.push_back(tid);
@@ -637,7 +622,8 @@ impl Engine {
                     let next = {
                         let lock = self.locks.entry(id).or_default();
                         if lock.owner == Some(tid) {
-                            self.locks_held[tid] = self.locks_held[tid].saturating_sub(1);
+                            let held = &mut self.threads[tid].locks_held;
+                            *held = held.saturating_sub(1);
                             match lock.waiters.pop_front() {
                                 Some(w) => {
                                     lock.owner = Some(w);
@@ -654,7 +640,7 @@ impl Engine {
                     };
                     if let Some(w) = next {
                         // Ownership handoff: the waiter resumes past its Lock op.
-                        self.locks_held[w] += 1;
+                        self.threads[w].locks_held += 1;
                         self.threads[w].pc += 1;
                         self.threads[w].block_reason = BlockReason::None;
                         self.make_ready(w);
@@ -688,25 +674,11 @@ impl Engine {
                                 self.block(tid, BlockReason::Barrier(id));
                                 return;
                             }
-                            BarrierWaitKind::Spin => {
+                            BarrierWaitKind::Spin | BarrierWaitKind::SpinYield { .. } => {
                                 self.threads[tid].block_reason = BlockReason::BarrierSpin(id);
-                                self.spin_kind[tid] = Some(kind);
+                                self.threads[tid].spin_kind = Some(kind);
                                 self.set_spinning(tid, true);
-                                return;
-                            }
-                            BarrierWaitKind::SpinYield { slice } => {
-                                self.threads[tid].block_reason = BlockReason::BarrierSpin(id);
-                                self.spin_kind[tid] = Some(kind);
-                                self.set_spinning(tid, true);
-                                self.op_seq[tid] += 1;
-                                let seq = self.op_seq[tid];
-                                self.push_event(
-                                    self.now + slice,
-                                    EventKind::SpinSlice {
-                                        thread: tid,
-                                        op_seq: seq,
-                                    },
-                                );
+                                self.arm_spin_slice(tid);
                                 return;
                             }
                         }
@@ -721,13 +693,7 @@ impl Engine {
                 Op::Yield => {
                     self.threads[tid].pc += 1;
                     self.metrics.yields += 1;
-                    let useful = match self.threads[tid].state {
-                        // Only threads eligible on *this* core make switching useful —
-                        // work pinned to other cores cannot take it over.
-                        ThreadRunState::Running(core) => self.policy.has_ready_for(core),
-                        _ => self.policy.has_ready(),
-                    };
-                    if useful {
+                    if self.yield_is_useful(tid) {
                         self.yield_core(tid);
                         return;
                     }
@@ -789,7 +755,7 @@ impl Engine {
                 }
                 Op::UnitMark(unit) => {
                     self.threads[tid].pc += 1;
-                    self.unit_marks[tid].push((unit, self.now));
+                    self.threads[tid].unit_marks.push((unit, self.now));
                 }
             }
         }
@@ -805,8 +771,8 @@ impl Engine {
             ThreadRunState::Running(_) => {
                 // The waiter is busy-waiting on a core: it proceeds immediately.
                 self.threads[w].block_reason = BlockReason::None;
-                self.spin_kind[w] = None;
-                self.op_seq[w] += 1; // invalidate any pending SpinSlice
+                self.threads[w].spin_kind = None;
+                self.threads[w].op_seq += 1; // invalidate any pending SpinSlice
                 self.set_spinning(w, false);
                 self.continue_thread(w);
             }
@@ -814,7 +780,7 @@ impl Engine {
                 // A preempted busy-waiter: it simply continues past the barrier when it is
                 // next dispatched.
                 self.threads[w].block_reason = BlockReason::None;
-                self.spin_kind[w] = None;
+                self.threads[w].spin_kind = None;
             }
             ThreadRunState::Finished | ThreadRunState::NotStarted => {}
         }
@@ -832,7 +798,7 @@ impl Engine {
                 }
             }
             EventKind::OpComplete { thread, op_seq } => {
-                if self.op_seq[thread] != op_seq {
+                if self.threads[thread].op_seq != op_seq {
                     return;
                 }
                 if !matches!(self.threads[thread].state, ThreadRunState::Running(_)) {
@@ -846,11 +812,11 @@ impl Engine {
                     t.current_bw = 0.0;
                     t.pc += 1;
                 }
-                self.op_seq[thread] += 1;
+                self.threads[thread].op_seq += 1;
                 self.continue_thread(thread);
             }
             EventKind::Quantum { thread, run_seq } => {
-                if self.run_seq[thread] != run_seq {
+                if self.threads[thread].run_seq != run_seq {
                     return;
                 }
                 let ThreadRunState::Running(core) = self.threads[thread].state else {
@@ -861,15 +827,8 @@ impl Engine {
                 // preemption counters and re-dispatch the same thread.
                 if self.policy.has_ready_for(core) {
                     self.preempt(thread);
-                } else if let Some(q) = self.policy.preemption_quantum() {
-                    let seq = self.run_seq[thread];
-                    self.push_event(
-                        self.now + q,
-                        EventKind::Quantum {
-                            thread,
-                            run_seq: seq,
-                        },
-                    );
+                } else {
+                    self.arm_quantum(thread);
                 }
             }
             EventKind::SleepDone { thread } => {
@@ -881,7 +840,7 @@ impl Engine {
                 }
             }
             EventKind::SpinSlice { thread, op_seq } => {
-                if self.op_seq[thread] != op_seq {
+                if self.threads[thread].op_seq != op_seq {
                     return;
                 }
                 if !matches!(self.threads[thread].state, ThreadRunState::Running(_))
@@ -894,22 +853,10 @@ impl Engine {
                 }
                 // The spinning thread reaches its sched_yield.
                 self.metrics.yields += 1;
-                let useful = match self.threads[thread].state {
-                    ThreadRunState::Running(core) => self.policy.has_ready_for(core),
-                    _ => self.policy.has_ready(),
-                };
-                if useful {
+                if self.yield_is_useful(thread) {
                     self.yield_core(thread);
-                } else if let Some(BarrierWaitKind::SpinYield { slice }) = self.spin_kind[thread] {
-                    self.op_seq[thread] += 1;
-                    let seq = self.op_seq[thread];
-                    self.push_event(
-                        self.now + slice,
-                        EventKind::SpinSlice {
-                            thread,
-                            op_seq: seq,
-                        },
-                    );
+                } else {
+                    self.arm_spin_slice(thread);
                 }
             }
         }
@@ -964,64 +911,23 @@ impl Engine {
                 self.metrics.idle_time += makespan.saturating_sub(self.core_idle_since[core]);
             }
         }
-        let unfinished = self.threads.iter().any(|t| !t.is_finished());
-        if unfinished {
+        if self.threads.iter().any(|t| !t.is_finished()) {
             self.deadlocked = true;
-            if std::env::var_os("USF_SIM_DEBUG").is_some() {
-                let mut by_state: HashMap<String, usize> = HashMap::new();
-                for t in self.threads.iter().filter(|t| !t.is_finished()) {
-                    *by_state
-                        .entry(format!("{:?}/{:?}", t.state, t.block_reason))
-                        .or_insert(0) += 1;
-                }
-                eprintln!(
-                    "simsched deadlock at {:?}: ready_count={} idle_cores={} stuck={:?}",
-                    self.now,
-                    self.policy.ready_count(),
-                    self.cores.iter().filter(|c| c.is_none()).count(),
-                    by_state
-                );
-                let mut drained = Vec::new();
-                while let Some(t) = self.policy.pick(0, self.now) {
-                    drained.push(t);
-                    if drained.len() > 10_000 {
-                        break;
-                    }
-                }
-                let states: Vec<String> = drained
-                    .iter()
-                    .take(5)
-                    .map(|&t| {
-                        format!(
-                            "t{t}:{:?}/{:?}",
-                            self.threads[t].state, self.threads[t].block_reason
-                        )
-                    })
-                    .collect();
-                eprintln!(
-                    "post-mortem pick drained {} entries; first: {states:?}",
-                    drained.len()
-                );
-            }
         }
         let mut report = SimReportData {
             makespan,
-            metrics: self.metrics.clone(),
+            metrics: self.metrics,
             deadlocked: self.deadlocked,
-            bw_trace: std::mem::take(&mut self.bw_trace),
+            bw_trace: self.bw_trace,
             ..Default::default()
         };
-        for t in &self.threads {
+        for t in self.threads {
             report.thread_stats.insert(t.id, t.stats);
             report.thread_times.insert(t.id, (t.arrival, t.finish));
-            if !self.unit_marks[t.id].is_empty() {
-                report
-                    .unit_marks
-                    .insert(t.id, std::mem::take(&mut self.unit_marks[t.id]));
+            if !t.unit_marks.is_empty() {
+                report.unit_marks.insert(t.id, t.unit_marks);
             }
-            report
-                .thread_cores
-                .insert(t.id, std::mem::take(&mut self.cores_used[t.id]));
+            report.thread_cores.insert(t.id, t.cores_used);
             if let Some(f) = t.finish {
                 let entry = report
                     .process_completion
@@ -1037,7 +943,6 @@ impl Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("policy", &self.policy_label)
             .field("cores", &self.machine.cores())
             .field("threads", &self.threads.len())
             .finish()
@@ -1305,6 +1210,34 @@ mod tests {
         );
         assert!(both_r.peak_bandwidth() <= 100.0 + 1e-9);
         assert!(both_r.average_bandwidth() > 0.0);
+    }
+
+    #[test]
+    fn heterogeneous_bandwidth_demands_repeat_exactly() {
+        // Seven distinct demands against a 1 GB/s cap: the computing set is iterated to sum
+        // the `f64` demands and to hand out the event sequence numbers that break same-time
+        // ties, so unless it is ordered the whole report depends on `RandomState`.
+        let run = || {
+            let mut machine = Machine::small(8);
+            machine.memory_bw_gbps = 1.0;
+            let mut e = Engine::new(machine, &SchedModel::Fair);
+            let p = e.add_process("p", 1.0);
+            for t in 0..16u64 {
+                let demand = 0.1 + 0.37 * (t % 7) as f64;
+                let prog = Program::new("bw")
+                    .compute_bw(SimTime::from_micros(900 + 10 * t), demand)
+                    .compute_bw(SimTime::from_micros(400), demand);
+                e.add_thread(p, prog.build());
+            }
+            format!("{:?}", e.run())
+        };
+        let first = run();
+        for repeat in 1..16 {
+            assert!(
+                run() == first,
+                "repeat {repeat} produced a different SimReport"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * the **SCHED_COOP cooperative scheduler** ([`sched::CoopScheduler`]): per-process
 //!   per-core FIFO queues, affinity → socket → anywhere placement, a per-process quantum
 //!   evaluated only at scheduling points, and *no* involuntary preemption;
-//! * **static partitioning** ([`sched::PartitionedScheduler`]) for the bl-eq / bl-opt
-//!   microservices baselines;
+//! * **static partitioning** ([`SchedModel::Partitioned`]) for the bl-eq / bl-opt
+//!   baselines: the fair scheduler again, inside per-process core masks, as `taskset` does
+//!   (placement has one mechanism — per-process core masks — whichever model consumes them);
 //! * **synchronization objects** with the behaviours that matter under oversubscription:
 //!   mutexes (lock-holder preemption), blocking barriers, and busy-wait barriers with or
 //!   without a yield (the OpenBLAS/BLIS/MPICH pattern of §5.2);
@@ -41,6 +42,6 @@ pub use machine::Machine;
 pub use metrics::SimMetrics;
 pub use program::{BarrierWaitKind, Op, Program, ProgramRef};
 pub use replay::{assert_replays_clean, replay, Divergence, ReplayReport};
-pub use sched::{CoopScheduler, FairScheduler, PartitionedScheduler, SchedModel};
+pub use sched::{CoopScheduler, FairScheduler, SchedModel};
 pub use thread::{ProcessDesc, ProcessId, ThreadId};
 pub use time::SimTime;

@@ -47,10 +47,6 @@ impl CoopScheduler {
 }
 
 impl SimPolicy for CoopScheduler {
-    fn name(&self) -> &str {
-        "sched_coop"
-    }
-
     fn init(&mut self, machine: &Machine, processes: &[ProcessDesc]) {
         // Re-snapshot the topology (init may be called after new(), with the real
         // machine); queues built for a different core count are recreated. The machine's

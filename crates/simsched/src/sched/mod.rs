@@ -2,11 +2,9 @@
 
 mod coop;
 mod fair;
-mod partitioned;
 
 pub use coop::CoopScheduler;
 pub use fair::FairScheduler;
-pub use partitioned::PartitionedScheduler;
 
 use crate::machine::Machine;
 use crate::thread::{ProcessDesc, ProcessId, ThreadId};
@@ -28,9 +26,6 @@ pub struct ReadyThread {
 /// A simulated scheduling policy: decides which ready thread an idle core runs next and
 /// whether running threads are preempted on a quantum.
 pub trait SimPolicy: Send {
-    /// Policy name for reports.
-    fn name(&self) -> &str;
-
     /// Called once before the simulation starts.
     fn init(&mut self, machine: &Machine, processes: &[ProcessDesc]);
 
@@ -78,9 +73,9 @@ pub enum SchedModel {
         /// Per-process quantum evaluated at scheduling points (20 ms in the paper).
         process_quantum: SimTime,
     },
-    /// Static core partitioning: each process only runs on its assigned cores, scheduled
-    /// fairly (preemptively) within the partition. Processes absent from the map may run
-    /// anywhere.
+    /// Static core partitioning (bl-eq / bl-opt): [`SchedModel::Fair`] inside per-process
+    /// core masks, as `taskset` does. An assignment replaces that process's
+    /// [`ProcessDesc::allowed_cores`]; processes absent from the map may run anywhere.
     Partitioned {
         /// `(process, cores)` assignments.
         assignments: Vec<(ProcessId, Vec<usize>)>,
@@ -109,7 +104,7 @@ impl SchedModel {
         match self {
             SchedModel::Fair => Box::new(FairScheduler::new(machine.preemption_quantum)),
             SchedModel::Coop { process_quantum } => Box::new(CoopScheduler::new(*process_quantum)),
-            SchedModel::Partitioned { assignments } => Box::new(PartitionedScheduler::new(
+            SchedModel::Partitioned { assignments } => Box::new(FairScheduler::partitioned(
                 assignments.clone(),
                 machine.preemption_quantum,
             )),
@@ -130,10 +125,8 @@ mod tests {
             assignments: vec![(0, vec![0, 1])],
         };
         assert_eq!(part.label(), "partitioned");
-        assert_eq!(SchedModel::Fair.build(&m).name(), "linux-fair");
-        assert_eq!(SchedModel::coop_default().build(&m).name(), "sched_coop");
-        assert_eq!(part.build(&m).name(), "partitioned");
         assert!(SchedModel::Fair.build(&m).preemption_quantum().is_some());
+        assert!(part.build(&m).preemption_quantum().is_some());
         assert!(SchedModel::coop_default()
             .build(&m)
             .preemption_quantum()

@@ -1,7 +1,8 @@
 //! Simulated threads and processes.
 
-use crate::program::ProgramRef;
+use crate::program::{BarrierWaitKind, ProgramRef};
 use crate::time::SimTime;
+use std::collections::BTreeSet;
 
 /// Identifier of a simulated thread.
 pub type ThreadId = usize;
@@ -19,9 +20,9 @@ pub struct ProcessDesc {
     /// nice value of 0 corresponds to 1.0; nice 20 to roughly 0.1.
     pub weight: f64,
     /// Placement restriction: when `Some`, the process's threads may only be dispatched
-    /// on these cores (NUMA-aware pinning, the §5.6 socket-placement variants). Honoured
-    /// by the fair and SCHED_COOP policies; the partitioned policy expresses placement
-    /// through its own assignments and ignores this field.
+    /// on these cores (NUMA-aware pinning, the §5.6 socket-placement variants). Every
+    /// model honours it; under `SchedModel::Partitioned` the model's own assignments
+    /// take its place.
     pub allowed_cores: Option<Vec<usize>>,
 }
 
@@ -138,6 +139,26 @@ pub struct SimThread {
     pub vruntime: f64,
     /// Accounting.
     pub stats: ThreadStats,
+    /// Generation of the thread's timed op; a bump invalidates pending `OpComplete` and
+    /// `SpinSlice` events.
+    pub op_seq: u64,
+    /// Generation of the thread's stay on a core; a bump invalidates pending `Quantum`
+    /// events.
+    pub run_seq: u64,
+    /// Mutexes currently held (lock-holder-preemption accounting).
+    pub locks_held: usize,
+    /// Context-switch and migration cost to charge to the next compute op.
+    pub pending_overhead: SimTime,
+    /// Start of the open on-core accounting interval.
+    pub on_core_since: SimTime,
+    /// Whether the open on-core interval is busy-waiting rather than useful work.
+    pub spinning: bool,
+    /// Wait behaviour of the barrier the thread is busy-waiting at, if any.
+    pub spin_kind: Option<BarrierWaitKind>,
+    /// `(unit, time)` marks stamped by `Op::UnitMark`, in program order.
+    pub unit_marks: Vec<(usize, SimTime)>,
+    /// Cores the thread has been dispatched on.
+    pub cores_used: BTreeSet<usize>,
 }
 
 impl SimThread {
@@ -160,6 +181,15 @@ impl SimThread {
             ready_since: arrival,
             vruntime: 0.0,
             stats: ThreadStats::default(),
+            op_seq: 0,
+            run_seq: 0,
+            locks_held: 0,
+            pending_overhead: SimTime::ZERO,
+            on_core_since: SimTime::ZERO,
+            spinning: false,
+            spin_kind: None,
+            unit_marks: Vec::new(),
+            cores_used: BTreeSet::new(),
         }
     }
 

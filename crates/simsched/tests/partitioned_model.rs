@@ -4,9 +4,10 @@
 //! process mapped by [`SchedModel::Partitioned`] must never execute an op on a core
 //! outside its assigned partition — and therefore disjoint partitions can never produce a
 //! cross-partition migration. This is the invariant the bl-eq/bl-opt baselines of the
-//! scenario matrix (`usf_scenarios::SimExecutor::partitioned_eq`/`partitioned_opt`) rest
-//! on: a static split only "strands idle cores" if the scheduler actually refuses to give
-//! them to the other processes' mapped threads.
+//! scenario matrix (`usf_scenarios::SimExecutor::for_model`) rest on: a static split only
+//! "strands idle cores" if the scheduler actually refuses to give them to the other
+//! processes' mapped threads. The model is the fair policy inside per-process core masks
+//! built from the assignments, so this is also the containment test of those masks.
 
 use proptest::prelude::*;
 use usf_simsched::{BarrierWaitKind, Engine, Machine, Program, SchedModel, SimTime};
