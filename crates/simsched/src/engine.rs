@@ -78,10 +78,13 @@ pub struct Engine {
     processes: Vec<ProcessDesc>,
     threads: Vec<SimThread>,
 
-    // Cores.
-    cores: Vec<Option<ThreadId>>,
+    // Cores: bit `c % 64` of word `c / 64` is set while core `c` is idle.
+    idle: Vec<u64>,
     core_idle_since: Vec<SimTime>,
     core_last_thread: Vec<Option<ThreadId>>,
+    /// A thread became ready or a core was freed since the last dispatch — the only two
+    /// events after which a pick that failed can succeed.
+    dispatch_due: bool,
 
     // Event queue.
     queue: BinaryHeap<QueuedEvent>,
@@ -118,9 +121,12 @@ impl Engine {
             policy,
             processes: Vec::new(),
             threads: Vec::new(),
-            cores: vec![None; cores],
+            idle: (0..cores.div_ceil(64))
+                .map(|w| u64::MAX >> (64 * (w + 1)).saturating_sub(cores))
+                .collect(),
             core_idle_since: vec![SimTime::ZERO; cores],
             core_last_thread: vec![None; cores],
+            dispatch_due: false,
             queue: BinaryHeap::new(),
             event_counter: 0,
             locks: HashMap::new(),
@@ -412,14 +418,16 @@ impl Engine {
             vruntime: t.vruntime,
         };
         self.policy.enqueue(ready, self.now);
+        self.dispatch_due = true;
     }
 
     /// Remove a running thread from its core (shared tail of block/preempt/yield/finish).
     fn leave_core(&mut self, tid: ThreadId) {
         self.close_core_interval(tid);
         if let ThreadRunState::Running(core) = self.threads[tid].state {
-            self.cores[core] = None;
+            self.idle[core / 64] |= 1 << (core % 64);
             self.core_idle_since[core] = self.now;
+            self.dispatch_due = true;
         }
         self.threads[tid].spinning = false;
         if self.computing.remove(&tid) {
@@ -501,35 +509,59 @@ impl Engine {
         }
     }
 
-    /// Dispatch ready threads onto every idle core, returning how many were placed. Two
-    /// passes: first give every idle core a thread that prefers it (affinity), then fill
-    /// the remaining idle cores with anything else (work conservation).
+    /// Dispatch ready threads onto idle cores, returning how many were placed. Two passes
+    /// over the idle set in core order: first give every idle core a thread that prefers
+    /// it (affinity), then fill the remaining idle cores with anything else (work
+    /// conservation). Only picks that can succeed are attempted: nothing at all unless
+    /// `dispatch_due`, a pass ends once nothing is queued (as the real
+    /// `Scheduler::dispatch_idle_cores` breaks out on `!has_ready()`), and a core is
+    /// skipped when nothing queued may run there ([`SimPolicy::has_ready_for`]).
     fn dispatch_idle_cores(&mut self) -> usize {
-        let mut placed = 0;
-        for core in 0..self.cores.len() {
-            if self.cores[core].is_some() {
-                continue;
-            }
-            if let Some(tid) = self.policy.pick_affine(core, self.now) {
-                self.place(tid, core);
-                placed += 1;
-            }
+        if !std::mem::take(&mut self.dispatch_due) {
+            return 0;
         }
-        for core in 0..self.cores.len() {
-            if self.cores[core].is_some() {
-                continue;
-            }
-            if let Some(tid) = self.policy.pick(core, self.now) {
-                self.place(tid, core);
-                placed += 1;
+        let mut placed = 0;
+        for affine in [true, false] {
+            // Re-read the live set after every placement: a core freed mid-pass above the
+            // cursor is visited, exactly as a plain `0..n` scan would.
+            let mut from = 0;
+            while let Some(core) = self.next_idle(from).filter(|_| self.policy.has_ready()) {
+                from = core + 1;
+                if !self.policy.has_ready_for(core) {
+                    continue;
+                }
+                let picked = if affine {
+                    self.policy.pick_affine(core, self.now)
+                } else {
+                    self.policy.pick(core, self.now)
+                };
+                if let Some(tid) = picked {
+                    self.place(tid, core);
+                    placed += 1;
+                }
             }
         }
         placed
     }
 
+    /// The lowest idle core at or above `from`.
+    fn next_idle(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.idle.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.idle.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    fn is_idle(&self, core: usize) -> bool {
+        self.idle[core / 64] & (1 << (core % 64)) != 0
+    }
+
     /// Put a ready thread on an idle core and continue its program.
     fn place(&mut self, tid: ThreadId, core: usize) {
-        debug_assert!(self.cores[core].is_none());
+        debug_assert!(self.is_idle(core));
         debug_assert_eq!(self.threads[tid].state, ThreadRunState::Ready);
         // Idle-time accounting for the core.
         self.metrics.idle_time += self.now.saturating_sub(self.core_idle_since[core]);
@@ -562,7 +594,7 @@ impl Engine {
         }
         // Mount the thread.
         self.threads[tid].cores_used.insert(core);
-        self.cores[core] = Some(tid);
+        self.idle[core / 64] &= !(1 << (core % 64));
         self.core_last_thread[core] = Some(tid);
         self.threads[tid].state = ThreadRunState::Running(core);
         self.threads[tid].last_core = Some(core);
@@ -873,7 +905,9 @@ impl Engine {
                 // instant ops — barrier arrivals, joins — to completion). Without this,
                 // a policy with no periodic events (SCHED_COOP has no preemption
                 // quantum) ends the run spuriously whenever a release chain frees cores
-                // in the same step that emptied the queue, stranding Ready threads.
+                // in the same step that emptied the queue, stranding Ready threads. A
+                // placement that readied a thread or freed a core re-arms
+                // `dispatch_due`; once a call places nothing, no later one can.
                 if self.dispatch_idle_cores() == 0 {
                     break;
                 }
@@ -906,8 +940,8 @@ impl Engine {
             .max()
             .unwrap_or(self.now);
         // Account residual idle time.
-        for core in 0..self.cores.len() {
-            if self.cores[core].is_none() {
+        for core in 0..self.machine.cores() {
+            if self.is_idle(core) {
                 self.metrics.idle_time += makespan.saturating_sub(self.core_idle_since[core]);
             }
         }
@@ -953,6 +987,8 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use crate::program::Program;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn fair_engine(cores: usize) -> Engine {
         Engine::new(Machine::small(cores), &SchedModel::Fair)
@@ -1483,5 +1519,119 @@ mod tests {
             total_migrations, 0,
             "SCHED_COOP must keep waking threads on their preferred cores"
         );
+    }
+
+    /// Counts the picks of the policy it wraps and panics on a pick offered to a core where
+    /// [`SimPolicy::has_ready_for`] is false — one that cannot succeed.
+    struct Disciplined {
+        inner: Box<dyn SimPolicy>,
+        picks: Arc<AtomicUsize>,
+    }
+
+    impl Disciplined {
+        fn check(&self, core: usize) {
+            assert!(
+                self.inner.has_ready_for(core),
+                "pick offered to core {core}"
+            );
+            self.picks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl SimPolicy for Disciplined {
+        fn init(&mut self, machine: &Machine, processes: &[ProcessDesc]) {
+            self.inner.init(machine, processes);
+        }
+        fn enqueue(&mut self, thread: ReadyThread, now: SimTime) {
+            self.inner.enqueue(thread, now);
+        }
+        fn pick(&mut self, core: usize, now: SimTime) -> Option<ThreadId> {
+            self.check(core);
+            self.inner.pick(core, now)
+        }
+        fn pick_affine(&mut self, core: usize, now: SimTime) -> Option<ThreadId> {
+            self.check(core);
+            self.inner.pick_affine(core, now)
+        }
+        fn has_ready(&self) -> bool {
+            self.inner.has_ready()
+        }
+        fn has_ready_for(&self, core: usize) -> bool {
+            self.inner.has_ready_for(core)
+        }
+        fn ready_count(&self) -> usize {
+            self.inner.ready_count()
+        }
+        fn preemption_quantum(&self) -> Option<SimTime> {
+            self.inner.preemption_quantum()
+        }
+    }
+
+    /// An engine whose policy is wrapped in [`Disciplined`], and its pick counter.
+    fn disciplined(machine: Machine, model: &SchedModel) -> (Engine, Arc<AtomicUsize>) {
+        let mut e = Engine::new(machine, model);
+        let picks = Arc::new(AtomicUsize::new(0));
+        e.policy = Box::new(Disciplined {
+            inner: model.build(&e.machine),
+            picks: Arc::clone(&picks),
+        });
+        (e, picks)
+    }
+
+    #[test]
+    fn dispatch_only_offers_picks_that_can_succeed() {
+        // Pinned and free processes oversubscribing a two-socket machine with every kind of
+        // wake-up: locks, blocking and yielding barriers, sleeps, yields, spawn/join.
+        let partition = SchedModel::Partitioned {
+            assignments: vec![(0, vec![0, 1, 2]), (1, vec![3, 4, 5])],
+        };
+        for model in [SchedModel::Fair, SchedModel::coop_default(), partition] {
+            let (mut e, picks) = disciplined(Machine::small_numa(6, 2), &model);
+            let pinned = e.add_process("pinned", 1.0);
+            let free = e.add_process("free", 0.5);
+            e.restrict_process(pinned, vec![4, 5]);
+            let spin = BarrierWaitKind::SpinYield {
+                slice: SimTime::from_micros(50),
+            };
+            let body = Program::new("unit")
+                .compute(SimTime::from_millis(3))
+                .critical_section(1, SimTime::from_micros(300))
+                .barrier(1, 4, spin)
+                .sleep(SimTime::from_millis(2))
+                .yield_now();
+            let prog = Program::new("p").repeat(3, &body).build();
+            for t in 0..4 {
+                e.add_thread_at(pinned, ProgramRef::clone(&prog), SimTime::from_micros(t));
+            }
+            let child = Program::new("c").compute(SimTime::from_millis(2)).build();
+            let parent = Program::new("parent")
+                .spawn(child, free, 5)
+                .join_children()
+                .barrier(2, 2, BarrierWaitKind::Block)
+                .build();
+            e.add_thread(free, ProgramRef::clone(&parent));
+            e.add_thread_at(free, parent, SimTime::from_millis(1));
+            let r = e.run();
+            assert!(!r.deadlocked, "{model:?}");
+            let dispatches: u64 = r.thread_stats.values().map(|s| s.dispatches).sum();
+            let picks = picks.load(Ordering::Relaxed) as u64;
+            assert!(
+                picks >= dispatches,
+                "{model:?}: {picks} picks, {dispatches} placements"
+            );
+        }
+    }
+
+    #[test]
+    fn an_uncontended_run_costs_no_idle_core_picks() {
+        // One thread computing 1 s on 130 cores under the 4 ms quantum: 250 quantum expiries
+        // (each used to poll the 129 idle cores twice) and not one pick that can succeed.
+        let (mut e, picks) = disciplined(Machine::small(130), &SchedModel::Fair);
+        let p = e.add_process("p", 1.0);
+        e.add_thread(p, Program::new("t").compute(SimTime::from_secs(1)).build());
+        let r = e.run();
+        assert!(!r.deadlocked);
+        assert_eq!(r.metrics.preemptions, 0);
+        assert!(picks.load(Ordering::Relaxed) <= 2);
     }
 }

@@ -123,9 +123,7 @@ impl SimPolicy for FairScheduler {
 
     fn pick(&mut self, core: usize, _now: SimTime) -> Option<ThreadId> {
         // The lowest (vruntime, id) among the shared queue and the masked queues that
-        // admit this core. Kept a plain loop: nearly every pick finds every queue empty
-        // (idle cores are polled after each event), and an iterator chain measured ~1.5 ns
-        // slower per such pick — a fifth of a whole fair-model simulation.
+        // admit this core.
         let mut best = self.queue.first().map(|&key| (key, None));
         if let Some(admits) = self.admitted.get(core) {
             for &q in admits {

@@ -44,12 +44,19 @@ pub trait SimPolicy: Send {
     }
 
     /// Whether any thread is currently queued.
+    ///
+    /// Contract: [`SimPolicy::pick`] and [`SimPolicy::pick_affine`] can return `Some` only
+    /// while this is true — the engine ends a dispatch pass as soon as it is false.
     fn has_ready(&self) -> bool;
 
     /// Whether any queued thread is *eligible to run on `core`* — placement-aware
     /// policies override this so the engine's "is switching useful" checks (quantum
     /// preemption, yields) do not vacate a core for threads that are pinned elsewhere.
     /// The default ignores placement and delegates to [`SimPolicy::has_ready`].
+    ///
+    /// Contract: `pick(core, _)` and `pick_affine(core, _)` can return `Some` only while
+    /// `has_ready_for(core)` is true — the engine never offers a core a pick otherwise, so
+    /// an override that says `false` where a pick would succeed strands work.
     fn has_ready_for(&self, core: usize) -> bool {
         let _ = core;
         self.has_ready()

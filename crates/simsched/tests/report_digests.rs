@@ -12,7 +12,8 @@
 //! critical sections, every barrier kind, sleeps, yields and unit marks, plus a
 //! signal/wait pair and a spawn/join parent. Under `Partitioned` the assignments are the
 //! disjoint partitions and a drawn `restrict_process` names a *different* partition, which
-//! pins "an assignment overrides `allowed_cores`".
+//! pins "an assignment overrides `allowed_cores`". [`WIDE_DIGESTS`] pins some of the same
+//! cases, and an idle-gap case, on 65- and 130-core machines.
 
 use usf_simsched::{BarrierWaitKind, Engine, Machine, Program, SchedModel, SimReport, SimTime};
 
@@ -36,6 +37,44 @@ const DIGESTS: [[u64; 3]; 12] = [
     [0x1d47248c25a65b57, 0x6e96d22177edd65c, 0x7ba4d3a9aaebea93],
     [0x15df8d6cf8132605, 0x15df8d6cf8132605, 0x15df8d6cf8132605],
     [0x26aa2b3e76a5e03b, 0x2f541e9a7b59c158, 0x26aa2b3e76a5e03b],
+];
+
+/// Rows past one 64-core word of the engine's idle-core bitset: `(cores, seed, digests)`
+/// on 65- and 130-core machines, `Some(seed)` being that seed's corpus case with thread
+/// counts scaled to the machine and `None` the three-process idle-gap case
+/// ([`idle_gap_case`]). Recorded at the parent of the event-driven dispatch, before any
+/// engine edit; the seeds are the ones whose runs reach the last word under every model.
+const WIDE_DIGESTS: [(usize, Option<u64>, [u64; 3]); 6] = [
+    (
+        65,
+        Some(1),
+        [0x2226d9e8cb6cf171, 0x0e12a3daf19f05b3, 0x2226d9e8cb6cf171],
+    ),
+    (
+        65,
+        Some(6),
+        [0xa698515b72709a51, 0x9850c7c948d533d7, 0x425cabd727413d18],
+    ),
+    (
+        65,
+        None,
+        [0x076ffb262cd4f7fb, 0x200a552fbdf1e5f4, 0x5bb24120ed9eb6f6],
+    ),
+    (
+        130,
+        Some(4),
+        [0x59a0cb51532e0d75, 0x7f5fd766c4d7cc13, 0x59a0cb51532e0d75],
+    ),
+    (
+        130,
+        Some(8),
+        [0xcef249c5c0112900, 0x08cac5ce58c3db70, 0x31eef3f792fcdbf6],
+    ),
+    (
+        130,
+        None,
+        [0x8ca23e4f49a9835e, 0xd84dd0db06bce3ab, 0x559d97257b8227be],
+    ),
 ];
 
 fn fnv1a(text: &str) -> u64 {
@@ -64,9 +103,13 @@ fn us(n: u64) -> SimTime {
     SimTime::from_micros(n)
 }
 
-fn run_case(seed: u64, model: usize) -> SimReport {
+fn run_case(seed: u64, model: usize, wide: Option<usize>) -> SimReport {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let cores = [4, 6, 8][rng.below(3) as usize];
+    // A wide row still draws the core count, so every later draw matches its seed's
+    // narrow row; thread counts scale with the machine (×1 up to 8 cores).
+    let drawn = [4, 6, 8][rng.below(3) as usize];
+    let cores = wide.unwrap_or(drawn);
+    let scale = cores.div_ceil(8);
     let mut machine = Machine::small_numa(cores, 1 + rng.below(2) as usize);
     // Half the cases shrink the 4 ms quantum below the unit work so the fair models preempt.
     if rng.flip() {
@@ -77,16 +120,8 @@ fn run_case(seed: u64, model: usize) -> SimReport {
     // 40 GB/s per computing thread against the 100 GB/s cap of `Machine::small`.
     let bw = if rng.flip() { 40.0 } else { 0.0 };
 
-    // Contiguous disjoint partitions, every process at least one core.
-    let bounds: Vec<usize> = (0..=nprocs).map(|p| p * cores / nprocs).collect();
-    let partitions: Vec<Vec<usize>> = bounds.windows(2).map(|w| (w[0]..w[1]).collect()).collect();
-    let model = match model {
-        0 => SchedModel::Fair,
-        1 => SchedModel::coop_default(),
-        _ => SchedModel::Partitioned {
-            assignments: partitions.iter().cloned().enumerate().collect(),
-        },
-    };
+    let partitions = partitions(cores, nprocs);
+    let model = model_of(model, &partitions);
     let partitioned = matches!(model, SchedModel::Partitioned { .. });
     let mut engine = Engine::new(machine, &model);
     engine.set_max_sim_time(SimTime::from_secs(60));
@@ -97,7 +132,7 @@ fn run_case(seed: u64, model: usize) -> SimReport {
             let mask = &partitions[(p + usize::from(partitioned)) % nprocs];
             engine.restrict_process(pid, mask.clone());
         }
-        let threads = 1 + rng.below(4) as usize;
+        let threads = (1 + rng.below(4) as usize) * scale;
         let units = 1 + rng.below(3) as usize;
         let work = 50 + rng.below(400);
         let critical = rng.flip().then(|| 20 + rng.below(50));
@@ -157,10 +192,52 @@ fn run_case(seed: u64, model: usize) -> SimReport {
     engine.run()
 }
 
+/// Contiguous disjoint partitions, every process at least one core.
+fn partitions(cores: usize, nprocs: usize) -> Vec<Vec<usize>> {
+    let bounds: Vec<usize> = (0..=nprocs).map(|p| p * cores / nprocs).collect();
+    bounds.windows(2).map(|w| (w[0]..w[1]).collect()).collect()
+}
+
+fn model_of(model: usize, partitions: &[Vec<usize>]) -> SchedModel {
+    match model {
+        0 => SchedModel::Fair,
+        1 => SchedModel::coop_default(),
+        _ => SchedModel::Partitioned {
+            assignments: partitions.iter().cloned().enumerate().collect(),
+        },
+    }
+}
+
+/// Three processes of `cores / 2` threads each — 1.5× oversubscribed while their bursts
+/// overlap — alternating 5–7 ms compute bursts with 40–50 ms sleeps, longer than the
+/// 20 ms SCHED_COOP quantum: the quantum expires while a process (or the whole machine)
+/// is idle, and each wake-up burst meets idle cores, so this is where a dispatch that
+/// skips empty picks could move the quantum ring.
+fn idle_gap_case(cores: usize, model: usize) -> SimReport {
+    let mut engine = Engine::new(
+        Machine::small_numa(cores, 2),
+        &model_of(model, &partitions(cores, 3)),
+    );
+    for p in 0..3u64 {
+        let pid = engine.add_process(format!("g{p}"), 1.0);
+        let program = Program::new(format!("g{p}"))
+            .extend_with(4, |prog, unit| {
+                prog.compute(us(5_000 + 1_000 * p))
+                    .unit_mark(unit)
+                    .sleep(us(40_000 + 5_000 * p))
+            })
+            .build();
+        for t in 0..cores as u64 / 2 {
+            engine.add_thread_at(pid, program.clone(), us(1_000 * p + 10 * t));
+        }
+    }
+    engine.run()
+}
+
 #[test]
 fn sim_reports_are_bit_identical_to_the_recorded_digests() {
     let reports: Vec<[SimReport; 3]> = (0..DIGESTS.len() as u64)
-        .map(|seed| [0, 1, 2].map(|model| run_case(seed, model)))
+        .map(|seed| [0, 1, 2].map(|model| run_case(seed, model, None)))
         .collect();
     // Non-vacuity: the corpus preempts, yields, saturates the bandwidth cap, stamps unit
     // marks, and the preemptive models finish every run.
@@ -170,22 +247,64 @@ fn sim_reports_are_bit_identical_to_the_recorded_digests() {
     assert!(reports.iter().all(|r| !r[0].unit_marks.is_empty()));
     assert!(reports.iter().all(|r| !r[0].deadlocked && !r[2].deadlocked));
 
-    let actual: Vec<[u64; 3]> = reports
-        .iter()
-        .map(|row| [0, 1, 2].map(|model| fnv1a(&format!("{:?}", row[model]))))
-        .collect();
-    let rendered: Vec<String> = actual
-        .iter()
-        .map(|row| {
-            format!(
-                "    [{:#018x}, {:#018x}, {:#018x}],",
-                row[0], row[1], row[2]
-            )
-        })
-        .collect();
+    let actual: Vec<[u64; 3]> = reports.iter().map(digests).collect();
     assert!(
         actual == DIGESTS,
         "SimReport digests moved — a behaviour change. Actual table:\n{}",
-        rendered.join("\n")
+        render(actual.iter().map(|&row| ("", row)))
     );
+}
+
+#[test]
+fn wide_machine_reports_are_bit_identical_to_the_recorded_digests() {
+    let reports: Vec<[SimReport; 3]> = WIDE_DIGESTS
+        .iter()
+        .map(|&(cores, seed, _)| {
+            [0, 1, 2].map(|model| match seed {
+                Some(seed) => run_case(seed, model, Some(cores)),
+                None => idle_gap_case(cores, model),
+            })
+        })
+        .collect();
+    // Non-vacuity: every run places threads in the last word of its machine's cores, and
+    // the preemptive models preempt and finish every run.
+    for (row, &(cores, seed, _)) in reports.iter().zip(&WIDE_DIGESTS) {
+        assert!(
+            !row[0].deadlocked && !row[2].deadlocked,
+            "{cores} cores, {seed:?}"
+        );
+        let last_word = cores / 64 * 64;
+        for r in row {
+            assert!(r.thread_cores.values().flatten().any(|&c| c >= last_word));
+        }
+    }
+    assert!(reports.iter().any(|r| r[0].metrics.preemptions > 0));
+
+    let actual: Vec<[u64; 3]> = reports.iter().map(digests).collect();
+    let recorded: Vec<[u64; 3]> = WIDE_DIGESTS.iter().map(|row| row.2).collect();
+    assert!(
+        actual == recorded,
+        "wide SimReport digests moved — a behaviour change. Actual table:\n{}",
+        render(
+            WIDE_DIGESTS
+                .iter()
+                .zip(&actual)
+                .map(|(&(cores, seed, _), &row)| (format!("({cores}, {seed:?}, "), row))
+        )
+    );
+}
+
+fn digests(row: &[SimReport; 3]) -> [u64; 3] {
+    [0, 1, 2].map(|model| fnv1a(&format!("{:?}", row[model])))
+}
+
+fn render<S: std::fmt::Display>(rows: impl Iterator<Item = (S, [u64; 3])>) -> String {
+    rows.map(|(head, row)| {
+        format!(
+            "    {head}[{:#018x}, {:#018x}, {:#018x}],",
+            row[0], row[1], row[2]
+        )
+    })
+    .collect::<Vec<_>>()
+    .join("\n")
 }
