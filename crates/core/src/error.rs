@@ -1,5 +1,6 @@
 //! Error types for the USF layer.
 
+use std::any::Any;
 use std::fmt;
 
 /// Errors reported by the USF framework.
@@ -30,6 +31,16 @@ impl fmt::Display for UsfError {
 }
 
 impl std::error::Error for UsfError {}
+
+/// The message of a panic payload as `catch_unwind` or a join returns it: the `&str` or
+/// `String` it was raised with, else `"<non-string panic payload>"`.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
+}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, UsfError>;

@@ -10,7 +10,7 @@
 //!   primitives are scheduling points; SCHED_COOP (or another installed policy) decides who
 //!   runs. This is the paper's *SCHED_COOP* configuration.
 
-use crate::error::UsfError;
+use crate::error::{panic_message, UsfError};
 use crate::runtime::ProcessHandle;
 use crate::thread::JoinHandle;
 
@@ -95,14 +95,8 @@ impl<T> ExecJoinHandle<T> {
 
     /// Join, mapping panics to [`UsfError`].
     pub fn join_result(self) -> Result<T, UsfError> {
-        self.join().map_err(|e| {
-            let msg = e
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| e.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-            UsfError::ThreadPanicked(msg)
-        })
+        self.join()
+            .map_err(|e| UsfError::ThreadPanicked(panic_message(&*e)))
     }
 
     /// Whether the thread has finished (best effort; always `false` for running threads).

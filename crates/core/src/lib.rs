@@ -58,7 +58,7 @@ pub mod config;
 pub mod current;
 pub mod error;
 pub mod exec;
-pub mod park;
+mod park;
 pub mod poll;
 pub mod runtime;
 pub mod sync;

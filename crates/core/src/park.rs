@@ -1,21 +1,22 @@
-//! Low-level blocking building blocks shared by every USF synchronization primitive.
+//! The one implementation of the paper's Listing 1, shared by every USF synchronization
+//! primitive.
 //!
-//! The paper's Listing 1 pattern is: *put the calling thread's task in a FIFO wait queue,
-//! then `nosv_pause()`; the release path pops a task and `nosv_submit()`s it*. The
-//! [`Waiter`] type encapsulates one such blocking episode and transparently degrades to
-//! plain OS thread parking when the calling thread is not attached to USF (the "glibcv
-//! disabled" path), so the very same primitive implementations serve both the baseline and
-//! the SCHED_COOP configurations of the evaluation.
+//! Listing 1 is: *put the calling thread's task in a FIFO wait queue, then `nosv_pause()`;
+//! the release path pops a task and `nosv_submit()`s it*. [`WaitQueue`] is that FIFO and
+//! the only place that creates waiters or times them out; a primitive keeps one (or two)
+//! under its own short lock and says only *when* to enqueue and whom to hand off to.
 //!
-//! A `Waiter` is **single use**: it represents one park/wake pair. Primitives create a fresh
-//! waiter per blocking episode and guarantee that [`Waiter::wake`] is called at most once
-//! (timed waits use the claim protocol described on [`Waiter::wait_deadline`]).
+//! A [`Waiter`] is one blocking episode of one thread, woken at most once. It transparently
+//! degrades to plain OS thread parking when the calling thread is not attached to USF (the
+//! "glibcv disabled" path), so the very same primitive implementations serve both the
+//! baseline and the SCHED_COOP configurations of the evaluation.
 
 use crate::current::{current, CurrentCtx};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use usf_nosv::{NosvInstance, TaskRef};
 
 /// How the owning thread blocks.
@@ -29,16 +30,15 @@ enum Mode {
 
 /// One blocking episode of one thread. See the module documentation.
 #[derive(Debug)]
-pub struct Waiter {
+pub(crate) struct Waiter {
     mode: Mode,
     signalled: AtomicBool,
     woken_once: AtomicBool,
 }
 
 impl Waiter {
-    /// Create a waiter for the calling thread, choosing the cooperative or the OS path
-    /// depending on whether the thread is attached to USF.
-    pub fn new_for_current() -> Arc<Waiter> {
+    /// A waiter for the calling thread, cooperative if the thread is attached to USF.
+    fn new_for_current() -> Arc<Waiter> {
         let mode = match current() {
             Some(CurrentCtx { task, nosv, .. }) => Mode::Usf { task, nosv },
             None => Mode::Os {
@@ -52,19 +52,9 @@ impl Waiter {
         })
     }
 
-    /// Whether this waiter uses the cooperative (USF) path.
-    pub fn is_cooperative(&self) -> bool {
-        matches!(self.mode, Mode::Usf { .. })
-    }
-
-    /// Whether [`Waiter::wake`] has been called.
-    pub fn is_signalled(&self) -> bool {
-        self.signalled.load(Ordering::Acquire)
-    }
-
-    /// Wake the owning thread. Must be called at most once per waiter (extra calls are
-    /// ignored). This is the `nosv_submit` side of Listing 1.
-    pub fn wake(&self) {
+    /// Wake the owning thread; extra calls are ignored. This is the `nosv_submit` side of
+    /// Listing 1.
+    pub(crate) fn wake(&self) {
         self.signalled.store(true, Ordering::Release);
         if self.woken_once.swap(true, Ordering::AcqRel) {
             return;
@@ -77,7 +67,7 @@ impl Waiter {
 
     /// Block the owning thread until [`Waiter::wake`] is called. This is the `nosv_pause`
     /// side of Listing 1. Must be called by the thread that created the waiter.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         match &self.mode {
             Mode::Usf { task, nosv } => loop {
                 // Pause first: it consumes exactly one submit (either already counted as a
@@ -96,137 +86,133 @@ impl Waiter {
         }
     }
 
-    /// Block until [`Waiter::wake`] or until `deadline`. Returns `true` if the waiter was
-    /// signalled, `false` on timeout.
-    ///
-    /// **Claim protocol**: on `false`, the caller must check whether the waiter is still in
-    /// the primitive's wait queue (under the primitive's lock). If it is, remove it — no
-    /// wake will ever come. If it is *not*, a waker has already claimed it; the caller must
-    /// treat the wait as signalled and call [`Waiter::consume_wake`] to absorb the
-    /// (possibly still in-flight) wake-up so it cannot leak into a later blocking episode.
-    pub fn wait_deadline(&self, deadline: Instant) -> bool {
-        match &self.mode {
-            Mode::Usf { task, nosv } => loop {
-                if self.signalled.load(Ordering::Acquire) {
-                    // The wake's submit was consumed by the waitfor that returned just
-                    // before this check (the flag is set before the submit is issued).
-                    return true;
+    /// Block until [`Waiter::wake`] or `deadline`; `false` on timeout. Only
+    /// [`WaitQueue::wait_until`] calls this, because a `false` must be followed by its claim
+    /// protocol.
+    fn wait_deadline(&self, deadline: Instant) -> bool {
+        loop {
+            if self.signalled.load(Ordering::Acquire) {
+                // Cooperative: the wake's submit was consumed by the waitfor that returned
+                // just before this check (the flag is set before the submit is issued).
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            match &self.mode {
+                Mode::Usf { task, nosv } => {
+                    let _ = nosv.scheduler().waitfor(task, deadline - now);
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                let _ = nosv.scheduler().waitfor(task, deadline - now);
-            },
-            Mode::Os { .. } => loop {
-                if self.signalled.load(Ordering::Acquire) {
-                    return true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                std::thread::park_timeout(deadline - now);
-            },
+                Mode::Os { .. } => std::thread::park_timeout(deadline - now),
+            }
         }
     }
 
-    /// Absorb a wake-up that was issued (or is about to be issued) by a waker that claimed
-    /// this waiter after its timed wait expired. See [`Waiter::wait_deadline`].
-    pub fn consume_wake(&self) {
-        match &self.mode {
-            Mode::Usf { task, nosv } => {
-                // Exactly one submit is owed to us; pause() returns as soon as it has been
-                // delivered (immediately, if it already arrived as a counted wake-up).
-                nosv.scheduler().pause(task);
-            }
-            Mode::Os { .. } => {
-                // A stale unpark token is harmless for OS threads.
-            }
+    /// Absorb the wake-up owed by a waker that claimed this waiter after its timed wait
+    /// expired, so it cannot leak into a later blocking episode.
+    fn consume_wake(&self) {
+        // Exactly one submit is owed to a cooperative waiter; pause() returns as soon as it
+        // has been delivered. A stale unpark token is harmless for OS threads.
+        if let Mode::Usf { task, nosv } = &self.mode {
+            nosv.scheduler().pause(task);
         }
     }
 }
 
-// -------------------------------------------------------------------------------------------
-// Event
-// -------------------------------------------------------------------------------------------
-
-/// A one-shot event: threads wait until some other thread sets it. Used for masked joins
-/// (§4.3.1) and as a building block for wait-groups.
-#[derive(Debug, Default)]
-pub struct Event {
-    state: Mutex<EventState>,
+/// The FIFO of threads blocked on one primitive, each entry tagged with a `K` (the
+/// read/write kind for `RwLock`, nothing for everyone else). It lives under the primitive's
+/// own lock; waiters popped or taken from it are woken after that lock is dropped.
+pub(crate) struct WaitQueue<K = ()> {
+    waiters: VecDeque<(K, Arc<Waiter>)>,
 }
 
-#[derive(Debug, Default)]
-struct EventState {
-    set: bool,
-    waiters: Vec<Arc<Waiter>>,
+impl<K> Default for WaitQueue<K> {
+    fn default() -> Self {
+        WaitQueue {
+            waiters: VecDeque::new(),
+        }
+    }
 }
 
-impl Event {
-    /// Create an unset event.
-    pub fn new() -> Self {
-        Event::default()
+impl WaitQueue {
+    /// Enqueue the calling thread. Drop the primitive's lock, then block with
+    /// [`Waiter::wait`] or [`WaitQueue::wait_until`].
+    pub(crate) fn enqueue(&mut self) -> Arc<Waiter> {
+        self.enqueue_tagged(())
+    }
+}
+
+impl<K> WaitQueue<K> {
+    /// [`WaitQueue::enqueue`] with a tag.
+    pub(crate) fn enqueue_tagged(&mut self, tag: K) -> Arc<Waiter> {
+        let w = Waiter::new_for_current();
+        self.waiters.push_back((tag, Arc::clone(&w)));
+        w
     }
 
-    /// Whether the event has been set.
-    pub fn is_set(&self) -> bool {
-        self.state.lock().set
+    /// Pop the head for a hand-off.
+    pub(crate) fn pop(&mut self) -> Option<Arc<Waiter>> {
+        self.pop_if(|_| true)
     }
 
-    /// Set the event and wake every waiter.
-    pub fn set(&self) {
-        let waiters = {
-            let mut st = self.state.lock();
-            st.set = true;
-            std::mem::take(&mut st.waiters)
-        };
-        for w in waiters {
+    /// Pop the head for a hand-off if its tag satisfies `pred`.
+    pub(crate) fn pop_if(&mut self, pred: impl FnOnce(&K) -> bool) -> Option<Arc<Waiter>> {
+        if !pred(&self.waiters.front()?.0) {
+            return None;
+        }
+        self.waiters.pop_front().map(|(_, w)| w)
+    }
+
+    /// Take every waiter, leaving the queue empty; wake them with [`WaitQueue::wake_all`].
+    pub(crate) fn take_all(&mut self) -> WaitQueue<K> {
+        std::mem::take(self)
+    }
+
+    /// Wake every waiter in FIFO order.
+    pub(crate) fn wake_all(self) {
+        for (_, w) in self.waiters {
             w.wake();
         }
     }
 
-    /// Block until the event is set.
-    pub fn wait(&self) {
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.set {
-                return;
-            }
-            let w = Waiter::new_for_current();
-            st.waiters.push(Arc::clone(&w));
-            w
-        };
-        waiter.wait();
+    /// Number of queued waiters.
+    pub(crate) fn len(&self) -> usize {
+        self.waiters.len()
     }
 
-    /// Block until the event is set or `timeout` elapses. Returns `true` if the event is set.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.set {
-                return true;
-            }
-            let w = Waiter::new_for_current();
-            st.waiters.push(Arc::clone(&w));
-            w
-        };
+    /// Whether no thread is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.waiters.is_empty()
+    }
+
+    /// Block on `waiter` (enqueued into the queue `queue` projects out of `lock`'s state,
+    /// `lock` since dropped) until it is handed off or `deadline` passes, running the
+    /// timed-wait claim protocol so that no primitive has to:
+    ///
+    /// * `Ok(())` — the waiter was woken, possibly by a release that claimed it between the
+    ///   timeout and re-taking `lock`; that wake-up has been absorbed, and whatever the
+    ///   release handed off (lock ownership, a permit, …) belongs to the caller.
+    /// * `Err(guard)` — a real timeout: the waiter has been removed from the queue and
+    ///   `lock` is still held, for a last look at the primitive's state.
+    pub(crate) fn wait_until<'a, S>(
+        waiter: Arc<Waiter>,
+        deadline: Instant,
+        lock: &'a Mutex<S>,
+        queue: impl FnOnce(&mut S) -> &mut WaitQueue<K>,
+    ) -> Result<(), MutexGuard<'a, S>> {
         if waiter.wait_deadline(deadline) {
-            return true;
+            return Ok(());
         }
-        // Claim protocol: if we are still queued, remove ourselves and report the timeout;
-        // otherwise a set() already claimed us and its wake must be absorbed.
-        let mut st = self.state.lock();
-        if let Some(pos) = st.waiters.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-            st.waiters.remove(pos);
-            false
-        } else {
-            drop(st);
-            waiter.consume_wake();
-            true
+        let mut st = lock.lock();
+        let q = queue(&mut st);
+        if let Some(pos) = q.waiters.iter().position(|(_, w)| Arc::ptr_eq(w, &waiter)) {
+            q.waiters.remove(pos);
+            return Err(st);
         }
+        drop(st);
+        waiter.consume_wake();
+        Ok(())
     }
 }
 
@@ -234,15 +220,16 @@ impl Event {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn os_waiter_wake_before_wait_is_not_lost() {
         let w = Waiter::new_for_current();
-        assert!(!w.is_cooperative());
+        assert!(matches!(w.mode, Mode::Os { .. }));
         w.wake();
         // Must return immediately.
         w.wait();
-        assert!(w.is_signalled());
+        assert!(w.signalled.load(Ordering::Acquire));
     }
 
     #[test]
@@ -266,39 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn event_set_before_wait() {
-        let e = Event::new();
-        e.set();
-        assert!(e.is_set());
-        e.wait();
-        assert!(e.wait_timeout(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn event_wakes_multiple_waiters() {
-        let e = Arc::new(Event::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let e = Arc::clone(&e);
-            handles.push(std::thread::spawn(move || e.wait()));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        e.set();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn event_wait_timeout_expires_cleanly() {
-        let e = Event::new();
-        assert!(!e.wait_timeout(Duration::from_millis(10)));
-        // After a timed-out wait, a set still works and the queue holds no stale waiters.
-        e.set();
-        assert!(e.wait_timeout(Duration::from_millis(10)));
-    }
-
-    #[test]
     fn usf_waiter_round_trip() {
         use crate::current::{clear_current, set_current, CurrentCtx};
         use usf_nosv::{NosvConfig, NosvInstance};
@@ -315,7 +269,7 @@ mod tests {
                 process: pid,
             });
             let w = Waiter::new_for_current();
-            assert!(w.is_cooperative());
+            assert!(matches!(w.mode, Mode::Usf { .. }));
             tx.send(Arc::clone(&w)).unwrap();
             w.wait(); // cooperative block: the core is handed back while waiting
             clear_current();

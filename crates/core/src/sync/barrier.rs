@@ -7,11 +7,10 @@
 //! cooperative scheduling point ("SCHED_COOP"), and leaving the barrier unmodified is the
 //! "Original" configuration that collapses in Figure 3d.
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use crate::timing::yield_now;
 use parking_lot::Mutex as RawMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Result of [`Barrier::wait`] / [`BusyBarrier::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +29,7 @@ impl BarrierWaitResult {
 struct BarrierState {
     arrived: usize,
     generation: u64,
-    waiters: Vec<Arc<Waiter>>,
+    waiters: WaitQueue,
 }
 
 /// A reusable blocking barrier: waiting threads release their virtual core until the last
@@ -60,24 +59,19 @@ impl Barrier {
 
     /// Wait until all `n` participants have called `wait`.
     pub fn wait(&self) -> BarrierWaitResult {
-        let waiter = {
-            let mut st = self.state.lock();
-            st.arrived += 1;
-            if st.arrived == self.n {
-                st.arrived = 0;
-                st.generation = st.generation.wrapping_add(1);
-                let waiters = std::mem::take(&mut st.waiters);
-                drop(st);
-                for w in waiters {
-                    w.wake();
-                }
-                return BarrierWaitResult { leader: true };
-            }
-            let w = Waiter::new_for_current();
-            st.waiters.push(Arc::clone(&w));
-            w
-        };
-        waiter.wait();
+        let mut st = self.state.lock();
+        st.arrived += 1;
+        if st.arrived == self.n {
+            st.arrived = 0;
+            st.generation = st.generation.wrapping_add(1);
+            let waiters = st.waiters.take_all();
+            drop(st);
+            waiters.wake_all();
+            return BarrierWaitResult { leader: true };
+        }
+        let w = st.waiters.enqueue();
+        drop(st);
+        w.wait();
         BarrierWaitResult { leader: false }
     }
 

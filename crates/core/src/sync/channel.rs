@@ -4,8 +4,8 @@
 //! request queues of the microservices workload). Blocked senders/receivers release their
 //! virtual core, which matters when producers and consumers are oversubscribed.
 
-use crate::park::Waiter;
-use parking_lot::Mutex as RawMutex;
+use crate::park::WaitQueue;
+use parking_lot::{Mutex as RawMutex, MutexGuard as RawGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,21 +42,44 @@ struct ChanState<T> {
     capacity: Option<usize>,
     senders: usize,
     receivers: usize,
-    send_waiters: VecDeque<Arc<Waiter>>,
-    recv_waiters: VecDeque<Arc<Waiter>>,
+    send_waiters: WaitQueue,
+    recv_waiters: WaitQueue,
 }
 
 struct Chan<T> {
     state: RawMutex<ChanState<T>>,
 }
 
+type Guard<'a, T> = RawGuard<'a, ChanState<T>>;
+
 impl<T> Chan<T> {
-    fn wake_one_recv(st: &mut ChanState<T>) -> Option<Arc<Waiter>> {
-        st.recv_waiters.pop_front()
+    /// Pop the oldest value and hand the freed slot to the longest-blocked sender; every
+    /// path that takes a single value goes through here. Gives the guard back if empty.
+    fn take(mut st: Guard<'_, T>) -> Result<T, Guard<'_, T>> {
+        let Some(v) = st.queue.pop_front() else {
+            return Err(st);
+        };
+        let sender = st.send_waiters.pop();
+        drop(st);
+        if let Some(w) = sender {
+            w.wake();
+        }
+        Ok(v)
     }
 
-    fn wake_one_send(st: &mut ChanState<T>) -> Option<Arc<Waiter>> {
-        st.send_waiters.pop_front()
+    /// Push `value` and wake the longest-blocked receiver; every send path goes through
+    /// here. Gives the guard and the value back if the channel is full.
+    fn put(mut st: Guard<'_, T>, value: T) -> Result<(), (Guard<'_, T>, T)> {
+        if st.capacity.is_some_and(|c| st.queue.len() >= c) {
+            return Err((st, value));
+        }
+        st.queue.push_back(value);
+        let receiver = st.recv_waiters.pop();
+        drop(st);
+        if let Some(w) = receiver {
+            w.wake();
+        }
+        Ok(())
     }
 }
 
@@ -81,8 +104,8 @@ fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             capacity,
             senders: 1,
             receivers: 1,
-            send_waiters: VecDeque::new(),
-            recv_waiters: VecDeque::new(),
+            send_waiters: WaitQueue::default(),
+            recv_waiters: WaitQueue::default(),
         }),
     });
     (
@@ -123,83 +146,56 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let to_wake = {
-            let mut st = self.chan.state.lock();
-            st.senders -= 1;
-            if st.senders == 0 {
-                std::mem::take(&mut st.recv_waiters)
-            } else {
-                VecDeque::new()
-            }
-        };
-        for w in to_wake {
-            w.wake();
+        let mut st = self.chan.state.lock();
+        st.senders -= 1;
+        if st.senders == 0 {
+            let receivers = st.recv_waiters.take_all();
+            drop(st);
+            receivers.wake_all();
         }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let to_wake = {
-            let mut st = self.chan.state.lock();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                std::mem::take(&mut st.send_waiters)
-            } else {
-                VecDeque::new()
-            }
-        };
-        for w in to_wake {
-            w.wake();
+        let mut st = self.chan.state.lock();
+        st.receivers -= 1;
+        if st.receivers == 0 {
+            let senders = st.send_waiters.take_all();
+            drop(st);
+            senders.wake_all();
         }
     }
 }
 
 impl<T> Sender<T> {
     /// Send a value, blocking cooperatively while the channel is full.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+    pub fn send(&self, mut value: T) -> Result<(), SendError<T>> {
         loop {
-            let waiter = {
-                let mut st = self.chan.state.lock();
-                if st.receivers == 0 {
-                    return Err(SendError(value));
+            let st = self.chan.state.lock();
+            if st.receivers == 0 {
+                return Err(SendError(value));
+            }
+            let mut st = match Chan::put(st, value) {
+                Ok(()) => return Ok(()),
+                Err((st, v)) => {
+                    value = v;
+                    st
                 }
-                let full = st.capacity.map(|c| st.queue.len() >= c).unwrap_or(false);
-                if !full {
-                    st.queue.push_back(value);
-                    let w = Chan::wake_one_recv(&mut st);
-                    drop(st);
-                    if let Some(w) = w {
-                        w.wake();
-                    }
-                    return Ok(());
-                }
-                let w = Waiter::new_for_current();
-                st.send_waiters.push_back(Arc::clone(&w));
-                w
             };
-            waiter.wait();
-            // Loop and re-check the condition; `value` is still ours.
+            let w = st.send_waiters.enqueue();
+            drop(st);
+            w.wait();
         }
     }
 
     /// Try to send without blocking.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut st = self.chan.state.lock();
+        let st = self.chan.state.lock();
         if st.receivers == 0 {
             return Err(TrySendError::Disconnected(value));
         }
-        let full = st.capacity.map(|c| st.queue.len() >= c).unwrap_or(false);
-        if full {
-            return Err(TrySendError::Full(value));
-        }
-        st.queue.push_back(value);
-        let w = Chan::wake_one_recv(&mut st);
-        drop(st);
-        if let Some(w) = w {
-            w.wake();
-        }
-        Ok(())
+        Chan::put(st, value).map_err(|(_, v)| TrySendError::Full(v))
     }
 
     /// Number of values currently queued (diagnostic; racy by nature).
@@ -217,42 +213,25 @@ impl<T> Receiver<T> {
     /// Receive a value, blocking cooperatively while the channel is empty.
     pub fn recv(&self) -> Result<T, RecvError> {
         loop {
-            let waiter = {
-                let mut st = self.chan.state.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    let w = Chan::wake_one_send(&mut st);
-                    drop(st);
-                    if let Some(w) = w {
-                        w.wake();
-                    }
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                let w = Waiter::new_for_current();
-                st.recv_waiters.push_back(Arc::clone(&w));
-                w
+            let mut st = match Chan::take(self.chan.state.lock()) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
             };
-            waiter.wait();
+            if st.senders == 0 {
+                return Err(RecvError);
+            }
+            let w = st.recv_waiters.enqueue();
+            drop(st);
+            w.wait();
         }
     }
 
     /// Try to receive without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = self.chan.state.lock();
-        if let Some(v) = st.queue.pop_front() {
-            let w = Chan::wake_one_send(&mut st);
-            drop(st);
-            if let Some(w) = w {
-                w.wake();
-            }
-            return Ok(v);
-        }
-        if st.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
+        match Chan::take(self.chan.state.lock()) {
+            Ok(v) => Ok(v),
+            Err(st) if st.senders == 0 => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
     }
 
@@ -260,39 +239,22 @@ impl<T> Receiver<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, TryRecvError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let waiter = {
-                let mut st = self.chan.state.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    let w = Chan::wake_one_send(&mut st);
-                    drop(st);
-                    if let Some(w) = w {
-                        w.wake();
-                    }
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(TryRecvError::Disconnected);
-                }
-                if Instant::now() >= deadline {
-                    return Err(TryRecvError::Empty);
-                }
-                let w = Waiter::new_for_current();
-                st.recv_waiters.push_back(Arc::clone(&w));
-                w
+            let mut st = match Chan::take(self.chan.state.lock()) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
             };
-            if !waiter.wait_deadline(deadline) {
-                // Claim protocol: remove ourselves if still queued, otherwise absorb the
-                // wake that claimed us and loop to pick up the value.
-                let mut st = self.chan.state.lock();
-                if let Some(pos) = st.recv_waiters.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                    st.recv_waiters.remove(pos);
-                    if let Some(v) = st.queue.pop_front() {
-                        return Ok(v);
-                    }
-                    return Err(TryRecvError::Empty);
-                }
-                drop(st);
-                waiter.consume_wake();
+            if st.senders == 0 {
+                return Err(TryRecvError::Disconnected);
+            }
+            if Instant::now() >= deadline {
+                return Err(TryRecvError::Empty);
+            }
+            let w = st.recv_waiters.enqueue();
+            drop(st);
+            let chan = &self.chan.state;
+            if let Err(st) = WaitQueue::wait_until(w, deadline, chan, |st| &mut st.recv_waiters) {
+                // Timed out: a last look under the lock that took us off the queue.
+                return Chan::take(st).map_err(|_| TryRecvError::Empty);
             }
         }
     }
@@ -311,11 +273,9 @@ impl<T> Receiver<T> {
     pub fn drain(&self) -> Vec<T> {
         let mut st = self.chan.state.lock();
         let out: Vec<T> = st.queue.drain(..).collect();
-        let wakers: Vec<_> = st.send_waiters.drain(..).collect();
+        let senders = st.send_waiters.take_all();
         drop(st);
-        for w in wakers {
-            w.wake();
-        }
+        senders.wake_all();
         out
     }
 }
@@ -331,6 +291,14 @@ impl<T> std::fmt::Debug for Receiver<T> {
         f.debug_struct("Receiver")
             .field("len", &self.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl<T> Receiver<T> {
+    /// Number of receivers queued on the channel.
+    pub(crate) fn waiter_count(&self) -> usize {
+        self.chan.state.lock().recv_waiters.len()
     }
 }
 
@@ -451,6 +419,50 @@ mod tests {
         });
         producer.join().unwrap();
         assert_eq!(consumer.join().unwrap(), (0..20).sum::<usize>());
+        usf.shutdown();
+    }
+
+    #[test]
+    fn recv_timeout_that_takes_a_value_wakes_a_blocked_sender() {
+        // One core, channel(1). R1 blocks in recv(); R2 waits in recv_timeout(10 ms); S
+        // spins past R2's deadline without a scheduling point, so R2 is requeued ahead of
+        // R1. S's first send hands its value to R1 (already dequeued) and the second blocks
+        // on the full channel; R2 then runs its last look and takes the value. That take
+        // freed the slot, so it must wake S — or S and R1 stay parked forever.
+        let usf = Usf::builder().cores(1).build();
+        let p = usf.process("chan-timeout");
+        let (tx, rx) = channel::<u32>(1);
+        let rx2 = rx.clone();
+        let r1 = p.spawn(move || rx.recv());
+        while rx2.waiter_count() < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let probe = rx2.clone();
+        let r2 = p.spawn(move || rx2.recv_timeout(Duration::from_millis(10)));
+        while probe.waiter_count() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let s = p.spawn(move || {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_millis(50) {
+                std::hint::spin_loop();
+            }
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+        });
+        let s = s.join_timeout(Duration::from_secs(3));
+        assert!(s.is_ok(), "the sender stayed parked on a channel with room");
+        let r1 = r1.join_timeout(Duration::from_secs(3));
+        assert!(
+            r1.is_ok(),
+            "the blocking receiver never got the second value"
+        );
+        // Every value sent is received exactly once (R2 may also have timed out empty).
+        let mut got = vec![r1.unwrap().unwrap().unwrap()];
+        got.extend(r2.join().unwrap());
+        got.extend(probe.try_recv());
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
         usf.shutdown();
     }
 

@@ -1,10 +1,8 @@
 //! Cooperative condition variable.
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use crate::sync::mutex::MutexGuard;
 use parking_lot::Mutex as RawMutex;
-use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of a timed condition wait.
@@ -26,7 +24,7 @@ impl WaitTimeoutResult {
 /// (`nosv_submit`), `notify_all` submits all of them.
 #[derive(Default)]
 pub struct Condvar {
-    waiters: RawMutex<VecDeque<Arc<Waiter>>>,
+    waiters: RawMutex<WaitQueue>,
 }
 
 impl Condvar {
@@ -41,8 +39,7 @@ impl Condvar {
     /// predicate (or use [`Condvar::wait_while`]).
     pub fn wait<'a, T: ?Sized>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let mutex = guard.mutex();
-        let waiter = Waiter::new_for_current();
-        self.waiters.lock().push_back(Arc::clone(&waiter));
+        let waiter = self.waiters.lock().enqueue();
         drop(guard);
         waiter.wait();
         mutex.lock()
@@ -56,24 +53,9 @@ impl Condvar {
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
         let deadline = Instant::now() + timeout;
         let mutex = guard.mutex();
-        let waiter = Waiter::new_for_current();
-        self.waiters.lock().push_back(Arc::clone(&waiter));
+        let waiter = self.waiters.lock().enqueue();
         drop(guard);
-        let signalled = if waiter.wait_deadline(deadline) {
-            true
-        } else {
-            // Claim protocol: if still queued, remove ourselves (true timeout); otherwise a
-            // notify claimed us and its wake-up must be absorbed.
-            let mut q = self.waiters.lock();
-            if let Some(pos) = q.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                q.remove(pos);
-                false
-            } else {
-                drop(q);
-                waiter.consume_wake();
-                true
-            }
-        };
+        let signalled = WaitQueue::wait_until(waiter, deadline, &self.waiters, |q| q).is_ok();
         (
             mutex.lock(),
             WaitTimeoutResult {
@@ -116,23 +98,18 @@ impl Condvar {
 
     /// Wake one waiter. Returns `true` if a waiter was woken.
     pub fn notify_one(&self) -> bool {
-        let w = self.waiters.lock().pop_front();
-        match w {
-            Some(w) => {
-                w.wake();
-                true
-            }
-            None => false,
-        }
+        let Some(w) = self.waiters.lock().pop() else {
+            return false;
+        };
+        w.wake();
+        true
     }
 
     /// Wake every waiter. Returns how many were woken.
     pub fn notify_all(&self) -> usize {
-        let ws: Vec<_> = self.waiters.lock().drain(..).collect();
+        let ws = self.waiters.lock().take_all();
         let n = ws.len();
-        for w in ws {
-            w.wake();
-        }
+        ws.wake_all();
         n
     }
 

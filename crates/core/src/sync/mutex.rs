@@ -1,11 +1,9 @@
 //! Cooperative mutex with FIFO ownership handoff (Listing 1 of the paper).
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use parking_lot::Mutex as RawMutex;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Internal state: the paper augments `pthread_mutex_t` with a spinlock-protected FIFO wait
@@ -14,7 +12,7 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 struct State {
     locked: bool,
-    queue: VecDeque<Arc<Waiter>>,
+    queue: WaitQueue,
 }
 
 /// A mutual-exclusion lock whose contended path is a scheduling point.
@@ -51,18 +49,15 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking cooperatively if it is contended.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        {
-            let mut st = self.state.lock();
-            if !st.locked {
-                st.locked = true;
-                return MutexGuard { mutex: self };
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back(Arc::clone(&w));
+        let mut st = self.state.lock();
+        if st.locked {
+            let w = st.queue.enqueue();
             drop(st);
             w.wait();
+            // Ownership was handed to us by the unlocking thread: `locked` is still true.
+        } else {
+            st.locked = true;
         }
-        // Ownership was handed to us by the unlocking thread: `locked` is still true.
         MutexGuard { mutex: self }
     }
 
@@ -80,30 +75,15 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, giving up after `timeout`.
     pub fn lock_timeout(&self, timeout: Duration) -> Option<MutexGuard<'_, T>> {
         let deadline = Instant::now() + timeout;
-        let waiter = {
-            let mut st = self.state.lock();
-            if !st.locked {
-                st.locked = true;
-                return Some(MutexGuard { mutex: self });
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back(Arc::clone(&w));
-            w
-        };
-        if waiter.wait_deadline(deadline) {
-            return Some(MutexGuard { mutex: self });
-        }
-        // Timed out: either we are still queued (remove ourselves, no lock) or an unlock
-        // already claimed us (the lock is ours; absorb the wake-up).
         let mut st = self.state.lock();
-        if let Some(pos) = st.queue.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-            st.queue.remove(pos);
-            None
-        } else {
+        if st.locked {
+            let w = st.queue.enqueue();
             drop(st);
-            waiter.consume_wake();
-            Some(MutexGuard { mutex: self })
+            WaitQueue::wait_until(w, deadline, &self.state, |st| &mut st.queue).ok()?;
+        } else {
+            st.locked = true;
         }
+        Some(MutexGuard { mutex: self })
     }
 
     /// Whether the mutex is currently locked (diagnostic; racy by nature).
@@ -123,16 +103,10 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Unlock: hand the lock to the first waiter if any, otherwise release it.
     fn unlock_internal(&self) {
-        let next = {
-            let mut st = self.state.lock();
-            match st.queue.pop_front() {
-                Some(w) => Some(w),
-                None => {
-                    st.locked = false;
-                    None
-                }
-            }
-        };
+        let mut st = self.state.lock();
+        let next = st.queue.pop();
+        st.locked = next.is_some();
+        drop(st);
         if let Some(w) = next {
             // Ownership handoff: `locked` stays true; the woken waiter owns the mutex.
             w.wake();

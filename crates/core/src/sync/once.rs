@@ -1,12 +1,11 @@
 //! Cooperative one-time initialization (`pthread_once`).
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use parking_lot::Mutex as RawMutex;
-use std::sync::Arc;
 
 enum State {
     New,
-    Running(Vec<Arc<Waiter>>),
+    Running(WaitQueue),
     Done,
 }
 
@@ -40,39 +39,22 @@ impl Once {
     /// Unlike `std::sync::Once`, a panicking initializer is not supported (it would poison
     /// the cell); initializers in this codebase are infallible.
     pub fn call_once(&self, f: impl FnOnce()) {
-        // Fast path / state transition.
-        let waiter = {
-            let mut st = self.state.lock();
-            match &mut *st {
-                State::Done => return,
-                State::New => {
-                    *st = State::Running(Vec::new());
-                    None
-                }
-                State::Running(waiters) => {
-                    let w = Waiter::new_for_current();
-                    waiters.push(Arc::clone(&w));
-                    Some(w)
-                }
-            }
-        };
-        match waiter {
-            Some(w) => {
-                w.wait();
-            }
-            None => {
+        let mut st = self.state.lock();
+        match &mut *st {
+            State::Done => {}
+            State::New => {
+                *st = State::Running(WaitQueue::default());
+                drop(st);
                 f();
-                let waiters = {
-                    let mut st = self.state.lock();
-                    let prev = std::mem::replace(&mut *st, State::Done);
-                    match prev {
-                        State::Running(ws) => ws,
-                        _ => Vec::new(),
-                    }
-                };
-                for w in waiters {
-                    w.wake();
+                let prev = std::mem::replace(&mut *self.state.lock(), State::Done);
+                if let State::Running(waiters) = prev {
+                    waiters.wake_all();
                 }
+            }
+            State::Running(waiters) => {
+                let w = waiters.enqueue();
+                drop(st);
+                w.wait();
             }
         }
     }

@@ -1,11 +1,9 @@
 //! Cooperative reader–writer lock with FIFO fairness.
 
-use crate::park::Waiter;
-use parking_lot::Mutex as RawMutex;
+use crate::park::WaitQueue;
+use parking_lot::{Mutex as RawMutex, MutexGuard as RawGuard};
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -16,7 +14,7 @@ enum Kind {
 struct State {
     readers: usize,
     writer: bool,
-    queue: VecDeque<(Kind, Arc<Waiter>)>,
+    queue: WaitQueue<Kind>,
 }
 
 /// A reader–writer lock whose contended paths are scheduling points.
@@ -38,7 +36,7 @@ impl<T> RwLock<T> {
             state: RawMutex::new(State {
                 readers: 0,
                 writer: false,
-                queue: VecDeque::new(),
+                queue: WaitQueue::default(),
             }),
             data: UnsafeCell::new(value),
         }
@@ -53,17 +51,14 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire shared (read) access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let waiter = {
-            let mut st = self.state.lock();
-            if !st.writer && st.queue.is_empty() {
-                st.readers += 1;
-                return RwLockReadGuard { lock: self };
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back((Kind::Read, Arc::clone(&w)));
-            w
-        };
-        waiter.wait();
+        let mut st = self.state.lock();
+        if !st.writer && st.queue.is_empty() {
+            st.readers += 1;
+        } else {
+            let w = st.queue.enqueue_tagged(Kind::Read);
+            drop(st);
+            w.wait();
+        }
         RwLockReadGuard { lock: self }
     }
 
@@ -80,17 +75,14 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquire exclusive (write) access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let waiter = {
-            let mut st = self.state.lock();
-            if !st.writer && st.readers == 0 && st.queue.is_empty() {
-                st.writer = true;
-                return RwLockWriteGuard { lock: self };
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back((Kind::Write, Arc::clone(&w)));
-            w
-        };
-        waiter.wait();
+        let mut st = self.state.lock();
+        if !st.writer && st.readers == 0 && st.queue.is_empty() {
+            st.writer = true;
+        } else {
+            let w = st.queue.enqueue_tagged(Kind::Write);
+            drop(st);
+            w.wait();
+        }
         RwLockWriteGuard { lock: self }
     }
 
@@ -121,51 +113,37 @@ impl<T: ?Sized> RwLock<T> {
     }
 
     fn unlock_read(&self) {
-        let to_wake = {
-            let mut st = self.state.lock();
-            st.readers -= 1;
-            if st.readers == 0 {
-                Self::grant_next(&mut st)
-            } else {
-                Vec::new()
-            }
-        };
-        for w in to_wake {
-            w.wake();
+        let mut st = self.state.lock();
+        st.readers -= 1;
+        if st.readers == 0 {
+            Self::grant_next(st);
         }
     }
 
     fn unlock_write(&self) {
-        let to_wake = {
-            let mut st = self.state.lock();
-            st.writer = false;
-            Self::grant_next(&mut st)
-        };
+        let mut st = self.state.lock();
+        st.writer = false;
+        Self::grant_next(st);
+    }
+
+    /// Grant the now-free lock to the head of the queue: one writer, or every leading
+    /// reader. The grantees are woken after the internal lock `st` is dropped.
+    fn grant_next(mut st: RawGuard<'_, State>) {
+        if let Some(w) = st.queue.pop_if(|k| *k == Kind::Write) {
+            st.writer = true;
+            drop(st);
+            w.wake();
+            return;
+        }
+        let mut to_wake = Vec::new();
+        while let Some(w) = st.queue.pop_if(|k| *k == Kind::Read) {
+            st.readers += 1;
+            to_wake.push(w);
+        }
+        drop(st);
         for w in to_wake {
             w.wake();
         }
-    }
-
-    /// Grant the lock to the head of the queue: one writer, or every leading reader.
-    /// Called with the internal lock held and the lock free.
-    fn grant_next(st: &mut State) -> Vec<Arc<Waiter>> {
-        let mut to_wake = Vec::new();
-        match st.queue.front().map(|(k, _)| *k) {
-            Some(Kind::Write) => {
-                let (_, w) = st.queue.pop_front().expect("front checked");
-                st.writer = true;
-                to_wake.push(w);
-            }
-            Some(Kind::Read) => {
-                while matches!(st.queue.front(), Some((Kind::Read, _))) {
-                    let (_, w) = st.queue.pop_front().expect("front checked");
-                    st.readers += 1;
-                    to_wake.push(w);
-                }
-            }
-            None => {}
-        }
-        to_wake
     }
 }
 

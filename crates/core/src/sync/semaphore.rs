@@ -1,15 +1,13 @@
 //! Cooperative counting semaphore (the `sem_wait`/`sem_post` extension).
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use parking_lot::Mutex as RawMutex;
-use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Default)]
 struct State {
     permits: usize,
-    queue: VecDeque<Arc<Waiter>>,
+    queue: WaitQueue,
 }
 
 /// A counting semaphore whose blocked acquirers release their virtual core.
@@ -26,7 +24,7 @@ impl Semaphore {
         Semaphore {
             state: RawMutex::new(State {
                 permits,
-                queue: VecDeque::new(),
+                queue: WaitQueue::default(),
             }),
         }
     }
@@ -43,18 +41,15 @@ impl Semaphore {
 
     /// Acquire one permit, blocking cooperatively if none is available.
     pub fn acquire(&self) {
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.permits > 0 {
-                st.permits -= 1;
-                return;
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back(Arc::clone(&w));
-            w
-        };
+        let mut st = self.state.lock();
+        if st.permits > 0 {
+            st.permits -= 1;
+            return;
+        }
+        let w = st.queue.enqueue();
+        drop(st);
         // The permit is handed to us by a release.
-        waiter.wait();
+        w.wait();
     }
 
     /// Try to acquire one permit without blocking.
@@ -71,29 +66,14 @@ impl Semaphore {
     /// Acquire one permit, giving up after `timeout`. Returns whether a permit was acquired.
     pub fn acquire_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.permits > 0 {
-                st.permits -= 1;
-                return true;
-            }
-            let w = Waiter::new_for_current();
-            st.queue.push_back(Arc::clone(&w));
-            w
-        };
-        if waiter.wait_deadline(deadline) {
+        let mut st = self.state.lock();
+        if st.permits > 0 {
+            st.permits -= 1;
             return true;
         }
-        let mut st = self.state.lock();
-        if let Some(pos) = st.queue.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-            st.queue.remove(pos);
-            false
-        } else {
-            // A release claimed us: the permit is ours; absorb the wake-up.
-            drop(st);
-            waiter.consume_wake();
-            true
-        }
+        let w = st.queue.enqueue();
+        drop(st);
+        WaitQueue::wait_until(w, deadline, &self.state, |st| &mut st.queue).is_ok()
     }
 
     /// Release one permit (handing it to the longest-waiting acquirer, if any).
@@ -104,22 +84,15 @@ impl Semaphore {
     /// Release `n` permits.
     pub fn release_n(&self, n: usize) {
         let mut to_wake = Vec::new();
-        {
-            let mut st = self.state.lock();
-            let mut remaining = n;
-            while remaining > 0 {
-                match st.queue.pop_front() {
-                    Some(w) => {
-                        to_wake.push(w);
-                        remaining -= 1;
-                    }
-                    None => {
-                        st.permits += remaining;
-                        break;
-                    }
-                }
-            }
+        let mut st = self.state.lock();
+        while to_wake.len() < n {
+            let Some(w) = st.queue.pop() else {
+                st.permits += n - to_wake.len();
+                break;
+            };
+            to_wake.push(w);
         }
+        drop(st);
         for w in to_wake {
             w.wake();
         }

@@ -3,15 +3,14 @@
 //! Used by the runtimes crate to implement `taskwait` (OmpSs-2) and end-of-parallel-region
 //! joins (OpenMP) as cooperative scheduling points.
 
-use crate::park::Waiter;
+use crate::park::WaitQueue;
 use parking_lot::Mutex as RawMutex;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Default)]
 struct State {
     count: usize,
-    waiters: Vec<Arc<Waiter>>,
+    waiters: WaitQueue,
 }
 
 /// A counter of outstanding work items with cooperative waiting.
@@ -31,7 +30,7 @@ impl WaitGroup {
         WaitGroup {
             state: RawMutex::new(State {
                 count,
-                waiters: Vec::new(),
+                waiters: WaitQueue::default(),
             }),
         }
     }
@@ -48,18 +47,13 @@ impl WaitGroup {
 
     /// Mark `n` items as done.
     pub fn done_n(&self, n: usize) {
-        let to_wake = {
-            let mut st = self.state.lock();
-            assert!(st.count >= n, "WaitGroup::done called more times than add");
-            st.count -= n;
-            if st.count == 0 {
-                std::mem::take(&mut st.waiters)
-            } else {
-                Vec::new()
-            }
-        };
-        for w in to_wake {
-            w.wake();
+        let mut st = self.state.lock();
+        assert!(st.count >= n, "WaitGroup::done called more times than add");
+        st.count -= n;
+        if st.count == 0 {
+            let to_wake = st.waiters.take_all();
+            drop(st);
+            to_wake.wake_all();
         }
     }
 
@@ -70,43 +64,26 @@ impl WaitGroup {
 
     /// Block cooperatively until the counter reaches zero.
     pub fn wait(&self) {
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.count == 0 {
-                return;
-            }
-            let w = Waiter::new_for_current();
-            st.waiters.push(Arc::clone(&w));
-            w
-        };
-        waiter.wait();
+        let mut st = self.state.lock();
+        if st.count == 0 {
+            return;
+        }
+        let w = st.waiters.enqueue();
+        drop(st);
+        w.wait();
     }
 
     /// Block until the counter reaches zero or `timeout` elapses. Returns `true` if the
     /// counter reached zero.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let waiter = {
-            let mut st = self.state.lock();
-            if st.count == 0 {
-                return true;
-            }
-            let w = Waiter::new_for_current();
-            st.waiters.push(Arc::clone(&w));
-            w
-        };
-        if waiter.wait_deadline(deadline) {
+        let mut st = self.state.lock();
+        if st.count == 0 {
             return true;
         }
-        let mut st = self.state.lock();
-        if let Some(pos) = st.waiters.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-            st.waiters.remove(pos);
-            false
-        } else {
-            drop(st);
-            waiter.consume_wake();
-            true
-        }
+        let w = st.waiters.enqueue();
+        drop(st);
+        WaitQueue::wait_until(w, deadline, &self.state, |st| &mut st.waiters).is_ok()
     }
 }
 
@@ -115,6 +92,14 @@ impl std::fmt::Debug for WaitGroup {
         f.debug_struct("WaitGroup")
             .field("count", &self.count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl WaitGroup {
+    /// Number of queued waiters.
+    pub(crate) fn waiter_count(&self) -> usize {
+        self.state.lock().waiters.len()
     }
 }
 
@@ -145,9 +130,26 @@ mod tests {
     }
 
     #[test]
+    fn wait_wakes_multiple_waiters() {
+        let wg = Arc::new(WaitGroup::with_count(1));
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let wg = Arc::clone(&wg);
+            handles.push(std::thread::spawn(move || wg.wait()));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        wg.done();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(wg.waiter_count(), 0);
+    }
+
+    #[test]
     fn wait_timeout_expires_when_not_done() {
         let wg = WaitGroup::with_count(1);
         assert!(!wg.wait_timeout(Duration::from_millis(20)));
+        assert_eq!(wg.waiter_count(), 0, "no stale waiter after a timeout");
         wg.done();
         assert!(wg.wait_timeout(Duration::from_millis(20)));
     }

@@ -4,17 +4,17 @@
 //! the spawned OS thread first attaches itself to the nOS-V scheduler (becoming a worker
 //! with an associated task) and only then runs the user code, pinned to the virtual core the
 //! scheduler granted it. When the user function returns, the worker detaches and parks in
-//! the [`cache::ThreadCache`] instead of exiting; `join` is *masked* — it waits on an event
-//! set by the wrapper rather than on OS thread termination, exactly like glibcv masks
-//! `pthread_join` when a thread is placed in the cache.
+//! the [`cache::ThreadCache`] instead of exiting; `join` is *masked* — it waits on a
+//! one-count [`WaitGroup`] the wrapper marks done rather than on OS thread termination,
+//! exactly like glibcv masks `pthread_join` when a thread is placed in the cache.
 
 pub mod cache;
 
 pub use cache::{ThreadCache, ThreadCacheStats, ThreadShutdownReport, DEFAULT_SHUTDOWN_TIMEOUT};
 
 use crate::current::{clear_current, set_current, CurrentCtx};
-use crate::error::UsfError;
-use crate::park::Event;
+use crate::error::{panic_message, UsfError};
+use crate::sync::WaitGroup;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -24,7 +24,8 @@ use usf_nosv::{NosvInstance, ProcessId, TaskRef};
 /// Shared completion slot between a spawned thread and its [`JoinHandle`].
 struct Packet<T> {
     result: Mutex<Option<std::thread::Result<T>>>,
-    done: Event,
+    /// Counts down once, when `result` has been filled in.
+    done: WaitGroup,
     task: Mutex<Option<TaskRef>>,
 }
 
@@ -48,7 +49,7 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// Whether the thread's user function has finished.
     pub fn is_finished(&self) -> bool {
-        self.packet.done.is_set()
+        self.packet.done.count() == 0
     }
 
     /// The nOS-V task associated with the thread, once it has attached.
@@ -85,14 +86,8 @@ impl<T> JoinHandle<T> {
 
     /// Convenience wrapper around [`JoinHandle::join`] mapping panics to [`UsfError`].
     pub fn join_result(self) -> Result<T, UsfError> {
-        self.join().map_err(|e| {
-            let msg = e
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| e.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-            UsfError::ThreadPanicked(msg)
-        })
+        self.join()
+            .map_err(|e| UsfError::ThreadPanicked(panic_message(&*e)))
     }
 }
 
@@ -111,7 +106,7 @@ where
 {
     let packet = Arc::new(Packet::<T> {
         result: Mutex::new(None),
-        done: Event::new(),
+        done: WaitGroup::with_count(1),
         task: Mutex::new(None),
     });
     let packet2 = Arc::clone(&packet);
@@ -121,7 +116,7 @@ where
         // Attach: the thread is recruited as a nOS-V worker and blocks here until the
         // scheduler grants it a core (it can no longer run freely). The attach can lose a
         // race against shutdown or a process kill; the failure must land in the join
-        // packet as an error — a panic here would skip `done.set()` and hang the joiner.
+        // packet as an error — a panic here would skip `done.done()` and hang the joiner.
         let result =
             match nosv.try_attach(pid, label.as_deref()) {
                 Ok(handle) => {
@@ -140,10 +135,18 @@ where
                     as Box<dyn std::any::Any + Send>),
             };
         *packet2.result.lock() = Some(result);
-        packet2.done.set();
+        packet2.done.done();
     });
     cache.dispatch(name, job);
     JoinHandle { packet }
+}
+
+#[cfg(test)]
+impl<T> JoinHandle<T> {
+    /// Number of threads queued on the join.
+    pub(crate) fn waiter_count(&self) -> usize {
+        self.packet.done.waiter_count()
+    }
 }
 
 #[cfg(test)]

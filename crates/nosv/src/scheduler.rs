@@ -949,7 +949,7 @@ impl Scheduler {
         inc(&self.stats.counters.attaches);
         self.submit(task);
         self.prepark_drain();
-        let _ = task.wait_grant_observed(self.record_dispatch());
+        let _ = task.wait_grant(None, self.record_dispatch());
     }
 
     /// Mark the task ready in its grant slot. Returns the instant the task turned ready
@@ -1092,7 +1092,7 @@ impl Scheduler {
             return;
         };
         inc(&self.stats.counters.pauses);
-        let _ = task.wait_grant_observed(self.record_dispatch());
+        let _ = task.wait_grant(None, self.record_dispatch());
         self.stats.stages.pause_block.record(off_core.elapsed());
     }
 
@@ -1105,13 +1105,13 @@ impl Scheduler {
             return WaitOutcome::Woken;
         };
         let deadline = off_core + timeout;
-        let outcome = match task.wait_grant_until_observed(deadline, self.record_dispatch()) {
+        let outcome = match task.wait_grant(Some(deadline), self.record_dispatch()) {
             Some(_) => WaitOutcome::Woken,
             None => {
                 // Timed out without being woken: resubmit ourselves and wait for a core.
                 inc(&self.stats.counters.waitfor_timeouts);
                 self.submit(task);
-                let _ = task.wait_grant_observed(self.record_dispatch());
+                let _ = task.wait_grant(None, self.record_dispatch());
                 WaitOutcome::TimedOut
             }
         };
@@ -1208,7 +1208,7 @@ impl Scheduler {
         inc(&self.stats.counters.yields);
         inc(&task.stats.yields);
         let off_core = Instant::now();
-        let _ = task.wait_grant_observed(self.record_dispatch());
+        let _ = task.wait_grant(None, self.record_dispatch());
         self.stats.stages.yield_block.record(off_core.elapsed());
         true
     }
@@ -2011,11 +2011,11 @@ mod tests {
         let t2c = TaskRef::clone(&t2);
         // t2 waits for a core (attach blocks); shutdown must release it.
         let h = std::thread::spawn(move || {
-            t2c.wait_grant() // returns None on release
+            t2c.wait_grant(None, |_, _| {}) // returns Some(None) on release
         });
         std::thread::sleep(Duration::from_millis(10));
         s.shutdown();
-        assert_eq!(h.join().unwrap(), None);
+        assert_eq!(h.join().unwrap(), Some(None));
         assert!(s.is_shutdown());
         // Operations after shutdown are inert.
         assert!(matches!(s.create_task(p, None), Err(NosvError::ShutDown)));
@@ -2169,7 +2169,7 @@ mod tests {
         s.submit(&t2); // sits in the intake stack (no idle core)
         s.shutdown();
         // The waiter must be released, not parked forever.
-        assert_eq!(t2.wait_grant(), None);
+        assert_eq!(t2.wait_grant(None, |_, _| {}), Some(None));
         assert_eq!(s.ready_count(), 0);
     }
 
@@ -2185,7 +2185,7 @@ mod tests {
             let t2c = TaskRef::clone(&t2);
             let h = std::thread::spawn(move || {
                 s2.submit(&t2c);
-                t2c.wait_grant() // must terminate: granted or released, never parked
+                t2c.wait_grant(None, |_, _| {}) // must terminate: granted or released, never parked
             });
             s.shutdown();
             let _ = h.join().unwrap();
@@ -2230,11 +2230,11 @@ mod tests {
         let t2 = s.create_task(p, None).unwrap();
         s.submit(&t2); // queued
         let t2c = TaskRef::clone(&t2);
-        let h = std::thread::spawn(move || t2c.wait_grant());
+        let h = std::thread::spawn(move || t2c.wait_grant(None, |_, _| {}));
         s.deregister_process(p);
         assert_eq!(
             h.join().unwrap(),
-            None,
+            Some(None),
             "waiter must resume, not stay parked"
         );
         // t1 keeps running (deregister does not touch granted tasks).
@@ -2342,11 +2342,11 @@ mod tests {
         let tb = s.create_task(pb, None).unwrap();
         s.submit(&tb); // waits behind it
         let ta2c = TaskRef::clone(&ta2);
-        let h = std::thread::spawn(move || ta2c.wait_grant());
+        let h = std::thread::spawn(move || ta2c.wait_grant(None, |_, _| {}));
         let report = s.kill_process(pa);
         assert_eq!(report.running_preempted, 1, "ta1 evicted from its core");
         // The waiter must resume released, never granted.
-        assert_eq!(h.join().unwrap(), None);
+        assert_eq!(h.join().unwrap(), Some(None));
         assert!(ta1.grant.lock().released);
         // The freed core went straight to the co-tenant's ready work.
         assert_eq!(tb.state(), TaskState::Running);
@@ -2512,7 +2512,7 @@ mod tests {
                 // Land the submit inside the widened window with high probability.
                 std::thread::sleep(Duration::from_millis(5));
                 s2.submit(&t2c);
-                t2c.wait_grant() // must terminate: granted or released, never parked
+                t2c.wait_grant(None, |_, _| {}) // must terminate: granted or released, never parked
             });
             s.shutdown();
             let _ = h.join().unwrap();

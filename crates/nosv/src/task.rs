@@ -222,77 +222,17 @@ impl Task {
         true
     }
 
-    /// Wait (blocking the calling OS thread) until the scheduler grants this task a core, or
-    /// until the task is released from scheduler control. Returns the granted core, or
-    /// `None` if released. Production paths wait through [`Task::wait_grant_observed`] so
-    /// the dispatch-latency stage is recorded; this unrecorded variant serves the tests.
-    #[cfg(test)]
-    pub(crate) fn wait_grant(&self) -> Option<CoreId> {
-        let mut g = self.grant.lock();
-        loop {
-            if let Some(core) = g.granted {
-                return Some(core);
-            }
-            if g.released {
-                return None;
-            }
-            self.grant_cv.wait(&mut g);
-        }
-    }
-
-    /// [`Task::wait_grant`] that additionally reports the grant→first-run (dispatch)
-    /// latency when the grant stamped one: the elapsed time between the scheduler
-    /// publishing the grant and this worker observing it, together with the granted core
-    /// so the caller can attribute the sample per NUMA node. The scheduler's blocking
-    /// scheduling points all wait through this variant.
-    pub(crate) fn wait_grant_observed(&self, record: impl Fn(CoreId, Duration)) -> Option<CoreId> {
-        let mut g = self.grant.lock();
-        loop {
-            if let Some(core) = g.granted {
-                if let Some(t0) = g.dispatched_at.take() {
-                    record(core, t0.elapsed());
-                }
-                return Some(core);
-            }
-            if g.released {
-                return None;
-            }
-            self.grant_cv.wait(&mut g);
-        }
-    }
-
-    /// Timed variant of [`Task::wait_grant`]: waits until `deadline`. Returns `Some(core)` if
-    /// granted (or `None` inside `Some` semantics is not needed — released counts as granted
-    /// for the caller), `None` on timeout. Test-only, like [`Task::wait_grant`].
-    #[cfg(test)]
-    pub(crate) fn wait_grant_until(&self, deadline: Instant) -> Option<Option<CoreId>> {
-        let mut g = self.grant.lock();
-        loop {
-            if let Some(core) = g.granted {
-                return Some(Some(core));
-            }
-            if g.released {
-                return Some(None);
-            }
-            if self.grant_cv.wait_until(&mut g, deadline).timed_out() {
-                // Re-check the predicate one final time: the grant may have arrived between
-                // the timeout and re-acquiring the lock.
-                if let Some(core) = g.granted {
-                    return Some(Some(core));
-                }
-                if g.released {
-                    return Some(None);
-                }
-                return None;
-            }
-        }
-    }
-
-    /// [`Task::wait_grant_until`] with dispatch-latency recording (see
-    /// [`Task::wait_grant_observed`]).
-    pub(crate) fn wait_grant_until_observed(
+    /// Wait (blocking the calling OS thread) until the scheduler grants this task a core,
+    /// the task is released from scheduler control, or `deadline` (if any) passes. Returns
+    /// `Some(Some(core))` when granted, `Some(None)` when released, `None` on timeout.
+    ///
+    /// When the grant stamped a dispatch time, `record` receives the grant→first-run
+    /// (dispatch) latency — the time between the scheduler publishing the grant and this
+    /// worker observing it — with the granted core, so the caller can attribute the sample
+    /// per NUMA node. Every blocking scheduling point waits through here.
+    pub(crate) fn wait_grant(
         &self,
-        deadline: Instant,
+        deadline: Option<Instant>,
         record: impl Fn(CoreId, Duration),
     ) -> Option<Option<CoreId>> {
         let mut g = self.grant.lock();
@@ -306,17 +246,18 @@ impl Task {
             if g.released {
                 return Some(None);
             }
-            if self.grant_cv.wait_until(&mut g, deadline).timed_out() {
-                if let Some(core) = g.granted {
-                    if let Some(t0) = g.dispatched_at.take() {
-                        record(core, t0.elapsed());
+            match deadline {
+                None => self.grant_cv.wait(&mut g),
+                // A timeout still loops once more: the grant (or release) may have arrived
+                // between the timeout and re-acquiring the lock.
+                Some(d) => {
+                    if self.grant_cv.wait_until(&mut g, d).timed_out()
+                        && g.granted.is_none()
+                        && !g.released
+                    {
+                        return None;
                     }
-                    return Some(Some(core));
                 }
-                if g.released {
-                    return Some(None);
-                }
-                return None;
             }
         }
     }
@@ -348,7 +289,7 @@ mod tests {
     #[test]
     fn wait_grant_until_times_out_when_never_granted() {
         let t = Task::new(1, 0, ProcCell::new(), None);
-        let r = t.wait_grant_until(Instant::now() + Duration::from_millis(10));
+        let r = t.wait_grant(Some(Instant::now() + Duration::from_millis(10)), |_, _| {});
         assert!(r.is_none());
     }
 
@@ -356,7 +297,7 @@ mod tests {
     fn wait_grant_returns_after_grant_from_other_thread() {
         let t = Task::new(1, 0, ProcCell::new(), None);
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.wait_grant());
+        let h = std::thread::spawn(move || t2.wait_grant(None, |_, _| {}));
         std::thread::sleep(Duration::from_millis(20));
         {
             let mut g = t.grant.lock();
@@ -364,7 +305,7 @@ mod tests {
             g.state = TaskState::Running;
             t.grant_cv.notify_one();
         }
-        assert_eq!(h.join().unwrap(), Some(5));
+        assert_eq!(h.join().unwrap(), Some(Some(5)));
     }
 
     #[test]
@@ -374,9 +315,9 @@ mod tests {
             let mut g = t.grant.lock();
             g.released = true;
         }
-        assert_eq!(t.wait_grant(), None);
+        assert_eq!(t.wait_grant(None, |_, _| {}), Some(None));
         assert_eq!(
-            t.wait_grant_until(Instant::now() + Duration::from_millis(1)),
+            t.wait_grant(Some(Instant::now() + Duration::from_millis(1)), |_, _| {}),
             Some(None)
         );
     }

@@ -200,11 +200,7 @@ impl Team {
     {
         let (master, worker_panics) = self.run_region(active, f);
         if let Err(payload) = master {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
+            let msg = usf_core::error::panic_message(&*payload);
             return Err(usf_core::UsfError::ThreadPanicked(msg));
         }
         if worker_panics > 0 {
@@ -369,11 +365,7 @@ fn worker_loop(shared: Arc<TeamShared>, index: usize, policy: WaitPolicy) {
                 (&*region.f.0)(&ctx)
             }));
             if let Err(payload) = outcome {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                let msg = usf_core::error::panic_message(&*payload);
                 shared.panics.fetch_add(1, Ordering::Relaxed);
                 let mut first = shared.first_panic.lock();
                 if first.is_none() {

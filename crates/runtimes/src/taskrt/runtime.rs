@@ -267,11 +267,7 @@ fn worker_loop(shared: Arc<RtShared>, rx: Receiver<WorkItem>) {
             }
             Err(payload) => {
                 shared.panicked.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                let msg = usf_core::error::panic_message(&*payload);
                 let mut first = shared.first_panic.lock();
                 if first.is_none() {
                     *first = Some(msg);

@@ -8,6 +8,7 @@
 //! show the largest SCHED_COOP speedups.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use usf_core::error::panic_message;
 use usf_core::exec::ExecMode;
 
 /// A pool that spawns `n` threads per call and joins them before returning.
@@ -64,14 +65,8 @@ impl TransientPool {
     where
         F: Fn(usize) + Send + Sync,
     {
-        self.run_inner(n, f).map_err(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-            usf_core::UsfError::ThreadPanicked(msg)
-        })
+        self.run_inner(n, f)
+            .map_err(|payload| usf_core::UsfError::ThreadPanicked(panic_message(&*payload)))
     }
 
     fn run_inner<F>(&self, n: usize, f: F) -> Result<(), Box<dyn std::any::Any + Send>>
