@@ -2,8 +2,7 @@
 //!
 //! The repo vendors no serde, so the `BENCH_*.json` perf-trajectory records are emitted
 //! through this small ordered-object builder instead of each binary hand-rolling string
-//! pushes (which is how `sched_stress` used to do it). Field order is insertion order, so
-//! the records stay diffable run over run.
+//! pushes. Field order is insertion order, so the records stay diffable run over run.
 
 use std::fmt::Write as _;
 

@@ -1,12 +1,15 @@
 //! Shared helpers for the experiment harness binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see `DESIGN.md` for the
-//! per-experiment index) and prints it as a text table/heatmap so the shape can be compared
-//! directly with the published results. All binaries accept:
+//! Each figure/table binary regenerates one table or figure of the paper (see `DESIGN.md`
+//! for the per-experiment index) and prints it as a text table/heatmap so the shape can be
+//! compared directly with the published results. The figure/table binaries accept two
+//! scale flags, read with [`cli::ParsedArgs::scale`]:
 //!
 //! * `--quick` (default): reduced problem sizes so the whole harness runs in minutes on a
 //!   laptop;
 //! * `--full`: the paper-scale parameters (56/112 simulated cores, full sweeps).
+//!
+//! The tool binaries (`sched_fuzz`, `sched_chaos`, `usf_trace`) take their own flags.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,22 +25,6 @@ pub enum Scale {
     Quick,
     /// Paper-scale sweep.
     Full,
-}
-
-impl Scale {
-    /// Parse the scale from process arguments (`--full` switches to the full sweep).
-    ///
-    /// Lenient: unknown flags are ignored. The figure/table binaries use
-    /// [`cli::parse_or_exit`] instead, which rejects typos with usage text; this helper
-    /// remains for embedding in argument-agnostic contexts (e.g. test harnesses, whose
-    /// own flags must not be treated as errors).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
 }
 
 /// Minimal shared command-line parsing for the harness binaries.
@@ -268,11 +255,6 @@ mod tests {
         assert_eq!(fmt_mflops(20000.0), "20000");
         assert_eq!(fmt_speedup(2.0), "2.00x");
         assert_eq!(fmt_speedup(f64::NAN), "-");
-    }
-
-    #[test]
-    fn scale_defaults_to_quick() {
-        assert_eq!(Scale::from_args(), Scale::Quick);
     }
 
     fn strs(args: &[&str]) -> Vec<String> {

@@ -1,12 +1,12 @@
 //! Shared JSON rendering of [`usf_scenarios::ScenarioReport`]s.
 //!
-//! `fig6_oversub` and `fig7_models` both persist scenario reports into their
+//! `fig6_oversub`, `fig7_models` and `fig8_numa` persist scenario reports into their
 //! `BENCH_*.json` perf-trajectory records; this module is the single place that decides
 //! what a report looks like on disk (per-process makespans, measured unit-latency
 //! percentiles, slowdowns, fairness, scheduler-counter deltas).
 
 use crate::json::{JsonObject, JsonValue};
-use usf_nosv::{HistogramSnapshot, ShardSnapshot, StageSnapshot, StatsSample};
+use usf_nosv::{HistogramSnapshot, StageSnapshot, StatsSample};
 use usf_scenarios::ScenarioReport;
 
 /// Render one stage histogram as the standard percentile bundle (a [`JsonObject`], so it
@@ -31,26 +31,6 @@ pub fn stages_json(stages: &StageSnapshot) -> JsonObject {
         doc = doc.field(name, histogram_json(h));
     }
     doc
-}
-
-/// Render the per-scheduler-shard breakdown — dispatch-lock acquisitions, ready entries
-/// lost to cross-shard steals, cross-shard aging-valve crossings, process-quantum
-/// rotations, and the shard's own grant→first-run dispatch histogram — as an ordered array, one object per NUMA node
-/// (a single object on flat schedulers).
-pub fn shards_json(shards: &[ShardSnapshot]) -> Vec<JsonValue> {
-    shards
-        .iter()
-        .map(|s| {
-            JsonValue::from(
-                JsonObject::new()
-                    .field("lock_acquisitions", s.lock_acquisitions)
-                    .field("steals", s.steals)
-                    .field("valve_crossings", s.valve_crossings)
-                    .field("rotations", s.rotations)
-                    .field("dispatch", histogram_json(&s.dispatch)),
-            )
-        })
-        .collect()
 }
 
 /// Summarize a stats-sampler series: sample count plus the peak of each gauge (the full

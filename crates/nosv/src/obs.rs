@@ -3,8 +3,8 @@
 //!
 //! SCHED_COOP's pitch is *scheduling noise you can measure*: the [`Counters`] say how
 //! often things happened (zero preemptions, affinity hit rates, bounded worker swaps), and
-//! localizing a latency regression (e.g. the wake-churn p99 tracked in `BENCH_sched.json`)
-//! needs *distributions* per pipeline stage. One [`StatsRegistry`] owns both, always on:
+//! localizing a latency regression (e.g. a move in `usf_perf`'s `nosv.wake_p99_ns`) needs
+//! *distributions* per pipeline stage. One [`StatsRegistry`] owns both, always on:
 //!
 //! * [`Counters`] — the monotonic event counters, declared once (see `counters!`) and read
 //!   lock-free as a [`MetricsSnapshot`].
@@ -16,8 +16,8 @@
 //! * [`StageStats`] — one histogram per stage boundary of the scheduling pipeline:
 //!   submit→intake-drain, enqueue→grant (wake latency), grant→first-run (dispatch
 //!   latency), and the off-core durations of pauses and yields.
-//! * [`StatsSnapshot`] — counters + stage histograms + shard stats behind one value with
-//!   `delta(&prev)`, assembled by
+//! * [`StatsSnapshot`] — counters + stage histograms + per-shard lock and rotation counts
+//!   behind one value with `delta(&prev)`, assembled by
 //!   [`Scheduler::stats_snapshot`](crate::scheduler::Scheduler::stats_snapshot) and
 //!   rendered by the harnesses (`usf_bench::scenario_json`).
 //! * [`StatsSampler`] — an optional background thread (default: not running) appending
@@ -411,8 +411,8 @@ pub struct StageStats {
     /// stack before a scheduling point absorbed it.
     pub intake_wait: Histogram,
     /// Enqueue → grant (wake latency): from the grant slot turning ready to the
-    /// scheduler granting a core. This is the stage `BENCH_sched.json`'s wake-churn
-    /// percentiles come from.
+    /// scheduler granting a core — the hand-off cost a blocking wake-up pays before its
+    /// task can run again.
     pub wake: Histogram,
     /// Grant → first-run (dispatch latency): from the grant being published to the
     /// woken worker thread observing it.
@@ -475,15 +475,6 @@ impl StageSnapshot {
         }
     }
 
-    /// Stage-wise [`HistogramSnapshot::merge`]: fold `other`'s samples into `self`.
-    pub fn merge(&mut self, other: &StageSnapshot) {
-        self.intake_wait.merge(&other.intake_wait);
-        self.wake.merge(&other.wake);
-        self.dispatch.merge(&other.dispatch);
-        self.pause_block.merge(&other.pause_block);
-        self.yield_block.merge(&other.yield_block);
-    }
-
     /// `(name, snapshot)` pairs for iteration-driven rendering.
     pub fn named(&self) -> [(&'static str, &HistogramSnapshot); 5] {
         [
@@ -500,73 +491,32 @@ impl StageSnapshot {
 // Per-shard (per-NUMA-node) scheduler-section stats
 // ---------------------------------------------------------------------------------------
 
-/// Contention counters and the dispatch-latency histogram of one scheduler shard (one
-/// NUMA node under SCHED_COOP; single-queue policies keep everything in shard 0).
-/// Counters are bumped with relaxed atomics by the shard's lock/steal/valve
-/// paths; the histogram records grant→first-run latencies attributed to the *granted*
-/// core's node, so a single slow node cannot hide inside the pooled `dispatch` p99.
+/// The contention counter of one scheduler shard (one NUMA node under SCHED_COOP;
+/// single-queue policies keep everything in shard 0), bumped with a relaxed atomic on
+/// every acquisition of the shard's lock.
 #[derive(Debug)]
 pub struct ShardStats {
     /// Times this shard's dispatch lock was acquired (blocking or successful try-lock).
     pub lock_acquisitions: AtomicU64,
-    /// Ready entries this shard *lost* to a foreign core's steal-on-exhaustion.
-    pub steals: AtomicU64,
-    /// Cross-shard aging-valve probes issued *by* this shard's cores that served an aged
-    /// entry from a foreign shard.
-    pub valve_crossings: AtomicU64,
-    /// Grant→first-run latency of grants onto this node's cores.
-    pub dispatch: Histogram,
 }
 
-impl ShardStats {
-    fn new(hist_shards: usize) -> Self {
-        ShardStats {
-            lock_acquisitions: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            valve_crossings: AtomicU64::new(0),
-            dispatch: Histogram::new(hist_shards),
-        }
-    }
-
-    /// Plain snapshot of the shard counters and histogram. `rotations` lives in the
-    /// shard's policy, behind the shard lock, so the caller reads it and passes it in.
-    fn snapshot(&self, rotations: u64) -> ShardSnapshot {
-        ShardSnapshot {
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            valve_crossings: self.valve_crossings.load(Ordering::Relaxed),
-            rotations,
-            dispatch: self.dispatch.snapshot(),
-        }
-    }
-}
-
-/// Plain snapshot of a [`ShardStats`].
+/// Plain snapshot of one shard's [`ShardStats`] plus its policy's rotation count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// See [`ShardStats::lock_acquisitions`].
     pub lock_acquisitions: u64,
-    /// See [`ShardStats::steals`].
-    pub steals: u64,
-    /// See [`ShardStats::valve_crossings`].
-    pub valve_crossings: u64,
     /// Process-quantum rotations performed by this shard's policy (its quantum ring).
     pub rotations: u64,
-    /// See [`ShardStats::dispatch`].
-    pub dispatch: HistogramSnapshot,
 }
 
 impl ShardSnapshot {
-    /// The activity between `prev` and `self` (counters subtracted, histogram delta'd).
+    /// The activity between `prev` and `self` (counters subtracted, saturating).
     pub fn delta(&self, prev: &ShardSnapshot) -> ShardSnapshot {
         ShardSnapshot {
             lock_acquisitions: self
                 .lock_acquisitions
                 .saturating_sub(prev.lock_acquisitions),
-            steals: self.steals.saturating_sub(prev.steals),
-            valve_crossings: self.valve_crossings.saturating_sub(prev.valve_crossings),
             rotations: self.rotations.saturating_sub(prev.rotations),
-            dispatch: self.dispatch.delta(&prev.dispatch),
         }
     }
 }
@@ -590,8 +540,8 @@ pub struct StatsSnapshot {
     pub counters: MetricsSnapshot,
     /// Stage-boundary latency histograms.
     pub stages: StageSnapshot,
-    /// Per-NUMA-node scheduler-shard stats (one entry per node; single-queue policies
-    /// report a single shard).
+    /// Per-NUMA-node scheduler-shard lock and rotation counts (one entry per node;
+    /// single-queue policies report a single shard).
     pub shards: Vec<ShardSnapshot>,
 }
 
@@ -621,7 +571,7 @@ impl StatsSnapshot {
 
 /// The scheduler-resident stats plane: creation instant (the time base every snapshot
 /// and sample is stamped against), the event counters, the always-on stage histograms and
-/// the per-shard stats.
+/// the per-shard lock counters.
 #[derive(Debug)]
 pub struct StatsRegistry {
     created: Instant,
@@ -629,7 +579,7 @@ pub struct StatsRegistry {
     pub counters: Counters,
     /// Stage-boundary histograms (recorded by the scheduler hot paths).
     pub stages: StageStats,
-    /// Per-NUMA-node scheduler-shard stats (one entry per node).
+    /// Per-NUMA-node scheduler-shard lock counters (one entry per node).
     pub shards: Vec<ShardStats>,
 }
 
@@ -640,7 +590,11 @@ impl StatsRegistry {
             created: Instant::now(),
             counters: Counters::default(),
             stages: StageStats::new(shards),
-            shards: (0..nodes.max(1)).map(|_| ShardStats::new(shards)).collect(),
+            shards: (0..nodes.max(1))
+                .map(|_| ShardStats {
+                    lock_acquisitions: AtomicU64::new(0),
+                })
+                .collect(),
         }
     }
 
@@ -653,7 +607,7 @@ impl StatsRegistry {
         self.counters.snapshot(shard_locks.sum())
     }
 
-    /// Snapshot the counters and every scheduler-shard stat (ordered by node) from one
+    /// Snapshot the counters and every scheduler-shard count (ordered by node) from one
     /// set of loads, so `counters.lock_acquisitions` is exactly the shards' sum plus the
     /// global count. `rotations[i]` is shard `i`'s policy rotation count, read by the
     /// scheduler under that shard's lock.
@@ -665,7 +619,10 @@ impl StatsRegistry {
             .shards
             .iter()
             .zip(rotations)
-            .map(|(s, &r)| s.snapshot(r))
+            .map(|(s, &rotations)| ShardSnapshot {
+                lock_acquisitions: s.lock_acquisitions.load(Ordering::Relaxed),
+                rotations,
+            })
             .collect();
         let shard_locks = shards.iter().map(|s| s.lock_acquisitions).sum();
         (self.counters.snapshot(shard_locks), shards)

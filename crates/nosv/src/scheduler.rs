@@ -267,8 +267,8 @@ impl Drop for Intake {
 ///
 /// Notifying `grant_cv` while the `SchedState` mutex is held wakes the worker straight
 /// into the lock its waker still holds: the woken thread runs, immediately blocks on the
-/// contended mutex, and the hand-off serializes — a lock convoy, which is where the
-/// measured wake-churn tail lived (`BENCH_sched.json` `wake`/`dispatch` p99). Deferring
+/// contended mutex, and the hand-off serializes — a lock convoy that shows up as a long
+/// tail in the `wake` and `dispatch` stage histograms under wake churn. Deferring
 /// the notify is safe with these std-semantics condvars because the grant-slot predicate
 /// (`granted` / `released`) is always written under the task's grant mutex *before* the
 /// batch fires: a waiter either observes the new state without sleeping, or parks and is
@@ -605,17 +605,17 @@ impl Scheduler {
     }
 
     /// The always-on stats registry: event counters (lock-free via
-    /// [`StatsRegistry::counters`]), stage-boundary histograms, per-shard stats and the
-    /// snapshot time base.
+    /// [`StatsRegistry::counters`]), stage-boundary histograms, per-shard lock counters
+    /// and the snapshot time base.
     pub fn stats(&self) -> &StatsRegistry {
         &self.stats
     }
 
     /// One unified observation of the scheduler: cumulative counters, stage-boundary
-    /// latency histograms and per-shard stats. Takes each shard lock briefly (one at a
-    /// time) to read its policy's quantum rotations; everything else is lock-free — an
-    /// observation tool, not a hot-path call (the lock acquisitions show up in
-    /// `lock_acquisitions` like any others).
+    /// latency histograms (scheduler-wide) and per-shard lock and rotation counts. Takes
+    /// each shard lock briefly (one at a time) to read its policy's quantum rotations;
+    /// everything else is lock-free — an observation tool, not a hot-path call (the lock
+    /// acquisitions show up in `lock_acquisitions` like any others).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let rotations: Vec<u64> = (0..self.shards.len())
             .map(|si| self.lock_shard(si).policy.rotations())
@@ -931,15 +931,9 @@ impl Scheduler {
     }
 
     /// The grant→first-run observation hook passed to the grant-slot waits: records into
-    /// the scheduler-wide `dispatch` stage histogram *and* the granted core's shard
-    /// histogram, so dispatch tails are attributable per node.
-    fn record_dispatch(&self) -> impl Fn(CoreId, Duration) + '_ {
-        move |core, waited| {
-            self.stats.stages.dispatch.record(waited);
-            self.stats.shards[self.shard_of(core)]
-                .dispatch
-                .record(waited);
-        }
+    /// the scheduler-wide `dispatch` stage histogram.
+    fn record_dispatch(&self) -> impl Fn(Duration) + '_ {
+        |waited| self.stats.stages.dispatch.record(waited)
     }
 
     /// Attach: submit the task and block the calling OS thread until the scheduler grants it
@@ -1369,10 +1363,10 @@ impl Scheduler {
     /// The featureless idle-worker drain: called on the block paths (`attach`, `pause`,
     /// `waitfor`) immediately before parking, so a submit that raced onto the intake
     /// while its target system looked busy is granted *now* rather than at the next
-    /// organic scheduling point (the `intake_wait` max of ~32ms in `BENCH_sched.json`
-    /// was exactly this window, visible whenever every worker was parked). The empty
-    /// check is lock-free, so the common park — nothing pending — costs two atomic
-    /// loads and never touches the scheduler lock.
+    /// organic scheduling point (intake waits of tens of milliseconds, and unbounded ones
+    /// with no further traffic, came from exactly this window whenever every worker was
+    /// parked). The empty check is lock-free, so the common park — nothing pending —
+    /// costs two atomic loads and never touches the scheduler lock.
     fn prepark_drain(&self) {
         if self.intake_depth() == 0 || self.shutting_down.load(Ordering::SeqCst) {
             return;
@@ -1677,16 +1671,12 @@ impl Scheduler {
             }
             let mut vg = self.try_lock_shard(vi)?;
             let (meta, tier) = if aged {
-                let meta = vg.policy.pick_aged(&self.topo, core, now)?;
-                self.stats.shards[home]
-                    .valve_crossings
-                    .fetch_add(1, Ordering::Relaxed);
-                (meta, Some(PickTier::Aged))
+                (
+                    vg.policy.pick_aged(&self.topo, core, now)?,
+                    Some(PickTier::Aged),
+                )
             } else {
-                let picked = vg.policy.pick_traced(&self.topo, core, now)?;
-                // Steals are counted against the shard that lost the entry.
-                self.stats.shards[vi].steals.fetch_add(1, Ordering::Relaxed);
-                picked
+                vg.policy.pick_traced(&self.topo, core, now)?
             };
             self.shards[vi].ready.fetch_sub(1, Ordering::Relaxed);
             Some((meta, tier, vg.queued.remove(&meta.id)))
@@ -2011,7 +2001,7 @@ mod tests {
         let t2c = TaskRef::clone(&t2);
         // t2 waits for a core (attach blocks); shutdown must release it.
         let h = std::thread::spawn(move || {
-            t2c.wait_grant(None, |_, _| {}) // returns Some(None) on release
+            t2c.wait_grant(None, |_| {}) // returns Some(None) on release
         });
         std::thread::sleep(Duration::from_millis(10));
         s.shutdown();
@@ -2169,7 +2159,7 @@ mod tests {
         s.submit(&t2); // sits in the intake stack (no idle core)
         s.shutdown();
         // The waiter must be released, not parked forever.
-        assert_eq!(t2.wait_grant(None, |_, _| {}), Some(None));
+        assert_eq!(t2.wait_grant(None, |_| {}), Some(None));
         assert_eq!(s.ready_count(), 0);
     }
 
@@ -2185,7 +2175,7 @@ mod tests {
             let t2c = TaskRef::clone(&t2);
             let h = std::thread::spawn(move || {
                 s2.submit(&t2c);
-                t2c.wait_grant(None, |_, _| {}) // must terminate: granted or released, never parked
+                t2c.wait_grant(None, |_| {}) // must terminate: granted or released, never parked
             });
             s.shutdown();
             let _ = h.join().unwrap();
@@ -2230,7 +2220,7 @@ mod tests {
         let t2 = s.create_task(p, None).unwrap();
         s.submit(&t2); // queued
         let t2c = TaskRef::clone(&t2);
-        let h = std::thread::spawn(move || t2c.wait_grant(None, |_, _| {}));
+        let h = std::thread::spawn(move || t2c.wait_grant(None, |_| {}));
         s.deregister_process(p);
         assert_eq!(
             h.join().unwrap(),
@@ -2342,7 +2332,7 @@ mod tests {
         let tb = s.create_task(pb, None).unwrap();
         s.submit(&tb); // waits behind it
         let ta2c = TaskRef::clone(&ta2);
-        let h = std::thread::spawn(move || ta2c.wait_grant(None, |_, _| {}));
+        let h = std::thread::spawn(move || ta2c.wait_grant(None, |_| {}));
         let report = s.kill_process(pa);
         assert_eq!(report.running_preempted, 1, "ta1 evicted from its core");
         // The waiter must resume released, never granted.
@@ -2512,7 +2502,7 @@ mod tests {
                 // Land the submit inside the widened window with high probability.
                 std::thread::sleep(Duration::from_millis(5));
                 s2.submit(&t2c);
-                t2c.wait_grant(None, |_, _| {}) // must terminate: granted or released, never parked
+                t2c.wait_grant(None, |_| {}) // must terminate: granted or released, never parked
             });
             s.shutdown();
             let _ = h.join().unwrap();

@@ -228,18 +228,17 @@ impl Task {
     ///
     /// When the grant stamped a dispatch time, `record` receives the grant→first-run
     /// (dispatch) latency — the time between the scheduler publishing the grant and this
-    /// worker observing it — with the granted core, so the caller can attribute the sample
-    /// per NUMA node. Every blocking scheduling point waits through here.
+    /// worker observing it. Every blocking scheduling point waits through here.
     pub(crate) fn wait_grant(
         &self,
         deadline: Option<Instant>,
-        record: impl Fn(CoreId, Duration),
+        record: impl Fn(Duration),
     ) -> Option<Option<CoreId>> {
         let mut g = self.grant.lock();
         loop {
             if let Some(core) = g.granted {
                 if let Some(t0) = g.dispatched_at.take() {
-                    record(core, t0.elapsed());
+                    record(t0.elapsed());
                 }
                 return Some(Some(core));
             }
@@ -289,7 +288,7 @@ mod tests {
     #[test]
     fn wait_grant_until_times_out_when_never_granted() {
         let t = Task::new(1, 0, ProcCell::new(), None);
-        let r = t.wait_grant(Some(Instant::now() + Duration::from_millis(10)), |_, _| {});
+        let r = t.wait_grant(Some(Instant::now() + Duration::from_millis(10)), |_| {});
         assert!(r.is_none());
     }
 
@@ -297,7 +296,7 @@ mod tests {
     fn wait_grant_returns_after_grant_from_other_thread() {
         let t = Task::new(1, 0, ProcCell::new(), None);
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.wait_grant(None, |_, _| {}));
+        let h = std::thread::spawn(move || t2.wait_grant(None, |_| {}));
         std::thread::sleep(Duration::from_millis(20));
         {
             let mut g = t.grant.lock();
@@ -315,9 +314,9 @@ mod tests {
             let mut g = t.grant.lock();
             g.released = true;
         }
-        assert_eq!(t.wait_grant(None, |_, _| {}), Some(None));
+        assert_eq!(t.wait_grant(None, |_| {}), Some(None));
         assert_eq!(
-            t.wait_grant(Some(Instant::now() + Duration::from_millis(1)), |_, _| {}),
+            t.wait_grant(Some(Instant::now() + Duration::from_millis(1)), |_| {}),
             Some(None)
         );
     }

@@ -193,8 +193,8 @@ fn grant_handoff_stays_bounded() {
 /// A submit taking the lock-free intake path while the only worker is heading into park
 /// must still be granted promptly: the parking worker drains the intake before blocking.
 /// Before that pre-park drain, the entry sat until the next organic scheduling point
-/// (BENCH_sched.json recorded intake waits up to ~32ms; with no further traffic,
-/// indefinitely unless the fault-armed `rescue_drain` watchdog happened to be on).
+/// (tens of milliseconds under churn; with no further traffic, indefinitely unless the
+/// fault-armed `rescue_drain` watchdog happened to be on).
 #[test]
 fn submit_to_fully_parked_scheduler_is_granted_promptly() {
     let s = sched(1);
