@@ -651,10 +651,9 @@ impl Harness {
                 continue;
             }
             let state = t.state();
-            let parked = matches!(state, TaskState::Ready | TaskState::Blocked) && {
-                let g = t.grant.lock();
-                g.granted.is_none() && !g.released
-            };
+            let parked = matches!(state, TaskState::Ready | TaskState::Blocked)
+                && t.current_core().is_none()
+                && !t.is_released();
             if parked {
                 return Err(Violation::OrphanedWaiter { slot, task: t.id() });
             }

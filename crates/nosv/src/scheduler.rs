@@ -7,11 +7,13 @@
 //! while the rarely-written registry — process table, task table, id counters, the
 //! shutdown flag — lives in a `GlobalState` behind its own lock. Per-task grant slots
 //! keep their own lock so a worker can wait for a core without holding any
-//! scheduler-section lock. [`PolicyKind::Coop`] runs one shard per NUMA node (one node ⇒
-//! the single-lock scheduler); a global queue cannot be sharded, so [`PolicyKind::Fifo`]
-//! and custom policies run one shard owning every core. Which shard a ready task is
-//! queued in and the order in which a core consults the shards are [`crate::readyq`]
-//! code ([`readyq::enqueue_shard`], [`ShardLadder`]) shared with the sim replay.
+//! scheduler-section lock; the slot is private to [`crate::task`], and this module moves
+//! a task only through its `Task` transition methods. [`PolicyKind::Coop`] runs one
+//! shard per NUMA node (one node ⇒ the single-lock scheduler); a global queue cannot be
+//! sharded, so [`PolicyKind::Fifo`] and custom policies run one shard owning every core.
+//! Which shard a ready task is queued in and the order in which a core consults the
+//! shards are [`crate::readyq`] code ([`readyq::enqueue_shard`], [`ShardLadder`]) shared
+//! with the sim replay.
 //!
 //! **The de-contended hot path.** The paper's central claim is that scheduling points are
 //! cheap enough for a centralized scheduler to arbitrate oversubscription, so the
@@ -32,9 +34,9 @@
 //!   a scheduler-section cache line end-to-end: intake shard, dispatch lock and core
 //!   slots are all per-node.
 //! * Grant-slot condvar notifications are **never delivered under a scheduler-section
-//!   lock**: grants collect the woken tasks into a `WakeBatch` and fire it only after
-//!   every guard has dropped, so a woken worker never convoys on the lock its waker
-//!   holds.
+//!   lock**: grants and releases owe their notifications to a `WakeBatch` (the only
+//!   notifier, in `task.rs`), fired only after every guard has dropped, so a woken worker
+//!   never convoys on the lock its waker holds.
 //! * `has_ready`, `ready_count` and `busy_cores` read relaxed-ish atomic gauges
 //!   (`ready_tasks`, `idle_cores`), so `yield_now`'s "is switching useful" check never
 //!   contends with submitters.
@@ -55,10 +57,11 @@
 //! 2. **Shard locks** (`ShardState`, one per node): at most one is *block*-acquired at a
 //!    time; additional shards are reached only via `try_lock` (cross-shard stealing and
 //!    the rate-limited aging valve), which cannot deadlock regardless of order.
-//! 3. **Grant locks** (per task): may be taken under a shard lock (grant delivery) or the
-//!    global teardown paths; a grant lock is never held while acquiring any
-//!    scheduler-section lock. The public entry points (`submit`, `pause`, …)
-//!    inspect/update the grant slot first, drop it, and only then take scheduler locks.
+//! 3. **Grant locks** (per task, owned by `task.rs`): taken only inside a `Task` method,
+//!    under a shard lock (grant delivery, the yield hand-over) or none; a grant lock is
+//!    never held while acquiring any scheduler-section lock. The public entry points
+//!    (`submit`, `pause`, …) run their grant-slot transition first and only then take
+//!    scheduler locks.
 //!
 //! The enumerated multi-shard operations — `register_process`/`deregister_process`,
 //!    `kill_process`, `set_process_domain`, `shutdown`, `watchdog_scan`, `rescue_drain`
@@ -74,7 +77,7 @@ use crate::policy::{Policy, TaskMeta};
 use crate::process::{ProcessId, ProcessInfo};
 use crate::readyq::{self, LadderStep, PickTier, ShardLadder};
 use crate::sched_trace::TraceEvent;
-use crate::task::{Task, TaskId, TaskRef, TaskState, WaitOutcome};
+use crate::task::{Release, Task, TaskId, TaskRef, WaitOutcome, WakeBatch};
 use crate::topology::{CoreId, Topology};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -262,52 +265,6 @@ impl Drop for Intake {
     }
 }
 
-/// Grant-slot condvar notifications collected under the scheduler lock, fired only after
-/// every guard has dropped.
-///
-/// Notifying `grant_cv` while the `SchedState` mutex is held wakes the worker straight
-/// into the lock its waker still holds: the woken thread runs, immediately blocks on the
-/// contended mutex, and the hand-off serializes — a lock convoy that shows up as a long
-/// tail in the `wake` and `dispatch` stage histograms under wake churn. Deferring
-/// the notify is safe with these std-semantics condvars because the grant-slot predicate
-/// (`granted` / `released`) is always written under the task's grant mutex *before* the
-/// batch fires: a waiter either observes the new state without sleeping, or parks and is
-/// woken by the deferred notify — no interleaving loses the wakeup.
-///
-/// Declare a batch **before** acquiring the scheduler lock: locals drop in reverse
-/// declaration order, so even an early return releases the guard first and then fires the
-/// batch (the `Drop` impl is the safety net; paths that go on to park explicitly
-/// [`WakeBatch::fire`] first).
-#[derive(Default)]
-struct WakeBatch {
-    tasks: Vec<TaskRef>,
-}
-
-impl WakeBatch {
-    fn new() -> Self {
-        WakeBatch::default()
-    }
-
-    /// Owe `task`'s (possibly parked) waiter a notification once every lock is dropped.
-    fn push(&mut self, task: TaskRef) {
-        self.tasks.push(task);
-    }
-
-    /// Deliver every owed notification. Callers must have dropped the scheduler lock and
-    /// all grant guards first.
-    fn fire(&mut self) {
-        for t in self.tasks.drain(..) {
-            t.grant_cv.notify_all();
-        }
-    }
-}
-
-impl Drop for WakeBatch {
-    fn drop(&mut self) {
-        self.fire();
-    }
-}
-
 /// The rarely-written registry section of the scheduler, behind its own lock (level 1 of
 /// the lock hierarchy — see the module documentation): process and task tables, id
 /// counters and the shutdown flag. Steady-state wake churn never touches it; every
@@ -415,7 +372,7 @@ pub struct Scheduler {
     /// entries of detached tasks are only reconciled when they are popped, and shutdown
     /// zeroes it; readers clamp at zero.
     ready_tasks: AtomicI64,
-    /// Lock-free mirror of `SchedState::shutdown`, set before the shutdown drain so a
+    /// Lock-free mirror of `GlobalState::shutdown`, set before the shutdown drain so a
     /// submit racing shutdown can detect it after publishing and self-heal (see
     /// [`Scheduler::submit`]).
     shutting_down: AtomicBool,
@@ -743,12 +700,11 @@ impl Scheduler {
             TraceEvent::DeregisterProcess { process }
         );
         self.purge_from_shards(process);
-        // Every scheduler-section lock is dropped; release each stranded waiter and
-        // notify only after its grant guard is dropped too (collect-then-notify).
+        // Every scheduler-section lock is dropped; the batch notifies the released
+        // waiters once their grant guards are dropped too (collect-then-notify).
+        let mut wakes = WakeBatch::new();
         for t in stranded {
-            if t.release_if_waiting() {
-                t.grant_cv.notify_all();
-            }
+            t.release(Release::Waiting, &mut wakes);
         }
     }
 
@@ -788,7 +744,6 @@ impl Scheduler {
     /// valve), so a dying tenant can never wedge a core or a waiter it owned.
     pub fn kill_process(&self, process: ProcessId) -> KillReport {
         let mut report = KillReport::default();
-        let mut wakes = WakeBatch::new();
         // Phase 1 (global): unregister, mark the shared cell dead (shard-local paths
         // reject the process's tasks from here on) and pull every victim out of the task
         // table.
@@ -821,33 +776,18 @@ impl Scheduler {
         // policy queues, shedding the ready gauges.
         report.queued_reclaimed = self.purge_from_shards(process);
         // Phase 3 (grant teardown, no scheduler-section lock held): evict running
-        // victims, release waiting ones.
-        let mut freed: Vec<CoreId> = Vec::new();
-        for t in &victims {
-            {
-                let mut g = t.grant.lock();
-                if let Some(core) = g.granted.take() {
-                    report.running_preempted += 1;
-                    freed.push(core);
-                } else if !g.released {
-                    report.waiters_released += 1;
-                }
-                g.queued = false;
-                g.state = TaskState::Finished;
-                g.released = true;
-            }
-            // Collect-then-notify: the waiter is woken only after its grant guard above
-            // has dropped.
-            wakes.push(TaskRef::clone(t));
-        }
+        // victims, release waiting ones — each released waiter is owed exactly one
+        // notification, which the batch delivers once the grant guards are dropped.
+        let mut wakes = WakeBatch::new();
+        let freed: Vec<CoreId> = victims
+            .iter()
+            .filter_map(|t| t.release(Release::EvictAndFinish, &mut wakes))
+            .collect();
+        report.running_preempted = freed.len();
+        report.waiters_released = wakes.len();
+        wakes.fire();
         // Phase 4: hand each freed core to co-tenants' ready work.
-        for core in freed {
-            let mut st = self.lock_shard(self.shard_of(core));
-            self.release_core(&mut st, core, &mut wakes);
-            drop(st);
-            wakes.fire();
-        }
-        self.dispatch_sweep();
+        self.free_cores(freed);
         report
     }
 
@@ -946,33 +886,6 @@ impl Scheduler {
         let _ = task.wait_grant(None, self.record_dispatch());
     }
 
-    /// Mark the task ready in its grant slot. Returns the instant the task turned ready
-    /// (the start of the wake-latency stage, stamped into the slot for the grant to
-    /// consume), or `None` if nothing more to do (task released, already queued, or
-    /// wake-up counted against a held core).
-    fn mark_ready(&self, task: &TaskRef) -> Option<Instant> {
-        let mut g = task.grant.lock();
-        if g.released {
-            return None;
-        }
-        if g.granted.is_some() {
-            // The task still holds a core (it has not reached its pause yet): count the
-            // wake-up so the upcoming pause returns immediately (nOS-V event counter).
-            g.pending_wakeups += 1;
-            inc(&self.stats.counters.pending_wakeups);
-            return None;
-        }
-        if g.queued {
-            // Already sitting in the ready queues; nothing to do.
-            return None;
-        }
-        let now = Instant::now();
-        g.queued = true;
-        g.state = TaskState::Ready;
-        g.ready_at = Some(now);
-        Some(now)
-    }
-
     /// Make a task ready. If an idle core exists it is granted immediately (honouring
     /// affinity); otherwise — the oversubscribed fast path — the task is published onto
     /// the lock-free intake with a single CAS and the call returns without touching the
@@ -996,7 +909,7 @@ impl Scheduler {
     /// The submit body proper (after the fault sites, so an injected duplicate delivery
     /// does not re-consult the plan and cascade).
     fn submit_inner(&self, task: &TaskRef) {
-        let Some(now) = self.mark_ready(task) else {
+        let Some(now) = task.mark_ready(&self.stats.counters.pending_wakeups) else {
             return;
         };
         trace_event!(
@@ -1048,32 +961,9 @@ impl Scheduler {
     /// instant the task went off-core, or `None` when the call must return at once —
     /// the task was released, or a counted wake-up elides the block.
     fn block_prologue(&self, task: &TaskRef) -> Option<Instant> {
-        let released;
-        {
-            let mut g = task.grant.lock();
-            if g.released {
-                return None;
-            }
-            if g.pending_wakeups > 0 {
-                g.pending_wakeups -= 1;
-                inc(&self.stats.counters.pauses_elided);
-                return None;
-            }
-            released = g.granted.take();
-            g.state = TaskState::Blocked;
-        }
-        inc(&task.stats.blocks);
+        let held = task.block(&self.stats.counters.pauses_elided)?;
         let off_core = Instant::now();
-        if let Some(core) = released {
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(self.shard_of(core));
-            self.release_core(&mut st, core, &mut wakes);
-            drop(st);
-            // About to park: deliver the owed notifications *now* — the Drop safety net
-            // only runs when this frame unwinds, and the caller waits right after.
-            wakes.fire();
-            self.dispatch_sweep();
-        }
+        self.free_cores(held);
         self.prepark_drain();
         Some(off_core)
     }
@@ -1115,7 +1005,8 @@ impl Scheduler {
 
     /// Voluntarily give the core to another ready task, requeueing the caller at the tail of
     /// its queue. Returns `true` if a switch happened, `false` if the core was kept because
-    /// nothing else was ready. This is the `sched_yield` → `nosv_yield` path of §5.3.
+    /// nothing else was ready, or if the task holds no core to give (released, or evicted by
+    /// a kill). This is the `sched_yield` → `nosv_yield` path of §5.3.
     pub fn yield_now(&self, task: &TaskRef) -> bool {
         self.stall_point(task);
         // The "is switching useful" check reads the atomic gauge first: a yield storm
@@ -1125,15 +1016,8 @@ impl Scheduler {
             inc(&self.stats.counters.yields_noop);
             return false;
         }
-        let core = {
-            let g = task.grant.lock();
-            if g.released {
-                return false;
-            }
-            match g.granted {
-                Some(c) => c,
-                None => return false,
-            }
+        let Some(core) = task.held_core() else {
+            return false;
         };
         // The requeue below lands in the yielding core's own shard, the one locked here.
         let si = readyq::enqueue_shard(&self.topo, self.shards.len(), Some(core), None);
@@ -1144,34 +1028,21 @@ impl Scheduler {
         // yielding task would otherwise be at the head of its own core's queue and the yield
         // would hand the core straight back to it, starving everyone else.
         let now = Instant::now();
-        let next_task = match self.pick_live(&mut st, core, now) {
-            Some(t) => t,
-            None => {
-                // The gauge raced or every queued entry was stale; nothing to switch to.
-                drop(st);
-                inc(&self.stats.counters.yields_noop);
-                return false;
-            }
+        let Some(next_task) = self.pick_live(&mut st, core, now) else {
+            // The gauge raced or every queued entry was stale; nothing to switch to.
+            drop(st);
+            inc(&self.stats.counters.yields_noop);
+            return false;
         };
-        // Requeue ourselves at the tail and hand the core to the successor.
-        {
-            let mut g = task.grant.lock();
-            // A submit may have raced in and counted a pending wake-up; that is fine — keep it.
-            g.granted = None;
-            g.queued = true;
-            g.state = TaskState::Ready;
-            g.ready_at = Some(now);
+        // Hand the core over, re-validated under the grant lock: a kill or shutdown since
+        // the check above took the core already (kill re-dispatches it), and handing it
+        // over too would run two tasks on it. Then the successor was popped for nothing:
+        // restore its gauge entry and place it as the drain would.
+        if !task.yield_core(core, now) {
+            self.ready_tasks.fetch_add(1, Ordering::SeqCst);
+            self.place_ready_task(&mut st, &next_task, &mut wakes);
+            return false;
         }
-        // A voluntary yield surrenders the affinity claim: requeueing with the last-ran
-        // core as preference would put the yielder in that core's queue, where
-        // affinity-first picking hands the core straight back to it (or a fellow
-        // yielder) ahead of older ready tasks — a yield storm between busy-wait barrier
-        // spinners would then starve every task that has never been granted a core.
-        let meta = TaskMeta {
-            id: task.id(),
-            process: task.process(),
-            preferred_core: None,
-        };
         trace_event!(
             self,
             now,
@@ -1180,27 +1051,19 @@ impl Scheduler {
                 core,
             }
         );
-        trace_event!(
-            self,
-            now,
-            TraceEvent::Enqueue {
-                process: meta.process,
-                task: meta.id,
-                preferred: meta.preferred_core,
-            }
-        );
-        st.policy.enqueue(&self.topo, meta, now);
-        st.queued.insert(task.id(), TaskRef::clone(task));
-        self.shards[si].ready.fetch_add(1, Ordering::Relaxed);
+        // A voluntary yield surrenders the affinity claim: requeueing with the last-ran
+        // core as preference would put the yielder in that core's queue, where
+        // affinity-first picking hands the core straight back to it (or a fellow
+        // yielder) ahead of older ready tasks — a yield storm between busy-wait barrier
+        // spinners would then starve every task that has never been granted a core.
+        self.enqueue(&mut st, task, None, now);
         self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-        self.mark_busy(&mut st, core, next_task.id());
-        self.grant(&next_task, core, false, &mut wakes);
+        self.grant(&mut st, &next_task, core, false, &mut wakes);
         drop(st);
         // About to park waiting for our own next grant: hand the successor its wakeup
         // first (the Drop safety net would only fire after the wait returns).
         wakes.fire();
         inc(&self.stats.counters.yields);
-        inc(&task.stats.yields);
         let off_core = Instant::now();
         let _ = task.wait_grant(None, self.record_dispatch());
         self.stats.stages.yield_block.record(off_core.elapsed());
@@ -1211,18 +1074,8 @@ impl Scheduler {
     /// from the scheduler. This is `nosv_detach`.
     pub fn detach(&self, task: &TaskRef) {
         inc(&self.stats.counters.detaches);
-        let released;
-        {
-            let mut g = task.grant.lock();
-            released = g.granted.take();
-            g.state = TaskState::Finished;
-            g.released = true;
-        }
         let mut wakes = WakeBatch::new();
-        if let Some(core) = released {
-            let mut st = self.lock_shard(self.shard_of(core));
-            self.release_core(&mut st, core, &mut wakes);
-        }
+        self.free_cores(task.release(Release::EvictAndFinish, &mut wakes));
         // Registry removal is the task-table write: the one global-section touch of the
         // task lifecycle (not a scheduling point — the wake-churn hot path never gets
         // here).
@@ -1234,8 +1087,6 @@ impl Scheduler {
                 p.tasks_live = p.tasks_live.saturating_sub(1);
             }
         }
-        wakes.fire();
-        self.dispatch_sweep();
     }
 
     /// Shut the scheduler down: every task waiting for a core is released from scheduler
@@ -1275,14 +1126,11 @@ impl Scheduler {
         for s in self.shards.iter() {
             s.ready.store(0, Ordering::Relaxed);
         }
+        // The global lock dropped above: the batch wakes the released waiters into
+        // uncontended locks (collect-then-notify).
+        let mut wakes = WakeBatch::new();
         for t in tasks.iter().chain(queued.iter().map(|(t, _, _)| t)) {
-            {
-                let mut g = t.grant.lock();
-                g.released = true;
-            }
-            // The global lock dropped above and the grant guard just did: the waiter
-            // wakes into uncontended locks (collect-then-notify).
-            t.grant_cv.notify_all();
+            t.release(Release::All, &mut wakes);
         }
     }
 
@@ -1398,19 +1246,38 @@ impl Scheduler {
         n
     }
 
+    /// Hand each core a task gave up (pause, detach, kill) to the next ready task, one
+    /// shard lock at a time, firing the owed notifications as each lock drops; then run
+    /// the cross-shard sweep. Takes no lock on entry.
+    fn free_cores(&self, cores: impl IntoIterator<Item = CoreId>) {
+        for core in cores {
+            let mut wakes = WakeBatch::new();
+            // The guard is a temporary: it drops at the end of this statement, before
+            // `wakes` fires at the end of the iteration.
+            self.release_core(&mut self.lock_shard(self.shard_of(core)), core, &mut wakes);
+        }
+        self.dispatch_sweep();
+    }
+
     // -------------------------------------------------------------------------------------
     // Internals (scheduler lock held)
     // -------------------------------------------------------------------------------------
 
-    /// Grant `core` to `task`. Caller holds the scheduler lock and has already marked the
-    /// core busy. `immediate` records whether this grant bypassed the policy queues (an
-    /// idle-core grant straight from `place_ready_task`, with no preceding pop). The
-    /// waiter's condvar notification is *not* delivered here — it is owed to `wakes`,
-    /// which the caller fires after dropping the scheduler lock (collect-then-notify; the
-    /// grant-slot predicate is fully published below, so the deferral loses no wakeup).
-    fn grant(&self, task: &TaskRef, core: CoreId, immediate: bool, wakes: &mut WakeBatch) {
+    /// Mark `core` busy and grant it to `task`. Caller holds `core`'s shard lock.
+    /// `immediate` records whether this grant bypassed the policy queues (an idle-core
+    /// grant straight from `place_ready_task`, with no preceding pop). The waiter's
+    /// condvar notification is *not* delivered here — it is owed to `wakes`, which the
+    /// caller fires after dropping the scheduler lock (collect-then-notify).
+    fn grant(
+        &self,
+        st: &mut ShardState,
+        task: &TaskRef,
+        core: CoreId,
+        immediate: bool,
+        wakes: &mut WakeBatch,
+    ) {
+        self.mark_busy(st, core, task.id());
         inc(&self.stats.counters.grants);
-        inc(&task.stats.grants);
         if let Some(from) = task.preferred_core() {
             if from == core {
                 inc(&self.stats.counters.affinity_hits);
@@ -1435,25 +1302,7 @@ impl Scheduler {
                 immediate,
             }
         );
-        task.record_core(core);
-        {
-            let mut g = task.grant.lock();
-            let now = Instant::now();
-            // Close the enqueue→grant (wake-latency) stage and open grant→first-run
-            // (dispatch): both are lock-free histogram records — the scheduler lock is
-            // already held here, and no *additional* lock is taken.
-            if let Some(ready_at) = g.ready_at.take() {
-                self.stats
-                    .stages
-                    .wake
-                    .record(now.saturating_duration_since(ready_at));
-            }
-            g.dispatched_at = Some(now);
-            g.granted = Some(core);
-            g.queued = false;
-            g.state = TaskState::Running;
-        }
-        wakes.push(TaskRef::clone(task));
+        task.grant_core(core, &self.stats.stages.wake, wakes);
     }
 
     /// Transition a core slot to busy, maintaining the idle-core gauge and the watchdog's
@@ -1532,10 +1381,8 @@ impl Scheduler {
             }
             if !task.proc_alive() {
                 self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-                if task.release_if_unreleased() {
-                    // Collect-then-notify: woken after the shard lock drops.
-                    wakes.push(task);
-                }
+                // Collect-then-notify: woken after the shard lock drops.
+                task.release(Release::All, wakes);
                 continue;
             }
             self.place_ready_task(st, &task, wakes);
@@ -1551,7 +1398,6 @@ impl Scheduler {
     /// between — it is enqueued instead, and the pop tiers (which include the aging valve)
     /// decide.
     fn place_ready_task(&self, st: &mut ShardState, task: &TaskRef, wakes: &mut WakeBatch) {
-        let now = Instant::now();
         if !st.policy.has_ready() {
             // The placement domain is read from the task's shared process cell — the
             // shard-local path never consults the global process table.
@@ -1559,16 +1405,22 @@ impl Scheduler {
             if let Some(core) = self.choose_idle_core(st, task.preferred_core(), domain.as_deref())
             {
                 // The task was marked queued by the caller; the grant clears it.
-                self.mark_busy(st, core, task.id());
-                self.grant(task, core, true, wakes);
+                self.grant(st, task, core, true, wakes);
                 self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
                 return;
             }
         }
+        self.enqueue(st, task, task.preferred_core(), Instant::now());
+    }
+
+    /// Queue `task` in this shard's policy with core preference `pref`, indexed in `queued`
+    /// and counted in the shard's ready counter (the caller owns the scheduler-wide
+    /// `ready_tasks` gauge).
+    fn enqueue(&self, st: &mut ShardState, task: &TaskRef, pref: Option<CoreId>, now: Instant) {
         let meta = TaskMeta {
             id: task.id(),
             process: task.process(),
-            preferred_core: task.preferred_core(),
+            preferred_core: pref,
         };
         trace_event!(
             self,
@@ -1576,11 +1428,11 @@ impl Scheduler {
             TraceEvent::Enqueue {
                 process: meta.process,
                 task: meta.id,
-                preferred: meta.preferred_core,
+                preferred: pref,
             }
         );
         st.policy.enqueue(&self.topo, meta, now);
-        st.queued.insert(task.id(), TaskRef::clone(task));
+        st.queued.insert(meta.id, TaskRef::clone(task));
         self.shards[st.si].ready.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1723,8 +1575,7 @@ impl Scheduler {
             return;
         }
         if let Some(task) = self.pick_live(st, core, now) {
-            self.mark_busy(st, core, task.id());
-            self.grant(&task, core, false, wakes);
+            self.grant(st, &task, core, false, wakes);
         }
     }
 
@@ -1770,6 +1621,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskState;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1846,7 +1698,7 @@ mod tests {
         assert_ne!(t.state(), TaskState::Running);
         assert_eq!(s.busy_cores(), 0);
         assert_eq!(s.ready_count(), 0);
-        assert!(t.grant.lock().released, "stranded waiter must be released");
+        assert!(t.is_released(), "stranded waiter must be released");
         assert!(s.processes().is_empty(), "purged process must stay purged");
     }
 
@@ -2088,7 +1940,9 @@ mod tests {
         let s2 = Arc::clone(&s);
         let tc = TaskRef::clone(&t);
         let h = std::thread::spawn(move || s2.pause(&tc));
-        while t.state() != TaskState::Blocked {
+        // `Blocked` is published before the pause frees the core slot: wait for both, or
+        // the resubmit can find its preferred core still busy.
+        while t.state() != TaskState::Blocked || s.busy_cores() != 0 {
             std::thread::yield_now();
         }
         s.submit(&t);
@@ -2287,7 +2141,7 @@ mod tests {
         }
         s.deregister_process(p);
         h.join().unwrap(); // must return: the blocked waiter was released
-        assert!(t1.grant.lock().released);
+        assert!(t1.is_released());
     }
 
     #[test]
@@ -2337,7 +2191,7 @@ mod tests {
         assert_eq!(report.running_preempted, 1, "ta1 evicted from its core");
         // The waiter must resume released, never granted.
         assert_eq!(h.join().unwrap(), Some(None));
-        assert!(ta1.grant.lock().released);
+        assert!(ta1.is_released());
         // The freed core went straight to the co-tenant's ready work.
         assert_eq!(tb.state(), TaskState::Running);
         assert_eq!(s.busy_cores(), 1);

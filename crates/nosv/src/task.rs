@@ -6,7 +6,15 @@
 //! the scheduling state: which core it currently holds (if any), where it last ran (its
 //! preferred core), and a small per-task "grant" slot through which the scheduler hands it
 //! a core.
+//!
+//! **This module owns the grant slot.** `GrantSlot` and its condvar are private here, and
+//! every lifecycle transition — `mark_ready` (submit), `block` (pause), `yield_core` (the
+//! yield hand-over), `grant_core` and `release` — is one `Task` method that validates and
+//! writes under a single grant-lock acquisition. `WakeBatch` is the only code that
+//! notifies the condvar. The scheduler calls these methods and never names a slot field,
+//! so "one core, one task" (SCHED_COOP's first invariant) is enforced in this one file.
 
+use crate::obs::{inc, Histogram};
 use crate::process::{ProcCell, ProcessId};
 use crate::topology::CoreId;
 use parking_lot::{Condvar, Mutex};
@@ -49,27 +57,27 @@ pub enum WaitOutcome {
 
 /// The per-task slot through which the scheduler communicates with the task's worker.
 #[derive(Debug)]
-pub(crate) struct GrantSlot {
+struct GrantSlot {
     /// Core currently granted to (held by) the task. `Some` means the task occupies a core.
-    pub granted: Option<CoreId>,
+    granted: Option<CoreId>,
     /// Whether the task sits in the policy's ready queues.
-    pub queued: bool,
+    queued: bool,
     /// Counted wake-ups: submits that arrived while the task still held its core. The next
     /// pause consumes one instead of blocking (nOS-V's event counter, avoids lost wake-ups
     /// in the Listing 1 pattern).
-    pub pending_wakeups: u32,
+    pending_wakeups: u32,
     /// Lifecycle state (kept here so it is updated under the same lock as the grant).
-    pub state: TaskState,
+    state: TaskState,
     /// When set, the scheduler no longer manages this task: any wait returns immediately and
     /// the task runs as a plain OS thread. Used on scheduler shutdown as a safety valve so
     /// an application bug can never leave threads parked forever.
-    pub released: bool,
-    /// When the task last turned ready (set by `mark_ready`/yield-requeue, consumed by the
+    released: bool,
+    /// When the task last turned ready (set by `mark_ready`/`yield_core`, consumed by the
     /// grant): the start of the enqueue→grant (wake-latency) stage histogram.
-    pub ready_at: Option<Instant>,
+    ready_at: Option<Instant>,
     /// When the current grant was published (set by the grant, consumed by the woken
     /// worker): the start of the grant→first-run (dispatch-latency) stage histogram.
-    pub dispatched_at: Option<Instant>,
+    dispatched_at: Option<Instant>,
 }
 
 /// Per-task counters (diagnostics).
@@ -79,8 +87,63 @@ pub struct TaskStats {
     pub grants: AtomicU64,
     /// Times this task blocked (pause / timed wait).
     pub blocks: AtomicU64,
-    /// Times this task voluntarily yielded.
-    pub yields: AtomicU64,
+}
+
+/// How [`Task::release`] takes a task out of scheduler control.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Release {
+    /// Only a task holding no core (deregister: running tasks keep their cores).
+    Waiting,
+    /// Whatever the task is doing; a held core stays held (shutdown, intake entries of a
+    /// dead process).
+    All,
+    /// Take the held core too and finish the task (detach, `kill_process`).
+    EvictAndFinish,
+}
+
+/// Grant-slot condvar notifications owed by transitions made under scheduler locks, fired
+/// only after every guard has dropped — the only code that notifies `grant_cv`.
+///
+/// Notifying `grant_cv` while a shard lock is held wakes the worker straight into the lock
+/// its waker still holds: the woken thread runs, immediately blocks on the contended
+/// mutex, and the hand-off serializes — a lock convoy that shows up as a long tail in the
+/// `wake` and `dispatch` stage histograms under wake churn. Deferring the notify is safe
+/// with these std-semantics condvars because the grant-slot predicate (`granted` /
+/// `released`) is always written under the task's grant mutex *before* the batch fires: a
+/// waiter either observes the new state without sleeping, or parks and is woken by the
+/// deferred notify — no interleaving loses the wakeup.
+///
+/// Declare a batch **before** acquiring the scheduler lock: locals drop in reverse
+/// declaration order, so even an early return releases the guard first and then fires the
+/// batch (the `Drop` impl is the safety net; paths that go on to park explicitly
+/// [`WakeBatch::fire`] first).
+pub(crate) struct WakeBatch {
+    tasks: Vec<TaskRef>,
+}
+
+impl WakeBatch {
+    pub(crate) fn new() -> Self {
+        WakeBatch { tasks: Vec::new() }
+    }
+
+    /// Number of notifications owed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Deliver every owed notification. Callers must have dropped the scheduler lock and
+    /// all grant guards first.
+    pub(crate) fn fire(&mut self) {
+        for t in self.tasks.drain(..) {
+            t.grant_cv.notify_all();
+        }
+    }
+}
+
+impl Drop for WakeBatch {
+    fn drop(&mut self) {
+        self.fire();
+    }
 }
 
 /// A schedulable task. See the module documentation.
@@ -94,10 +157,8 @@ pub struct Task {
     label: Option<String>,
     /// Last core this task ran on; used as the preferred core by affinity-aware policies.
     pref_core: AtomicUsize,
-    pub(crate) grant: Mutex<GrantSlot>,
-    pub(crate) grant_cv: Condvar,
-    /// Creation timestamp (diagnostics).
-    created_at: Instant,
+    grant: Mutex<GrantSlot>,
+    grant_cv: Condvar,
     /// Per-task counters.
     pub stats: TaskStats,
 }
@@ -126,7 +187,6 @@ impl Task {
                 dispatched_at: None,
             }),
             grant_cv: Condvar::new(),
-            created_at: Instant::now(),
             stats: TaskStats::default(),
         })
     }
@@ -163,11 +223,6 @@ impl Task {
         self.label.as_deref()
     }
 
-    /// Time at which the task was created.
-    pub fn created_at(&self) -> Instant {
-        self.created_at
-    }
-
     /// Current lifecycle state.
     pub fn state(&self) -> TaskState {
         self.grant.lock().state
@@ -188,38 +243,115 @@ impl Task {
         }
     }
 
-    /// Record the core the task was just granted (becomes the new preference).
-    pub(crate) fn record_core(&self, core: CoreId) {
-        self.pref_core.store(core, Ordering::Relaxed);
-    }
-
-    /// Release the task from scheduler control if it is neither running nor already
-    /// released — the deregister safety valve: a task not holding a core can never be
-    /// woken through a purged process again. Returns `true` when a waiter may be parked
-    /// on the grant condvar; the caller owes it a `grant_cv` notification, fired only
-    /// after every lock (scheduler and grant) has been dropped — never from under a held
-    /// guard, or the woken worker contends with its waker (collect-then-notify; see the
-    /// convoy discussion in `scheduler.rs`).
-    pub(crate) fn release_if_waiting(&self) -> bool {
+    /// Submit: mark the task ready. Returns the instant it turned ready (the start of the
+    /// wake-latency stage, stamped into the slot for the grant to consume), or `None` when
+    /// there is nothing to publish — the task is released or already queued, or it still
+    /// holds its core (it has not reached its pause yet): then the wake-up is counted,
+    /// bumping `counted`, and the upcoming pause returns at once (nOS-V's event counter).
+    pub(crate) fn mark_ready(&self, counted: &AtomicU64) -> Option<Instant> {
         let mut g = self.grant.lock();
-        if g.granted.is_some() || g.released {
-            return false;
+        if g.released || g.queued {
+            return None;
         }
-        g.queued = false;
-        g.released = true;
-        true
+        if g.granted.is_some() {
+            g.pending_wakeups += 1;
+            inc(counted);
+            return None;
+        }
+        let now = Instant::now();
+        g.queued = true;
+        g.state = TaskState::Ready;
+        g.ready_at = Some(now);
+        Some(now)
     }
 
-    /// Release the task from scheduler control unless it already was (dead-process intake
-    /// entries). Returns whether a notification is owed, under the same
-    /// collect-then-notify contract as [`Task::release_if_waiting`].
-    pub(crate) fn release_if_unreleased(&self) -> bool {
+    /// Pause: block, giving up the held core. Returns the core to free (`Some(None)` if the
+    /// task held none), or `None` when the pause must return at once — the task is
+    /// released, or a counted wake-up is consumed instead of blocking (bumping `elided`).
+    pub(crate) fn block(&self, elided: &AtomicU64) -> Option<Option<CoreId>> {
         let mut g = self.grant.lock();
         if g.released {
+            return None;
+        }
+        if g.pending_wakeups > 0 {
+            g.pending_wakeups -= 1;
+            inc(elided);
+            return None;
+        }
+        g.state = TaskState::Blocked;
+        inc(&self.stats.blocks);
+        Some(g.granted.take())
+    }
+
+    /// The core a yield may hand over: the one the task holds, unless it was released.
+    pub(crate) fn held_core(&self) -> Option<CoreId> {
+        let g = self.grant.lock();
+        g.granted.filter(|_| !g.released)
+    }
+
+    /// Yield hand-over: give `core` back and turn ready at `now`. Validated under the same
+    /// lock acquisition as the write: returns `false`, changing nothing, when the task no
+    /// longer holds `core` or was released since [`Task::held_core`] — a `kill_process`
+    /// or shutdown in between already took the core, and handing it over again would put
+    /// two tasks on it. A wake-up counted meanwhile is kept.
+    pub(crate) fn yield_core(&self, core: CoreId, now: Instant) -> bool {
+        let mut g = self.grant.lock();
+        if g.released || g.granted != Some(core) {
             return false;
         }
-        g.released = true;
+        g.granted = None;
+        g.queued = true;
+        g.state = TaskState::Ready;
+        g.ready_at = Some(now);
         true
+    }
+
+    /// Grant `core` (which becomes the preferred core): closes the enqueue→grant stage
+    /// into `wake`, opens grant→first-run and owes the waiter its notification in `wakes`.
+    /// The caller holds `core`'s shard lock and has marked the core busy.
+    pub(crate) fn grant_core(
+        self: &Arc<Self>,
+        core: CoreId,
+        wake: &Histogram,
+        wakes: &mut WakeBatch,
+    ) {
+        inc(&self.stats.grants);
+        self.pref_core.store(core, Ordering::Relaxed);
+        {
+            let mut g = self.grant.lock();
+            let now = Instant::now();
+            if let Some(ready_at) = g.ready_at.take() {
+                wake.record(now.saturating_duration_since(ready_at));
+            }
+            g.dispatched_at = Some(now);
+            g.granted = Some(core);
+            g.queued = false;
+            g.state = TaskState::Running;
+        }
+        wakes.tasks.push(Arc::clone(self));
+    }
+
+    /// Release the task from scheduler control (see [`Release`]): from then on every wait
+    /// returns at once and the worker runs as a plain OS thread. Returns the core taken
+    /// from the task, which the caller must free (`EvictAndFinish` only). A notification
+    /// is owed in `wakes` exactly when a waiter may be parked — the task was not released
+    /// yet and holds no core; a task holding a core is running, or its grant's
+    /// notification is still in flight.
+    pub(crate) fn release(self: &Arc<Self>, how: Release, wakes: &mut WakeBatch) -> Option<CoreId> {
+        let mut g = self.grant.lock();
+        let evicted = match how {
+            Release::Waiting if g.granted.is_some() => return None,
+            Release::Waiting | Release::All => None,
+            Release::EvictAndFinish => {
+                g.state = TaskState::Finished;
+                g.granted.take()
+            }
+        };
+        if !g.released && g.granted.is_none() && evicted.is_none() {
+            wakes.tasks.push(Arc::clone(self));
+        }
+        g.released = true;
+        evicted
     }
 
     /// Wait (blocking the calling OS thread) until the scheduler grants this task a core,
@@ -281,8 +413,9 @@ mod tests {
     #[test]
     fn record_core_sets_preference() {
         let t = Task::new(1, 0, ProcCell::new(), None);
-        t.record_core(3);
+        t.grant_core(3, &Histogram::new(1), &mut WakeBatch::new());
         assert_eq!(t.preferred_core(), Some(3));
+        assert_eq!(t.state(), TaskState::Running);
     }
 
     #[test]
@@ -298,26 +431,68 @@ mod tests {
         let t2 = Arc::clone(&t);
         let h = std::thread::spawn(move || t2.wait_grant(None, |_| {}));
         std::thread::sleep(Duration::from_millis(20));
-        {
-            let mut g = t.grant.lock();
-            g.granted = Some(5);
-            g.state = TaskState::Running;
-            t.grant_cv.notify_one();
-        }
+        // The batch drops at the end of the statement, firing the notification.
+        t.grant_core(5, &Histogram::new(1), &mut WakeBatch::new());
         assert_eq!(h.join().unwrap(), Some(Some(5)));
     }
 
     #[test]
     fn released_task_wait_returns_none() {
         let t = Task::new(1, 0, ProcCell::new(), None);
-        {
-            let mut g = t.grant.lock();
-            g.released = true;
-        }
+        let mut wakes = WakeBatch::new();
+        assert_eq!(t.release(Release::All, &mut wakes), None);
+        assert_eq!(
+            wakes.len(),
+            1,
+            "a task holding no core may have a parked waiter"
+        );
         assert_eq!(t.wait_grant(None, |_| {}), Some(None));
         assert_eq!(
             t.wait_grant(Some(Instant::now() + Duration::from_millis(1)), |_| {}),
             Some(None)
+        );
+    }
+
+    #[test]
+    fn yield_core_refuses_a_core_the_task_no_longer_holds() {
+        let t = Task::new(1, 0, ProcCell::new(), None);
+        let mut wakes = WakeBatch::new();
+        t.grant_core(0, &Histogram::new(1), &mut wakes);
+        assert_eq!(t.held_core(), Some(0));
+        assert!(!t.yield_core(1, Instant::now()), "not the held core");
+        // A kill between the pre-check and the hand-over evicts the task.
+        assert_eq!(t.release(Release::EvictAndFinish, &mut wakes), Some(0));
+        assert_eq!(
+            wakes.len(),
+            1,
+            "only the grant's notification: no waiter is parked"
+        );
+        assert!(
+            !t.yield_core(0, Instant::now()),
+            "the core went with the kill"
+        );
+        assert_eq!(t.state(), TaskState::Finished);
+        assert_eq!(t.held_core(), None);
+    }
+
+    #[test]
+    fn release_waiting_spares_a_running_task() {
+        let t = Task::new(1, 0, ProcCell::new(), None);
+        let mut wakes = WakeBatch::new();
+        t.grant_core(2, &Histogram::new(1), &mut wakes);
+        assert_eq!(t.release(Release::Waiting, &mut wakes), None);
+        assert!(!t.is_released());
+        assert_eq!(t.release(Release::All, &mut wakes), None);
+        assert!(t.is_released());
+        assert_eq!(
+            t.current_core(),
+            Some(2),
+            "shutdown leaves a held core held"
+        );
+        assert_eq!(
+            t.held_core(),
+            None,
+            "but a released task may not hand it over"
         );
     }
 }

@@ -16,6 +16,7 @@
 //! * a submit racing all workers into park is still granted promptly — idle workers
 //!   drain the intake before parking, featurelessly (not just the fault-armed
 //!   `rescue_drain` watchdog);
+//! * a `kill_process` racing yields never leaves two tasks running on one core;
 //! * all gauges reconcile to zero when the churn stops.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -361,6 +362,85 @@ fn steady_state_churn_takes_no_global_section() {
     );
     assert_eq!(s.busy_cores(), 0);
     assert_eq!(s.live_tasks(), 0);
+}
+
+/// At most one running task per core, under a kill racing yields (DESIGN.md invariant 1):
+/// a one-core scheduler runs two yielding tasks of a victim process and two of a
+/// co-tenant, and `kill_process(victim)` lands at a varying point of the yield ping-pong.
+/// A yield that validated its core, then lost it to the kill before handing it over, used
+/// to hand the already re-dispatched core to a second task: two tasks `Running` on one
+/// core. Once the loops stop, at most one task may be `Running`.
+#[test]
+fn kill_racing_yields_never_double_grants() {
+    const ITERS: u64 = 300;
+    let t0 = Instant::now();
+    for iter in 0..ITERS {
+        let s = sched(1);
+        let victim = s.register_process("victim");
+        let cotenant = s.register_process("cotenant");
+        let stop = Arc::new(AtomicBool::new(false));
+        let tasks: Vec<_> = [victim, victim, cotenant, cotenant]
+            .iter()
+            .map(|&p| s.create_task(p, None).unwrap())
+            .collect();
+        let exited: Arc<Vec<AtomicBool>> =
+            Arc::new(tasks.iter().map(|_| AtomicBool::new(false)).collect());
+        let workers: Vec<_> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| {
+                let (s, task, stop, exited) = (
+                    Arc::clone(&s),
+                    task.clone(),
+                    Arc::clone(&stop),
+                    Arc::clone(&exited),
+                );
+                std::thread::spawn(move || {
+                    s.attach(&task);
+                    while !stop.load(Ordering::SeqCst) {
+                        s.yield_now(&task);
+                    }
+                    exited[i].store(true, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        // 0.2–1 ms into the ping-pong, spread over the iterations.
+        std::thread::sleep(Duration::from_micros(200 + (iter * 7919) % 800));
+        s.kill_process(victim);
+        stop.store(true, Ordering::SeqCst);
+        // Quiescence: both victims are out of their loops (a released yield returns at
+        // once), and so is whichever co-tenant holds the core; the other co-tenant, if
+        // the core was granted once, stays parked `Ready` — nobody yields to it any more.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !(exited[0].load(Ordering::SeqCst)
+            && exited[1].load(Ordering::SeqCst)
+            && (exited[2].load(Ordering::SeqCst) || exited[3].load(Ordering::SeqCst)))
+        {
+            assert!(
+                Instant::now() < deadline,
+                "iteration {iter}: loops never quiesced"
+            );
+            std::thread::yield_now();
+        }
+        let running: Vec<_> = tasks
+            .iter()
+            .filter(|t| t.state() == TaskState::Running)
+            .map(|t| t.id())
+            .collect();
+        assert!(
+            running.len() <= 1,
+            "iteration {iter}: tasks {running:?} all Running on a one-core scheduler"
+        );
+        // Release the parked co-tenant so every worker thread ends.
+        s.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+    eprintln!(
+        "kill_racing_yields_never_double_grants: {ITERS} iterations in {:?}",
+        t0.elapsed()
+    );
 }
 
 /// Cross-node scaling: with producers pinned to distinct NUMA nodes (via process

@@ -387,51 +387,31 @@ fn wait_for_region(shared: &TeamShared, seen: u64, policy: WaitPolicy) -> Option
     if let Some(r) = try_take_region(shared, seen) {
         return Some(r);
     }
-    match policy {
-        WaitPolicy::Active { yield_every } => {
-            let mut spins: u32 = 0;
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return None;
-                }
-                if shared.epoch.load(Ordering::Acquire) > seen {
-                    if let Some(r) = try_take_region(shared, seen) {
-                        return Some(r);
-                    }
-                }
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if let Some(k) = yield_every {
-                    if k > 0 && spins % k == 0 {
-                        yield_now();
-                    }
-                }
+    // Active spins forever (no deadline); Hybrid spins until its deadline, then parks.
+    let (deadline, yield_every) = match policy {
+        WaitPolicy::Active { yield_every } => (None, yield_every),
+        WaitPolicy::Hybrid { spin, yield_every } => (Some(Instant::now() + spin), yield_every),
+        WaitPolicy::Passive => return passive_wait(shared, seen),
+    };
+    let mut spins: u32 = 0;
+    while deadline.map_or(true, |d| Instant::now() < d) {
+        if shared.shutdown.load(Ordering::Acquire) {
+            return None;
+        }
+        if shared.epoch.load(Ordering::Acquire) > seen {
+            if let Some(r) = try_take_region(shared, seen) {
+                return Some(r);
             }
         }
-        WaitPolicy::Hybrid { spin, yield_every } => {
-            let deadline = Instant::now() + spin;
-            let mut spins: u32 = 0;
-            while Instant::now() < deadline {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return None;
-                }
-                if shared.epoch.load(Ordering::Acquire) > seen {
-                    if let Some(r) = try_take_region(shared, seen) {
-                        return Some(r);
-                    }
-                }
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if let Some(k) = yield_every {
-                    if k > 0 && spins % k == 0 {
-                        yield_now();
-                    }
-                }
+        std::hint::spin_loop();
+        spins = spins.wrapping_add(1);
+        if let Some(k) = yield_every {
+            if k > 0 && spins % k == 0 {
+                yield_now();
             }
-            passive_wait(shared, seen)
         }
-        WaitPolicy::Passive => passive_wait(shared, seen),
     }
+    passive_wait(shared, seen)
 }
 
 /// Block on the team condition variable until a newer region or shutdown.
