@@ -11,6 +11,7 @@
 //!
 //! The tool binaries (`sched_fuzz`, `sched_chaos`, `usf_trace`) take their own flags.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

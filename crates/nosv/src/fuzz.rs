@@ -135,7 +135,7 @@ impl FuzzConfig {
 /// counts, so any `usize` is valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzOp {
-    /// Submit the slot's task via the lock-free intake path (creating the task first if
+    /// Submit the slot's task via the intake path (creating the task first if
     /// the slot is empty).
     Submit {
         /// Task-slot index.
@@ -585,7 +585,7 @@ impl Harness {
     /// A bounded number of "flusher" rounds forces extra drain + dispatch passes: stale
     /// queue entries (tasks detached while queued) can leave the ready gauge nonzero with
     /// every core idle, and an armed [`crate::faults::FaultSite::DelayIntakeDrain`] can
-    /// park the sequence's final submits in the intake stack past the last organic
+    /// park the sequence's final submits in the intake past the last organic
     /// scheduling point. Fault fires are capped by their plan, so the rounds converge; a
     /// genuinely lost task (e.g. [`Mutation::DropSubmit`]) never reached the scheduler at
     /// all and stays lost no matter how many passes run.

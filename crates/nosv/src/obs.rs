@@ -10,9 +10,8 @@
 //!   lock-free as a [`MetricsSnapshot`].
 //! * [`Histogram`] — a mergeable, log₂-bucketed latency histogram sharded per recording
 //!   thread. Recording is lock-free (relaxed atomic adds on a thread-local shard) and
-//!   never takes the scheduler lock, so instrumenting the submit fast path preserves its
-//!   lock-freedom (`scheduler::tests::submit_fast_path_takes_no_scheduler_lock` still
-//!   holds).
+//!   never takes the scheduler lock, so the instrumented submit fast path still takes no
+//!   scheduler lock (`scheduler::tests::submit_fast_path_takes_no_scheduler_lock`).
 //! * [`StageStats`] — one histogram per stage boundary of the scheduling pipeline:
 //!   submit→intake-drain, enqueue→grant (wake latency), grant→first-run (dispatch
 //!   latency), and the off-core durations of pauses and yields.
@@ -98,9 +97,6 @@ counters! {
     submits,
     /// Submits that found the target task still holding a core (counted wake-ups).
     pending_wakeups,
-    /// Submits published through the lock-free intake stack (one CAS, no scheduler-lock
-    /// acquisition).
-    intake_submits,
     /// Global-section lock acquisitions (process/task tables, id counters, shutdown). A
     /// steady-state churn window must record zero of these: same-node scheduling points
     /// stay entirely on their shard lock.
@@ -224,7 +220,8 @@ thread_local! {
 ///
 /// * **Recording** ([`Histogram::record`]) is wait-free: bucket a nanosecond value with
 ///   `leading_zeros`, then a handful of relaxed `fetch_add`s on the calling thread's
-///   shard. No locks, no CAS loops — safe on the scheduler's lock-free submit path.
+///   shard. No locks, no CAS loops — safe on the submit path, which takes no scheduler
+///   lock.
 /// * **Reading** ([`Histogram::snapshot`]) merges the shards into a plain
 ///   [`HistogramSnapshot`]; merging is per-bucket addition, so snapshots of different
 ///   histograms (or deltas of the same one) merge associatively and commutatively.
@@ -397,7 +394,7 @@ impl HistogramSnapshot {
 /// The pipeline a wake-up traverses (see DESIGN.md §"Observability plane"):
 ///
 /// ```text
-/// submit ──► intake stack ──► drain ──► policy enqueue ──► grant ──► first run
+/// submit ──► intake ──────► drain ──► policy enqueue ──► grant ──► first run
 ///        intake_wait────────────────┘                           │
 ///        wake (enqueue→grant)───────────────────────────────────┘
 ///        dispatch (grant→first-run)──────────────────────────────────────┘
@@ -407,8 +404,8 @@ impl HistogramSnapshot {
 /// (`pause`/`waitfor` and `yield`).
 #[derive(Debug)]
 pub struct StageStats {
-    /// Submit → intake-drain: how long a published wake-up sat in the lock-free intake
-    /// stack before a scheduling point absorbed it.
+    /// Submit → intake-drain: how long a published wake-up sat in its shard's intake
+    /// before a scheduling point absorbed it.
     pub intake_wait: Histogram,
     /// Enqueue → grant (wake latency): from the grant slot turning ready to the
     /// scheduler granting a core — the hand-off cost a blocking wake-up pays before its
@@ -643,7 +640,8 @@ pub struct StatsSample {
     pub at: Duration,
     /// Ready-task gauge at the sample instant.
     pub ready_tasks: usize,
-    /// Intake-stack depth at the sample instant (approximate under concurrent pushes).
+    /// Intake depth at the sample instant, summed over the shards (each shard's count is
+    /// exact as of its last push or drain).
     pub intake_depth: usize,
     /// Busy cores at the sample instant.
     pub busy_cores: usize,

@@ -26,9 +26,9 @@
 //! the fuzzer, the record/replay tests — still gets an exact total order (each event
 //! completes before the next begins), while genuinely concurrent multi-shard traces are best-effort ordered
 //! (cross-shard probe side effects cannot be linearized after the fact) and replay treats
-//! them as diagnostic only. [`TraceEvent::Submit`] is recorded on the lock-free intake
-//! path, so under concurrent submitters its position is only causally ordered (it always
-//! precedes the `IntakeDrain` that absorbs it).
+//! them as diagnostic only. [`TraceEvent::Submit`] is recorded on the intake path, which
+//! takes no scheduler lock, so under concurrent submitters its position is only causally
+//! ordered (it always precedes the `IntakeDrain` that absorbs it).
 //!
 //! # Logical time
 //!
@@ -121,14 +121,14 @@ pub enum TraceEvent {
         /// The cores the process is now restricted to, or `None` for unrestricted.
         cores: Option<Vec<CoreId>>,
     },
-    /// A task entered the lock-free submit intake.
+    /// A task entered its shard's submit intake (no scheduler lock taken).
     Submit {
         /// Owning process.
         process: ProcessId,
         /// The submitted task.
         task: TaskId,
     },
-    /// The intake stack was drained at a scheduling point.
+    /// A shard's intake was drained at a scheduling point.
     IntakeDrain {
         /// Number of entries absorbed (in submission order).
         n: usize,

@@ -3,7 +3,7 @@
 //! One [`Scheduler`] instance owns the virtual core slots and the installed [`Policy`].
 //! The scheduler section is **split along the NUMA shard boundary**: each node owns a
 //! `Shard` — an independently locked `ShardState` (its core slots, grant/stall bookkeeping
-//! and a full SCHED_COOP ready-queue core) plus that node's lock-free submit intake —
+//! and a full SCHED_COOP ready-queue core) plus that node's submit intake —
 //! while the rarely-written registry — process table, task table, id counters, the
 //! shutdown flag — lives in a `GlobalState` behind its own lock. Per-task grant slots
 //! keep their own lock so a worker can wait for a core without holding any
@@ -19,13 +19,13 @@
 //! cheap enough for a centralized scheduler to arbitrate oversubscription, so the
 //! operations that fire on every wake-up must not serialize on a global lock:
 //!
-//! * `submit` to a busy system publishes the ready task onto a **lock-free MPSC intake
-//!   stack, one per shard** with one CAS and returns (submitters targeting
-//!   different nodes never touch the same cache line). The intake is drained — under the
-//!   shard lock, restored to submission order by an atomic sequence stamp — by whichever
-//!   core reaches the next scheduling point (release/dispatch/yield), i.e. by threads
-//!   that were taking that shard's lock anyway, and by workers about to park (the
-//!   pre-park drain, so a wake-up never waits for the next organic scheduling point).
+//! * `submit` to a busy system publishes the ready task to an **intake, one per shard**,
+//!   with one push under the intake lock, and returns without taking any scheduler lock
+//!   (submitters targeting different nodes never touch the same intake). The intake is
+//!   drained in push order — under the shard lock — by whichever core reaches the next
+//!   scheduling point (release/dispatch/yield), i.e. by threads that were taking that
+//!   shard's lock anyway, and by workers about to park (the pre-park drain, so a wake-up
+//!   never waits for the next organic scheduling point).
 //!   Only when idle cores exist does `submit` take a shard lock itself to place the task
 //!   immediately (an idle system is uncontended by definition).
 //! * Same-node scheduling points — the submit-triggered drain, `place_ready_task`,
@@ -43,13 +43,14 @@
 //! * Every shard-lock acquisition bumps that shard's `lock_acquisitions` counter and
 //!   every global-section acquisition bumps `global_lock_acquisitions` (their sum is the
 //!   snapshot's `lock_acquisitions`), which is how the tests verify that the submit fast
-//!   path takes no lock at all (`tests::submit_fast_path_takes_no_scheduler_lock`) and
+//!   path takes no scheduler lock (`tests::submit_fast_path_takes_no_scheduler_lock`) and
 //!   that steady-state wake churn never touches the global section
 //!   (`wake_churn.rs::steady_state_churn_takes_no_global_section`).
 //!
 //! # Lock hierarchy
 //!
-//! Three lock classes, in strict acquisition order (see the matching table in DESIGN.md):
+//! Three lock classes, in strict acquisition order, plus one leaf (see the matching table
+//! in DESIGN.md):
 //!
 //! 1. **Global-section lock** (`GlobalState`): process/task tables, id counters, the
 //!    shutdown flag. May be held while taking shard locks (rare multi-shard ops below);
@@ -62,6 +63,11 @@
 //!    never held while acquiring any scheduler-section lock. The public entry points
 //!    (`submit`, `pause`, …) run their grant-slot transition first and only then take
 //!    scheduler locks.
+//!
+//! **Intake locks** (one per shard) are leaves: held for one push or one take, never while
+//! acquiring another lock. They are not scheduler-section locks and bump no
+//! `lock_acquisitions`; a drain takes one under its shard lock (or, at shutdown, under
+//! the global lock).
 //!
 //! The enumerated multi-shard operations — `register_process`/`deregister_process`,
 //!    `kill_process`, `set_process_domain`, `shutdown`, `watchdog_scan`, `rescue_drain`
@@ -81,8 +87,7 @@ use crate::task::{Release, Task, TaskId, TaskRef, WaitOutcome, WakeBatch};
 use crate::topology::{CoreId, Topology};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Emit a trace event when the `sched-trace` feature is on and a recorder is installed.
@@ -96,9 +101,8 @@ macro_rules! trace_event {
         {
             if let Some(rec) = $sched.tracer.as_ref() {
                 // The global sequence stamp linearizes events recorded under different
-                // shard locks (the recorder stable-sorts by it), the same trick the
-                // per-shard intakes use. With one shard the stamp order equals the record
-                // order, so this is a no-op there.
+                // shard locks (the recorder stable-sorts by it). With one shard the stamp
+                // order equals the record order, so this is a no-op there.
                 let seq = $sched.sched_seq.fetch_add(1, Ordering::Relaxed);
                 rec.record_at_seq($at, seq, $ev);
             }
@@ -171,97 +175,48 @@ enum CoreSlot {
     Busy(TaskId),
 }
 
-/// One node of the lock-free intake stack.
-struct IntakeNode {
-    task: TaskRef,
-    /// When the submit published this node — the start of the submit→drain stage
-    /// histogram (`obs::StageStats::intake_wait`).
-    pushed_at: Instant,
-    /// Global submission order (stamped from `Scheduler::intake_seq`): a drain sorts by
-    /// this, restoring the submission order the CAS stack reversed.
-    seq: u64,
-    next: *mut IntakeNode,
-}
-
-/// A Treiber stack used as the MPSC submit intake: any thread pushes with one CAS;
-/// draining swaps the whole list out (only ever done while holding the owning shard's
-/// lock, so drains never race each other) and reverses it to restore submission order.
+/// A shard's submit intake: a submit to a busy system pushes its ready task here, under
+/// the intake lock and no scheduler lock; the next scheduling point of the shard takes
+/// the whole list in push order.
 ///
-/// Every shard has its own, and a submit CASes onto the stack of the shard it will be
-/// queued in, so concurrent submitters targeting different nodes do not collide on one
-/// cache line (the cross-socket CAS ping-pong a single stack pays at high core counts).
+/// The intake lock is a leaf of the lock hierarchy (see the module documentation). Every
+/// shard has its own, so submitters targeting different nodes never contend on it. Push
+/// order is lock order, which is a valid submission order: each producer's submits keep
+/// their program order.
 struct Intake {
-    head: AtomicPtr<IntakeNode>,
-    /// Approximate stack depth (relaxed adds around the CAS), read lock-free by the
-    /// stats plane. Never consulted by scheduling decisions.
+    /// Published tasks, each with the instant of its submit — the start of the
+    /// submit→drain stage histogram (`obs::StageStats::intake_wait`).
+    entries: Mutex<Vec<(TaskRef, Instant)>>,
+    /// `entries.len()`, stored under the intake lock and read lock-free by the pre-park
+    /// check and the stats sampler.
     len: AtomicUsize,
 }
-
-// SAFETY: the raw pointers only ever reference heap nodes owned by the stack; pushes are
-// CAS-published and the single drainer takes ownership of the whole list atomically.
-unsafe impl Send for Intake {}
-unsafe impl Sync for Intake {}
 
 impl Intake {
     fn new() -> Self {
         Intake {
-            head: AtomicPtr::new(ptr::null_mut()),
+            entries: Mutex::new(Vec::new()),
             len: AtomicUsize::new(0),
         }
     }
 
-    /// Publish a ready task. Lock-free: one allocation plus a CAS loop.
-    fn push(&self, task: TaskRef, pushed_at: Instant, seq: u64) {
-        let node = Box::into_raw(Box::new(IntakeNode {
-            task,
-            pushed_at,
-            seq,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            // SAFETY: `node` is not yet published; we have exclusive access.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(h) => head = h,
-            }
-        }
+    /// Publish a ready task: one push under the intake lock.
+    fn push(&self, task: TaskRef, pushed_at: Instant) {
+        let mut entries = self.entries.lock();
+        entries.push((task, pushed_at));
+        self.len.store(entries.len(), Ordering::Relaxed);
     }
 
-    /// Take every queued task, oldest first, each with its publish instant and global
-    /// submission sequence number.
-    fn drain(&self) -> Vec<(TaskRef, Instant, u64)> {
-        let mut p = self.head.swap(ptr::null_mut(), Ordering::SeqCst);
-        let mut out = Vec::new();
-        while !p.is_null() {
-            // SAFETY: the swap transferred ownership of the whole list to us.
-            let node = unsafe { Box::from_raw(p) };
-            out.push((node.task, node.pushed_at, node.seq));
-            p = node.next;
-        }
-        if !out.is_empty() {
-            self.len.fetch_sub(out.len(), Ordering::Relaxed);
-        }
-        out.reverse();
-        out
+    /// Take every published task in push order, each with its publish instant.
+    fn drain(&self) -> Vec<(TaskRef, Instant)> {
+        let mut entries = self.entries.lock();
+        self.len.store(0, Ordering::Relaxed);
+        std::mem::take(&mut *entries)
     }
 
-    /// Approximate current depth (the intake-stack gauge).
+    /// Current depth (the intake gauge).
     fn depth(&self) -> usize {
         self.len.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Intake {
-    fn drop(&mut self) {
-        let _ = self.drain();
     }
 }
 
@@ -313,7 +268,7 @@ pub(crate) struct ShardState {
 #[repr(align(128))]
 struct Shard {
     state: Mutex<ShardState>,
-    /// Lock-free submit intake, drained under `state`'s lock.
+    /// Submit intake, drained under `state`'s lock.
     intake: Intake,
     /// Policy-ready entry count, maintained under `state`'s lock and read lock-free by
     /// foreign shards deciding whether a steal/aging probe (or the cross-shard dispatch
@@ -363,8 +318,6 @@ pub struct Scheduler {
     /// per-shard stats and the snapshot time base (see [`crate::obs`]). Recording never
     /// takes the scheduler lock.
     stats: StatsRegistry,
-    /// Global submission order stamped into every intake node.
-    intake_seq: std::sync::atomic::AtomicU64,
     /// Number of idle core slots; maintained under the lock, read lock-free by `submit`
     /// to decide whether immediate placement is worth taking the lock for.
     idle_cores: AtomicUsize,
@@ -452,7 +405,6 @@ impl Scheduler {
             core_shard,
             policy_name,
             stats: StatsRegistry::new(cores, nshards),
-            intake_seq: std::sync::atomic::AtomicU64::new(0),
             config,
             idle_cores: AtomicUsize::new(cores),
             ready_tasks: AtomicI64::new(0),
@@ -887,9 +839,9 @@ impl Scheduler {
     }
 
     /// Make a task ready. If an idle core exists it is granted immediately (honouring
-    /// affinity); otherwise — the oversubscribed fast path — the task is published onto
-    /// the lock-free intake with a single CAS and the call returns without touching the
-    /// scheduler lock. Safe to call from any thread.
+    /// affinity); otherwise — the oversubscribed fast path — the task is published to its
+    /// shard's intake with one push under the intake lock, and the call returns without
+    /// taking any scheduler lock. Safe to call from any thread.
     pub fn submit(&self, task: &TaskRef) {
         inc(&self.stats.counters.submits);
         // Fault site: drop the wake-up before any grant-slot bookkeeping, so the loss is
@@ -921,15 +873,13 @@ impl Scheduler {
             }
         );
         self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-        let seq = self.intake_seq.fetch_add(1, Ordering::Relaxed);
         let home = self.home_shard(task);
-        self.shards[home]
-            .intake
-            .push(TaskRef::clone(task), now, seq);
-        inc(&self.stats.counters.intake_submits);
-        // SeqCst pairs with `mark_idle`: if a core went idle before our push became
-        // visible to its drain, we observe `idle_cores > 0` here and place the task
-        // ourselves; otherwise its drain (which runs after its idle-store) sees our node.
+        self.shards[home].intake.push(TaskRef::clone(task), now);
+        // The intake lock pairs our push with the drain of a core going idle, which
+        // `mark_idle` counts before it drains. If that drain's critical section follows
+        // our push's, the drain takes our entry. Otherwise the drain's unlock
+        // happens-before our lock, so its `idle_cores` increment happens-before the load
+        // below: we see the idle core and place the task ourselves.
         if self.idle_cores.load(Ordering::SeqCst) > 0 {
             // Place the task ourselves (if stale entries make the drain enqueue instead
             // of granting, the scheduling point fills the idle cores from the policy).
@@ -939,7 +889,7 @@ impl Scheduler {
             self.dispatch_sweep();
         } else if self.shutting_down.load(Ordering::SeqCst) {
             // We published after shutdown's drain: self-heal so the gauge does not stay
-            // stuck positive and the node does not pin the task until Scheduler drop (the
+            // stuck positive and the entry does not pin the task until Scheduler drop (the
             // drain drops the entry; nothing is dispatched once the flag is set). The
             // waiter itself is safe either way — the task was registered before the
             // shutdown flag was set, so the release loop covers it.
@@ -1094,7 +1044,7 @@ impl Scheduler {
     /// layer at instance teardown so that buggy applications can never leave threads parked
     /// forever.
     ///
-    /// The intake stack is drained under the same lock acquisition that sets the shutdown
+    /// The intakes are drained under the same lock acquisition that sets the shutdown
     /// flag, so a submit racing shutdown can never leave a waiter parked: either its push
     /// lands before the drain (released below alongside the registered tasks), or its
     /// grant-slot update ran before the task's release (the task is in `tasks` — it was
@@ -1117,8 +1067,9 @@ impl Scheduler {
                 g = self.lock_global();
             }
             let tasks: Vec<TaskRef> = g.tasks.values().cloned().collect();
-            // Raw atomic-swap drains: a shard-lock drain racing us takes disjoint
-            // entries, and either drainer releases its share (the flag is already set).
+            // Intake-lock drains without the shard locks: a shard-lock drain racing us
+            // takes disjoint entries, and either drainer releases its share (the flag is
+            // already set).
             let queued: Vec<_> = self.shards.iter().flat_map(|s| s.intake.drain()).collect();
             (tasks, queued)
         };
@@ -1129,7 +1080,7 @@ impl Scheduler {
         // The global lock dropped above: the batch wakes the released waiters into
         // uncontended locks (collect-then-notify).
         let mut wakes = WakeBatch::new();
-        for t in tasks.iter().chain(queued.iter().map(|(t, _, _)| t)) {
+        for t in tasks.iter().chain(queued.iter().map(|(t, _)| t)) {
             t.release(Release::All, &mut wakes);
         }
     }
@@ -1355,18 +1306,14 @@ impl Scheduler {
     /// be delayed. Each shard drains only its own intake. Returns how many intake entries
     /// were processed.
     fn drain_intake_forced(&self, st: &mut ShardState, wakes: &mut WakeBatch) -> usize {
-        let mut drained = self.shards[st.si].intake.drain();
+        let drained = self.shards[st.si].intake.drain();
         let n = drained.len();
         if drained.is_empty() {
             return 0;
         }
-        // Pushers race between taking their stamp and landing their CAS, so stack order is
-        // only almost submission order: the stamp is authoritative (and the input is
-        // nearly sorted, the sort's cheap case).
-        drained.sort_by_key(|&(_, _, seq)| seq);
         let now = Instant::now();
         trace_event!(self, now, TraceEvent::IntakeDrain { n });
-        for (task, pushed_at, _seq) in drained {
+        for (task, pushed_at) in drained {
             // Close the submit→drain stage: how long the wake-up sat in the intake.
             self.stats
                 .stages
@@ -1404,9 +1351,11 @@ impl Scheduler {
             let domain = task.proc_domain();
             if let Some(core) = self.choose_idle_core(st, task.preferred_core(), domain.as_deref())
             {
-                // The task was marked queued by the caller; the grant clears it.
-                self.grant(st, task, core, true, wakes);
+                // The task was marked queued by the caller; the grant clears it. It leaves
+                // the ready gauge first, as a popped task does, so no observer of the grant
+                // still counts it ready.
                 self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
+                self.grant(st, task, core, true, wakes);
                 return;
             }
         }
@@ -1965,14 +1914,14 @@ mod tests {
         let tasks: Vec<_> = (0..8).map(|_| s.create_task(p, None).unwrap()).collect();
         let before = s.stats().counters().lock_acquisitions;
         for t in &tasks {
-            s.submit(t); // all cores busy: intake CAS only
+            s.submit(t); // all cores busy: one push under the intake lock
         }
         let snap = s.stats().counters();
         assert_eq!(
             snap.lock_acquisitions, before,
             "submit to a fully busy system must not acquire the scheduler lock"
         );
-        assert_eq!(snap.intake_submits, 9);
+        assert_eq!(snap.submits, 9);
         assert_eq!(s.ready_count(), 8);
         assert!(s.has_ready());
         for t in &tasks {
@@ -1983,6 +1932,70 @@ mod tests {
         s.detach(&t1);
         assert_eq!(tasks[0].state(), TaskState::Running);
         assert_eq!(s.ready_count(), 7);
+    }
+
+    /// The intake-depth gauge (read by `prepark_drain` and `sample()`) never counts more
+    /// entries than were published. A gauge bumped after the publish, outside the intake's
+    /// critical section, wraps to `usize::MAX` when a drain lands in between.
+    #[test]
+    fn intake_depth_never_exceeds_what_was_submitted() {
+        // Fresh schedulers per round keep the intake busy for the whole second without
+        // piling up tasks: each task is published only once.
+        const PER_SUBMITTER: usize = 5_000;
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut reads = 0u64;
+        while Instant::now() < deadline {
+            let s = sched(1);
+            let p = s.register_process("p");
+            let holder = s.create_task(p, None).unwrap();
+            s.submit(&holder); // holds the only core: every submit below lands in the intake
+            let submitted = Arc::new(AtomicUsize::new(0));
+            let done = Arc::new(AtomicUsize::new(0));
+            let submitters: Vec<_> = (0..2)
+                .map(|_| {
+                    let tasks: Vec<_> = (0..PER_SUBMITTER)
+                        .map(|_| s.create_task(p, None).unwrap())
+                        .collect();
+                    let (s, submitted, done) =
+                        (Arc::clone(&s), Arc::clone(&submitted), Arc::clone(&done));
+                    std::thread::spawn(move || {
+                        for t in &tasks {
+                            submitted.fetch_add(1, Ordering::SeqCst);
+                            s.submit(t);
+                        }
+                        done.fetch_add(1, Ordering::SeqCst);
+                    })
+                })
+                .collect();
+            // The drainer naps between drains: each wake-up may preempt a submitter
+            // mid-publish, the window a drain has to land in to expose a torn count.
+            let drainer = {
+                let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    while done.load(Ordering::SeqCst) < 2 {
+                        s.rescue_drain();
+                        std::thread::sleep(Duration::from_micros(1));
+                    }
+                })
+            };
+            // The depth is read before the bound, so a gauge that counts only published
+            // entries can never exceed it.
+            while done.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                let depth = s.sample().intake_depth;
+                let bound = submitted.load(Ordering::SeqCst);
+                assert!(
+                    depth <= bound,
+                    "read {reads}: intake depth {depth} exceeds the {bound} tasks submitted so far"
+                );
+                reads += 1;
+            }
+            for h in submitters {
+                h.join().unwrap();
+            }
+            drainer.join().unwrap();
+            s.shutdown();
+        }
+        assert!(reads > 0);
     }
 
     #[test]
@@ -2010,7 +2023,7 @@ mod tests {
         let t1 = s.create_task(p, None).unwrap();
         s.submit(&t1); // occupies the only core
         let t2 = s.create_task(p, None).unwrap();
-        s.submit(&t2); // sits in the intake stack (no idle core)
+        s.submit(&t2); // sits in the intake (no idle core)
         s.shutdown();
         // The waiter must be released, not parked forever.
         assert_eq!(t2.wait_grant(None, |_| {}), Some(None));
@@ -2087,7 +2100,7 @@ mod tests {
 
     #[test]
     fn deregister_purges_intake_tasks_of_process() {
-        // Regression: a task still sitting in the lock-free intake when its process is
+        // Regression: a task still sitting in the intake when its process is
         // deregistered must be flushed and purged with the process — a later drain must
         // not re-enqueue it and resurrect the process in the quantum rotation.
         let s = sched(1);

@@ -1,11 +1,12 @@
 //! Wake-churn regression tests: pin the scheduler's wake-path behaviour under rapid
 //! pause/submit cycles and concurrent wakers.
 //!
-//! The lock-free intake moved *where* submits are absorbed — from the submitter, under a
+//! The submit intake moved *where* submits are absorbed — from the submitter, under a
 //! scheduler lock, to whichever core reaches the next scheduling point — and these tests
 //! pin what must not change with it:
 //!
-//! * grant ordering stays FIFO for same-preference tasks submitted in sequence;
+//! * grant ordering stays FIFO for same-preference tasks submitted in sequence, and per
+//!   producer when several threads submit at once;
 //! * no wake-up is ever lost under concurrent wakers — a paused task resubmitted by
 //!   another thread is granted exactly once per cycle (`grants == cycles + 1`,
 //!   `blocks == cycles`), with no pause elided by a stale pending wake-up;
@@ -58,6 +59,82 @@ fn grant_order_is_fifo_on_one_core() {
     s.detach(&tasks[4]);
     assert_eq!(s.busy_cores(), 0);
     assert_eq!(s.ready_count(), 0);
+}
+
+/// Per-producer FIFO under concurrent submits: 4 threads each submit 50 fresh tasks to a
+/// one-core scheduler whose core is held. The intake interleaves the producers in lock
+/// order, but each producer's tasks must be granted in its own submit order, and every
+/// task exactly once.
+#[test]
+fn concurrent_producers_are_granted_in_their_submit_order() {
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: usize = 50;
+    let s = sched(1);
+    let p = s.register_process("p");
+    let holder = s.create_task(p, None).unwrap();
+    s.submit(&holder);
+    let start = Arc::new(std::sync::Barrier::new(PRODUCERS));
+    let producers: Vec<Vec<TaskRef>> = (0..PRODUCERS)
+        .map(|_| {
+            let (s, start) = (Arc::clone(&s), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let tasks: Vec<_> = (0..PER_PRODUCER)
+                    .map(|_| s.create_task(p, None).unwrap())
+                    .collect();
+                start.wait();
+                for t in &tasks {
+                    s.submit(t);
+                }
+                tasks
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
+    assert_eq!(s.ready_count(), PRODUCERS * PER_PRODUCER);
+
+    // Detach whichever task holds the core until none does, recording the grant order.
+    let all: Vec<&TaskRef> = producers.iter().flatten().collect();
+    let mut granted: Vec<u64> = Vec::new();
+    let mut running = holder;
+    loop {
+        s.detach(&running);
+        let on_core: Vec<_> = all
+            .iter()
+            .filter(|t| t.state() == TaskState::Running)
+            .collect();
+        assert!(
+            on_core.len() <= 1,
+            "{} tasks Running on one core",
+            on_core.len()
+        );
+        let Some(next) = on_core.first() else {
+            break;
+        };
+        granted.push(next.id());
+        running = TaskRef::clone(next);
+    }
+
+    assert_eq!(
+        granted.len(),
+        PRODUCERS * PER_PRODUCER,
+        "every task granted"
+    );
+    for t in &all {
+        assert_eq!(t.stats.grants.load(Ordering::SeqCst), 1, "task {}", t.id());
+    }
+    let position = |id: u64| granted.iter().position(|&g| g == id).unwrap();
+    for (i, tasks) in producers.iter().enumerate() {
+        let order: Vec<usize> = tasks.iter().map(|t| position(t.id())).collect();
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "producer {i}'s tasks were granted out of submit order: {order:?}"
+        );
+    }
+    assert_eq!(s.busy_cores(), 0);
+    assert_eq!(s.ready_count(), 0);
+    assert_eq!(s.live_tasks(), 0);
 }
 
 /// Concurrent wake churn: 4 workers pause N times each on 2 cores while dedicated waker
@@ -191,7 +268,7 @@ fn grant_handoff_stays_bounded() {
     assert_eq!(s.live_tasks(), 0);
 }
 
-/// A submit taking the lock-free intake path while the only worker is heading into park
+/// A submit taking the intake path while the only worker is heading into park
 /// must still be granted promptly: the parking worker drains the intake before blocking.
 /// Before that pre-park drain, the entry sat until the next organic scheduling point
 /// (tens of milliseconds under churn; with no further traffic, indefinitely unless the
@@ -220,8 +297,8 @@ fn submit_to_fully_parked_scheduler_is_granted_promptly() {
         std::thread::yield_now();
     }
 
-    // The single core is busy, so this submit takes the lock-free intake fast path and
-    // queues in the intake stack — it cannot be granted until someone drains it.
+    // The single core is busy, so this submit takes the intake fast path and queues in
+    // the intake — it cannot be granted until someone drains it.
     let t = s.create_task(p, None).unwrap();
     s.submit(&t);
     let t0 = Instant::now();

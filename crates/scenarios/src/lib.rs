@@ -32,6 +32,7 @@
 //! assert_eq!(real.processes.len(), sim.processes.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

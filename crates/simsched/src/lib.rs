@@ -25,6 +25,7 @@
 //! bandwidth demand, lock/unlock, barriers, sleep, yield, event signal/wait, spawning child
 //! programs) — instantiated as [`thread::SimThread`]s and executed by the [`engine::Engine`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

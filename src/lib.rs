@@ -21,6 +21,7 @@
 //! See `README.md` for a tour, `DESIGN.md` for the architecture and the paper-to-repo
 //! substitution table, and `EXPERIMENTS.md` for the reproduced tables and figures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
