@@ -39,7 +39,8 @@ impl Default for BarrierKind {
 /// Which inner runtime parallelizes the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlasThreading {
-    /// A persistent OpenMP-like worker team (the gomp/libomp backends of Table 2).
+    /// Persistent OpenMP-like worker teams (the gomp/libomp backends of Table 2): one team
+    /// per concurrent caller, kept alive and reused across calls.
     OpenMpLike,
     /// A spawn-per-call pthread pool (the BLIS "pth" backend of Table 2): threads are
     /// created and destroyed for every kernel invocation.

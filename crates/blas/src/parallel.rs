@@ -3,8 +3,7 @@
 use crate::config::{BarrierKind, BlasConfig, BlasThreading};
 use crate::kernels;
 use crate::matrix::Matrix;
-use std::sync::Arc;
-use usf_core::sync::{Barrier, BusyBarrier};
+use usf_core::sync::{Barrier, BusyBarrier, Mutex};
 use usf_runtimes::forkjoin::{Team, TeamConfig};
 use usf_runtimes::threadpool::TransientPool;
 
@@ -52,29 +51,35 @@ impl KernelBarrier {
     }
 }
 
-/// A handle to the parallel BLAS library: owns the inner runtime (a persistent team or a
-/// spawn-per-call pool) and runs kernels with the configured synchronization behaviour.
+/// The inner runtime behind a [`BlasHandle`].
+enum Backend {
+    /// Idle OpenMP-like teams. A kernel borrows one for its region and returns it, so a
+    /// team's threads outlive the call (libgomp's per-master thread pool).
+    Teams(Mutex<Vec<Team>>),
+    /// Spawn-per-call threads.
+    Transient(TransientPool),
+}
+
+/// A handle to the parallel BLAS library: owns the inner runtime and runs kernels with the
+/// configured synchronization behaviour. The OpenMP-like backend keeps one persistent team
+/// per concurrent caller and reuses it across calls; the spawn-per-call backend creates
+/// fresh threads for every call. Share one handle (e.g. in an `Arc`) across the tasks that
+/// call it, and drop it before the USF instance its threads run on shuts down.
 pub struct BlasHandle {
     config: BlasConfig,
-    team: Option<Team>,
-    pool: Option<TransientPool>,
+    backend: Backend,
 }
 
 impl BlasHandle {
-    /// Create a handle (spawning the persistent team if the configuration asks for one).
+    /// Create a handle (spawning one persistent team if the configuration asks for one).
     pub fn new(config: BlasConfig) -> Self {
-        let (team, pool) = match config.threading {
-            BlasThreading::OpenMpLike => {
-                let team = Team::new(
-                    TeamConfig::new(config.threads.max(1), config.exec.clone())
-                        .wait_policy(config.wait_policy)
-                        .name("blas"),
-                );
-                (Some(team), None)
+        let backend = match config.threading {
+            BlasThreading::OpenMpLike => Backend::Teams(Mutex::new(vec![new_team(&config)])),
+            BlasThreading::PthreadPerCall => {
+                Backend::Transient(TransientPool::new(config.exec.clone()))
             }
-            BlasThreading::PthreadPerCall => (None, Some(TransientPool::new(config.exec.clone()))),
         };
-        BlasHandle { config, team, pool }
+        BlasHandle { config, backend }
     }
 
     /// The configuration of this handle.
@@ -102,10 +107,9 @@ impl BlasHandle {
             kernels::gemm_acc(m, k, n, a, b, c);
             return;
         }
-        let barrier = Arc::new(KernelBarrier::new(self.config.barrier, workers));
         let out = SharedOut(c.as_mut_ptr());
         let rows_per = m.div_ceil(workers);
-        let body = |t: usize| {
+        self.run_parallel(workers, |t| {
             let r0 = t * rows_per;
             let r1 = ((t + 1) * rows_per).min(m);
             if r0 < r1 {
@@ -116,12 +120,27 @@ impl BlasHandle {
                 let a_chunk = &a[r0 * k..r1 * k];
                 kernels::gemm_acc(r1 - r0, k, n, a_chunk, b, c_chunk);
             }
+        });
+    }
+
+    /// Run `body(t)` for `t` in `0..workers` on the inner runtime; every worker then waits
+    /// at the configured end-of-kernel barrier. The OpenMP-like backend borrows an idle
+    /// team (building one only when every team is lent to a concurrent caller) and returns
+    /// it afterwards; the pool lock covers only the pop and the push.
+    fn run_parallel(&self, workers: usize, body: impl Fn(usize) + Send + Sync) {
+        let barrier = KernelBarrier::new(self.config.barrier, workers);
+        let body = |t: usize| {
+            body(t);
             barrier.wait();
         };
-        match (&self.team, &self.pool) {
-            (Some(team), _) => team.parallel(workers, |ctx| body(ctx.thread_num())),
-            (_, Some(pool)) => pool.run(workers, body),
-            _ => unreachable!("one backend is always configured"),
+        match &self.backend {
+            Backend::Teams(idle) => {
+                let borrowed = idle.lock().pop();
+                let team = borrowed.unwrap_or_else(|| new_team(&self.config));
+                team.parallel(workers, |ctx| body(ctx.thread_num()));
+                idle.lock().push(team);
+            }
+            Backend::Transient(pool) => pool.run(workers, body),
         }
     }
 
@@ -170,10 +189,9 @@ impl BlasHandle {
             kernels::gemm_nt_sub(n, a, b, c);
             return;
         }
-        let barrier = Arc::new(KernelBarrier::new(self.config.barrier, workers));
         let out = SharedOut(c.as_mut_ptr());
         let rows_per = n.div_ceil(workers);
-        let body = |t: usize| {
+        self.run_parallel(workers, |t| {
             let r0 = t * rows_per;
             let r1 = ((t + 1) * rows_per).min(n);
             if r0 < r1 {
@@ -188,14 +206,17 @@ impl BlasHandle {
                     }
                 }
             }
-            barrier.wait();
-        };
-        match (&self.team, &self.pool) {
-            (Some(team), _) => team.parallel(workers, |ctx| body(ctx.thread_num())),
-            (_, Some(pool)) => pool.run(workers, body),
-            _ => unreachable!("one backend is always configured"),
-        }
+        });
     }
+}
+
+/// Spawn one persistent team sized and configured for `config`.
+fn new_team(config: &BlasConfig) -> Team {
+    Team::new(
+        TeamConfig::new(config.threads.max(1), config.exec.clone())
+            .wait_policy(config.wait_policy)
+            .name("blas"),
+    )
 }
 
 impl std::fmt::Debug for BlasHandle {
@@ -211,6 +232,7 @@ impl std::fmt::Debug for BlasHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use usf_core::exec::ExecMode;
     use usf_core::runtime::Usf;
 
@@ -263,6 +285,74 @@ mod tests {
                 .barrier(BarrierKind::BusyYield { yield_every: 32 }),
         ));
         check_gemm(&BlasHandle::new(BlasConfig::pth(2, ExecMode::Usf(p))));
+        usf.shutdown();
+    }
+
+    /// Number of idle teams in `handle`'s pool (`0` for the spawn-per-call backend).
+    fn idle_teams(handle: &BlasHandle) -> usize {
+        match &handle.backend {
+            Backend::Teams(idle) => idle.lock().len(),
+            Backend::Transient(_) => 0,
+        }
+    }
+
+    /// Run `f(handle, i)` on four concurrent callers `i` that share `handle`.
+    fn four_callers(
+        handle: &Arc<BlasHandle>,
+        exec: &ExecMode,
+        f: impl Fn(&BlasHandle, u64) + Send + Sync + 'static,
+    ) {
+        let f = Arc::new(f);
+        let callers: Vec<_> = (0..4u64)
+            .map(|i| {
+                let (handle, f) = (Arc::clone(handle), Arc::clone(&f));
+                exec.spawn_named(format!("caller-{i}"), move || f(&handle, i))
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller panicked");
+        }
+    }
+
+    fn fifty_checked_gemms(handle: &BlasHandle, seed: u64) {
+        let a = Matrix::pseudo_random(33, 17, seed);
+        let b = Matrix::pseudo_random(17, 29, seed + 4);
+        let reference = Matrix::multiply_reference(&a, &b);
+        for _ in 0..50 {
+            assert!(handle.gemm(&a, &b).max_abs_diff(&reference) < 1e-10);
+        }
+    }
+
+    fn assert_callers_borrow_their_own_team(exec: ExecMode) {
+        let handle = Arc::new(BlasHandle::new(BlasConfig::omp(3, exec.clone())));
+        four_callers(&handle, &exec, fifty_checked_gemms);
+        let teams = idle_teams(&handle);
+        assert!((1..=4).contains(&teams), "{teams} teams for 4 callers");
+        // All four callers hold a team at the same moment: the pool grows to exactly that
+        // peak, so the next wave can never find every team lent out.
+        let all_borrowed = Arc::new(Barrier::new(4));
+        four_callers(&handle, &exec, move |handle, _| {
+            handle.run_parallel(3, |t| {
+                if t == 0 {
+                    all_borrowed.wait();
+                }
+            })
+        });
+        assert_eq!(idle_teams(&handle), 4);
+        four_callers(&handle, &exec, fifty_checked_gemms);
+        assert_eq!(
+            idle_teams(&handle),
+            4,
+            "a second wave of gemms builds no team"
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_borrow_their_own_team() {
+        assert_callers_borrow_their_own_team(ExecMode::Os);
+        // On 2 cores a borrowed team's workers need cores of their own.
+        let usf = Usf::builder().cores(2).build();
+        assert_callers_borrow_their_own_team(ExecMode::Usf(usf.process("blas-callers")));
         usf.shutdown();
     }
 

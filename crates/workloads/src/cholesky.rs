@@ -4,7 +4,9 @@
 //! (`potrf`), solve the tiles below it (`trsm`), and update the trailing matrix (`syrk` on
 //! diagonal tiles, `gemm` elsewhere). The outer task runtime tracks the tile dependencies;
 //! the gemm updates call the parallel BLAS backend (the inner runtime), reproducing the
-//! runtime-composition structure of Table 2.
+//! runtime-composition structure of Table 2. Each gemm task still opens its own inner
+//! parallel region; its threads come from the instance's one [`BlasHandle`], shared by all
+//! tasks and units.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,7 +87,7 @@ fn split_into_tiles(a: &Matrix, ts: usize) -> Tiles {
 pub struct CholeskyInstance {
     cfg: CholeskyConfig,
     a: Matrix,
-    blas_cfg: BlasConfig,
+    blas: Arc<BlasHandle>,
     nb: usize,
     ts: usize,
     last_tiles: Option<Tiles>,
@@ -93,7 +95,8 @@ pub struct CholeskyInstance {
 }
 
 impl CholeskyInstance {
-    /// Set up the workload: generate the SPD matrix (the part shared by all units).
+    /// Set up the workload: generate the SPD matrix and start the inner BLAS (the parts
+    /// shared by all units).
     pub fn new(cfg: &CholeskyConfig) -> Self {
         assert!(
             cfg.matrix_size % cfg.tile_size == 0,
@@ -102,17 +105,17 @@ impl CholeskyInstance {
         let n = cfg.matrix_size;
         let ts = cfg.tile_size;
         let a = Matrix::spd(n, 9);
-        let blas_cfg = BlasConfig {
+        let blas = Arc::new(BlasHandle::new(BlasConfig {
             threads: cfg.inner_threads,
             threading: cfg.inner_threading,
             barrier: cfg.barrier,
             wait_policy: usf_runtimes::WaitPolicy::Passive,
             exec: cfg.exec.clone(),
-        };
+        }));
         CholeskyInstance {
             cfg: cfg.clone(),
             a,
-            blas_cfg,
+            blas,
             nb: n / ts,
             ts,
             last_tiles: None,
@@ -124,7 +127,6 @@ impl CholeskyInstance {
     pub fn factorize_once(&mut self) {
         let (nb, ts) = (self.nb, self.ts);
         let tiles = split_into_tiles(&self.a, ts);
-        let blas_cfg = &self.blas_cfg;
         let key = |i: usize, j: usize| DataKey::index2(11, i, j);
         let rt = TaskRuntime::new(
             TaskRuntimeConfig::new(self.cfg.outer_workers, self.cfg.exec.clone())
@@ -172,14 +174,13 @@ impl CholeskyInstance {
                 // parallel region (the BLAS call of Listing 2 / Table 2).
                 for j in (k + 1)..i {
                     let tiles = Arc::clone(&tiles);
-                    let blas_cfg = blas_cfg.clone();
+                    let blas = Arc::clone(&self.blas);
                     rt.submit(
                         TaskDeps::none()
                             .input(key(i, k))
                             .input(key(j, k))
                             .inout(key(i, j)),
                         move || {
-                            let blas = BlasHandle::new(blas_cfg);
                             let a_ik = tiles[i * nb + k].lock().clone();
                             let a_jk = tiles[j * nb + k].lock().clone();
                             let mut c = tiles[i * nb + j].lock();
@@ -280,6 +281,33 @@ mod tests {
         let r = run_cholesky_verified(&cfg);
         assert!(r.max_error.unwrap() < 1e-6, "error {:?}", r.max_error);
         assert!(usf.metrics().attaches > 0);
+        usf.shutdown();
+    }
+
+    #[test]
+    fn a_unit_spawns_only_its_outer_workers() {
+        let usf = Usf::builder().cores(2).build();
+        // One outer worker: with two, whether the warm-up unit ever ran two gemms at once
+        // (and so left two teams in the pool) is up to timing.
+        let cfg = CholeskyConfig {
+            outer_workers: 1,
+            ..CholeskyConfig::small(ExecMode::Usf(usf.process("cholesky-spawns")))
+        };
+        let mut inst = CholeskyInstance::new(&cfg);
+        inst.factorize_once();
+        let spawns = || {
+            let s = usf.thread_cache_stats();
+            s.created + s.reused
+        };
+        let before = spawns();
+        inst.factorize_once();
+        assert_eq!(
+            spawns() - before,
+            cfg.outer_workers as u64,
+            "the inner BLAS teams must outlive the tasks that borrow them"
+        );
+        assert!(inst.verify_last().unwrap() < 1e-6);
+        drop(inst);
         usf.shutdown();
     }
 

@@ -2,10 +2,12 @@
 //!
 //! The matrix is blocked into `TS × TS` tiles; an *outer* task runtime creates one task per
 //! `(k, i, j)` tile update with the Listing 2 dependencies (`inout C[i][j]`, `in A[i][k]`,
-//! `in B[k][j]`), and each task calls a parallel BLAS gemm that opens an *inner* team of
-//! `inner_threads` workers — exactly the composition that multiplies thread counts and
-//! oversubscribes the node. Running it with [`usf_core::ExecMode::Os`] gives the baseline;
-//! [`usf_core::ExecMode::Usf`] gives SCHED_COOP.
+//! `in B[k][j]`), and each task calls a parallel BLAS gemm that opens an *inner* parallel
+//! region of `inner_threads` workers — exactly the composition that multiplies thread counts
+//! and oversubscribes the node. The region's threads come from the instance's one
+//! [`BlasHandle`], which keeps a team per concurrent task alive across tasks and units, as an
+//! OpenMP runtime does for each master thread. Running it with [`usf_core::ExecMode::Os`]
+//! gives the baseline; [`usf_core::ExecMode::Usf`] gives SCHED_COOP.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,7 +116,7 @@ pub struct MatmulInstance {
     b: Matrix,
     a_tiles: Arc<TiledMatrix>,
     b_tiles: Arc<TiledMatrix>,
-    blas_cfg: BlasConfig,
+    blas: Arc<BlasHandle>,
     nb: usize,
     ts: usize,
     last_c: Option<Arc<Vec<Mutex<Vec<f64>>>>>,
@@ -122,8 +124,8 @@ pub struct MatmulInstance {
 }
 
 impl MatmulInstance {
-    /// Set up the workload: generate the inputs and tile them (the part that must not be
-    /// re-done per unit).
+    /// Set up the workload: generate the inputs, tile them and start the inner BLAS (the
+    /// part that must not be re-done per unit).
     pub fn new(cfg: &MatmulConfig) -> Self {
         assert!(
             cfg.matrix_size % cfg.task_size == 0,
@@ -135,20 +137,20 @@ impl MatmulInstance {
         let b = Matrix::pseudo_random(n, n, 2);
         let a_tiles = Arc::new(TiledMatrix::from_matrix(&a, ts));
         let b_tiles = Arc::new(TiledMatrix::from_matrix(&b, ts));
-        let blas_cfg = BlasConfig {
+        let blas = Arc::new(BlasHandle::new(BlasConfig {
             threads: cfg.inner_threads,
             threading: cfg.inner_threading,
             barrier: cfg.barrier,
             wait_policy: usf_runtimes::WaitPolicy::Passive,
             exec: cfg.exec.clone(),
-        };
+        }));
         MatmulInstance {
             cfg: cfg.clone(),
             a,
             b,
             a_tiles,
             b_tiles,
-            blas_cfg,
+            blas,
             nb: n / ts,
             ts,
             last_c: None,
@@ -157,7 +159,8 @@ impl MatmulInstance {
     }
 
     /// Run one complete `C = A·B` product (one unit): an outer task runtime with the
-    /// Listing 2 dependencies, each task opening its inner BLAS parallel region.
+    /// Listing 2 dependencies, each task opening its inner BLAS parallel region on threads
+    /// borrowed from the instance's handle.
     pub fn run_once(&mut self) {
         let (nb, ts) = (self.nb, self.ts);
         let c_tiles = output_tiles(nb, ts);
@@ -171,7 +174,7 @@ impl MatmulInstance {
                     let a_blk = self.a_tiles.tile(i, k);
                     let b_blk = self.b_tiles.tile(k, j);
                     let c_all = Arc::clone(&c_tiles);
-                    let blas_cfg = self.blas_cfg.clone();
+                    let blas = Arc::clone(&self.blas);
                     let deps = TaskDeps::none()
                         .inout(DataKey::index2(3, i, j))
                         .input(DataKey::index2(1, i, k))
@@ -180,7 +183,6 @@ impl MatmulInstance {
                     rt.submit(deps, move || {
                         // Each task opens its own inner parallel region, the nesting pattern
                         // of Listing 2 (an OpenMP region inside the BLAS call).
-                        let blas = BlasHandle::new(blas_cfg);
                         let mut c_blk = c_all[idx].lock();
                         blas.gemm_acc(ts, ts, ts, &a_blk, &b_blk, &mut c_blk);
                     });
@@ -274,6 +276,33 @@ mod tests {
         assert!(r.max_error.unwrap() < 1e-9, "error {:?}", r.max_error);
         // The run must actually have exercised the cooperative scheduler.
         assert!(usf.metrics().attaches > 0);
+        usf.shutdown();
+    }
+
+    #[test]
+    fn a_unit_spawns_only_its_outer_workers() {
+        let usf = Usf::builder().cores(2).build();
+        // One outer worker: with two, whether the warm-up unit ever ran two gemms at once
+        // (and so left two teams in the pool) is up to timing.
+        let cfg = MatmulConfig {
+            outer_workers: 1,
+            ..MatmulConfig::small(ExecMode::Usf(usf.process("matmul-spawns")))
+        };
+        let mut inst = MatmulInstance::new(&cfg);
+        inst.run_once();
+        let spawns = || {
+            let s = usf.thread_cache_stats();
+            s.created + s.reused
+        };
+        let before = spawns();
+        inst.run_once();
+        assert_eq!(
+            spawns() - before,
+            cfg.outer_workers as u64,
+            "the inner BLAS teams must outlive the tasks that borrow them"
+        );
+        assert!(inst.verify_last().unwrap() < 1e-9);
+        drop(inst);
         usf.shutdown();
     }
 

@@ -67,7 +67,7 @@ fn main() {
         cache.created, cache.reused
     );
     println!(
-        "speedup vs baseline     : {:.2}x (expect ≥1.0x under oversubscription; exact value depends on the host)",
+        "speedup vs baseline     : {:.2}x (the inner teams persist on both sides, so this is the cost of a cooperative hand-off against a kernel time-slice switch; it depends on the host's core count and wake-up latency)",
         coop.mflops / baseline.mflops.max(1e-9)
     );
     usf.shutdown();
