@@ -2,12 +2,9 @@
 //! executors, proving the degradation contract end to end and writing
 //! `BENCH_chaos.json`.
 //!
-//! Usage: `cargo run -p usf-bench --release --features fault-inject --bin sched_chaos
-//! [--smoke] [flags]`
+//! Usage: `cargo run -p usf-bench --release --bin sched_chaos [--smoke] [flags]`
 //!
-//! Four phases, in order (the first three need `--features fault-inject`; without it
-//! they are skipped and only driver-level faults — unit panics, process death — are
-//! exercised):
+//! Four phases, in order:
 //!
 //! 1. **canary** — prove the fault plane and the lost-task oracle are non-vacuous: an
 //!    injected dropped wakeup must actually lose the task (no hidden hardening absorbs
@@ -17,15 +14,15 @@
 //!    require the grant-to-run watchdog to flag 100% of them, attributing the right
 //!    task.
 //! 3. **faulted fuzz** — the `usf_nosv::fuzz` op alphabet under absorbable fault plans
-//!    (duplicated wakeups, bounded drain delays, a widened shutdown race): every
-//!    invariant must hold, and with `--features sched-trace` every faulted run must
-//!    replay divergence-free through the simulator.
+//!    (duplicated wakeups, bounded drain delays, a widened shutdown race), each run
+//!    recorded: every invariant must hold, and every faulted run must replay
+//!    divergence-free through the simulator.
 //! 4. **sweep** — `--schedules` seeded fault schedules (default 256 in `--smoke`) cycled
 //!    over the whole scenario library on the real USF executor (every 8th schedule also
-//!    on the OS baseline): injected unit panics, mid-run process death, and — on
-//!    fault-inject builds — scheduler-level sites including unbounded intake-drain
-//!    delays and 120ms worker stalls. Per-process unit accounting is exact, so one lost
-//!    task anywhere fails the sweep.
+//!    on the OS baseline): injected unit panics, mid-run process death, and
+//!    scheduler-level sites including unbounded intake-drain delays and 120ms worker
+//!    stalls. Per-process unit accounting is exact, so one lost task anywhere fails the
+//!    sweep.
 //!
 //! The whole run is bounded by a global deadline (`--deadline`, default 300s): if any
 //! faulted run hangs, the harness exits 2 instead of wedging CI.
@@ -66,8 +63,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--trace-jsonl",
         value_name: Some("PATH"),
-        help: "record a traced+faulted mini-scenario as sched-trace JSONL \
-               (needs --features sched-trace,fault-inject)",
+        help: "record a traced+faulted mini-scenario as sched_trace JSONL",
     },
     FlagSpec {
         name: "--samples-jsonl",
@@ -98,7 +94,6 @@ fn arm_global_deadline(secs: u64) {
 /// Phase 1: prove non-vacuity. With the level-triggered retry *not* exercised, an
 /// injected dropped wakeup must be observably lost — if the stack silently absorbs it,
 /// every green sweep below proves nothing. Then exercise the retry and require recovery.
-#[cfg(feature = "fault-inject")]
 fn run_canary() {
     use usf_nosv::scheduler::Scheduler;
     use usf_nosv::{FaultPlan, FaultSpec, NosvConfig, TaskState};
@@ -135,7 +130,6 @@ fn run_canary() {
 /// Phase 2: 100% stall detection. Each injection gets a fresh single-core scheduler; the
 /// armed worker stalls 80ms inside `pause` while holding its grant, and the watchdog
 /// must flag exactly that task before the stall window closes.
-#[cfg(feature = "fault-inject")]
 fn run_stall_detection() -> u64 {
     use std::sync::Arc;
     use usf_nosv::scheduler::Scheduler;
@@ -187,11 +181,10 @@ fn run_stall_detection() -> u64 {
     INJECTIONS
 }
 
-/// Phase 3: the fuzz op alphabet under absorbable fault plans. Returns
-/// `(runs, total fault fires, divergence-free replays)`.
-#[cfg(feature = "fault-inject")]
-fn run_faulted_fuzz(seeds: u64) -> (u64, u64, u64) {
-    use usf_nosv::fuzz::{absorbable_fault_plan, generate, FuzzConfig};
+/// Phase 3: the fuzz op alphabet under absorbable fault plans, every run recorded and
+/// replayed. Returns `(runs, total fault fires)`; every run is a divergence-free replay.
+fn run_faulted_fuzz(seeds: u64) -> (u64, u64) {
+    use usf_nosv::fuzz::{absorbable_fault_plan, execute_recorded, generate, FuzzConfig};
     let matrix = [
         ("base", FuzzConfig::base()),
         ("valve", FuzzConfig::valve()),
@@ -199,41 +192,25 @@ fn run_faulted_fuzz(seeds: u64) -> (u64, u64, u64) {
     ];
     let mut runs = 0u64;
     let mut fires = 0u64;
-    #[cfg_attr(not(feature = "sched-trace"), allow(unused_mut))]
-    let mut replays = 0u64;
     for (name, cfg) in matrix {
         for seed in 0..seeds {
             let ops = generate(&cfg, seed);
             let plan = absorbable_fault_plan(seed);
-            #[cfg(feature = "sched-trace")]
-            {
-                let (result, state, meta, entries) =
-                    usf_nosv::fuzz::execute_faulted_traced(&cfg, &ops, &plan);
-                if let Err(f) = result {
-                    eprintln!("sched_chaos: faulted fuzz {name} seed {seed}: {f}");
-                    std::process::exit(1);
-                }
-                let report = usf_simsched::replay::replay(&meta, &entries);
-                if !report.is_clean() {
-                    eprintln!(
-                        "sched_chaos: faulted fuzz {name} seed {seed}: real-vs-sim replay \
-                         drift: {:?} ({} mismatched grants)",
-                        report.divergence, report.mismatched_grants
-                    );
-                    std::process::exit(1);
-                }
-                fires += state.total_fires();
-                replays += 1;
+            let (result, meta, entries) = execute_recorded(&cfg, &ops, Some(&plan));
+            let stats = result.unwrap_or_else(|f| {
+                eprintln!("sched_chaos: faulted fuzz {name} seed {seed}: {f}");
+                std::process::exit(1);
+            });
+            let report = usf_simsched::replay::replay(&meta, &entries);
+            if !report.is_clean() {
+                eprintln!(
+                    "sched_chaos: faulted fuzz {name} seed {seed}: real-vs-sim replay \
+                     drift: {:?} ({} mismatched grants)",
+                    report.divergence, report.mismatched_grants
+                );
+                std::process::exit(1);
             }
-            #[cfg(not(feature = "sched-trace"))]
-            {
-                let (result, state) = usf_nosv::fuzz::execute_faulted(&cfg, &ops, &plan);
-                if let Err(f) = result {
-                    eprintln!("sched_chaos: faulted fuzz {name} seed {seed}: {f}");
-                    std::process::exit(1);
-                }
-                fires += state.total_fires();
-            }
+            fires += stats.faults_injected;
             runs += 1;
         }
     }
@@ -242,18 +219,13 @@ fn run_faulted_fuzz(seeds: u64) -> (u64, u64, u64) {
         std::process::exit(1);
     }
     println!(
-        "faulted fuzz: {runs} runs green, {fires} fault fires{}",
-        if replays > 0 {
-            format!(", {replays} divergence-free replays")
-        } else {
-            String::new()
-        }
+        "faulted fuzz: {runs} runs green, {fires} fault fires, {runs} divergence-free replays"
     );
-    (runs, fires, replays)
+    (runs, fires)
 }
 
 /// Optional phase (`--trace-jsonl`): record a dedicated traced + faulted mini-scenario
-/// and dump it as sched-trace JSONL plus a stats-sampler series, for conversion to a
+/// and dump it as `sched_trace` JSONL plus a stats-sampler series, for conversion to a
 /// Perfetto timeline by `usf_trace` (CI validates and uploads the result).
 ///
 /// The scenario is sized for a readable timeline, not throughput: 3 workers on 2 cores
@@ -262,7 +234,6 @@ fn run_faulted_fuzz(seeds: u64) -> (u64, u64, u64) {
 /// the exported track provably carries fault instants. A waker thread keeps pauses
 /// level-triggered-recoverable and a watchdog thread flags the injected stalls, exactly
 /// as a production embedder would run the scheduler.
-#[cfg(all(feature = "fault-inject", feature = "sched-trace"))]
 fn run_trace_export(trace_path: &str, samples_path: &str) {
     use std::sync::Arc;
     use usf_nosv::scheduler::Scheduler;
@@ -386,10 +357,10 @@ fn run_trace_export(trace_path: &str, samples_path: &str) {
 
 /// The seeded fault schedule of sweep iteration `seed` over `spec`: unit panics on
 /// every process, a mid-run kill on 3 schedules in 4 (always effective: the victim dies
-/// strictly within its unit count), and scheduler-level sites for fault-inject builds —
-/// absorbable wakeup duplication, *unbounded* intake-drain delays (the executor's
-/// watchdog rescue keeps the run live), and on every third schedule a 120ms worker
-/// stall the watchdog must flag. `DropWakeup` is deliberately never armed here: it is
+/// strictly within its unit count), and scheduler-level sites — absorbable wakeup
+/// duplication, *unbounded* intake-drain delays (the executor's watchdog rescue keeps
+/// the run live), and on every third schedule a 120ms worker stall the watchdog must
+/// flag. `DropWakeup` is deliberately never armed here: it is
 /// the canary fault, lost by design.
 fn chaos_schedule(seed: u64, spec: &ScenarioSpec) -> FaultPlanSpec {
     let nprocs = spec.procs.len();
@@ -556,16 +527,10 @@ fn main() {
     });
     let json_path = args.get("--json").unwrap_or("BENCH_chaos.json").to_string();
 
-    let injecting = cfg!(feature = "fault-inject");
     println!(
         "sched_chaos: {} mode, {schedules} fault schedules from seed {seed0}, \
-         scheduler-level injection {}, deadline {deadline}s",
+         deadline {deadline}s",
         if smoke { "smoke" } else { "full" },
-        if injecting {
-            "on (fault-inject)"
-        } else {
-            "off (driver faults only)"
-        },
     );
     // Injected unit-body panics are caught and accounted by the drivers; keep their
     // expected backtrace spam out of the logs while leaving real panics visible.
@@ -582,29 +547,15 @@ fn main() {
     arm_global_deadline(deadline);
     let start = Instant::now();
 
-    #[cfg(feature = "fault-inject")]
     run_canary();
-    #[cfg(feature = "fault-inject")]
     let stall_injections = run_stall_detection();
-    #[cfg(not(feature = "fault-inject"))]
-    let stall_injections = 0u64;
-    #[cfg(feature = "fault-inject")]
-    let (fuzz_runs, fuzz_fires, fuzz_replays) = run_faulted_fuzz(if smoke { 64 } else { 128 });
-    #[cfg(not(feature = "fault-inject"))]
-    let (fuzz_runs, fuzz_fires, fuzz_replays) = (0u64, 0u64, 0u64);
+    let (fuzz_runs, fuzz_fires) = run_faulted_fuzz(if smoke { 64 } else { 128 });
 
     if let Some(trace_path) = args.get("--trace-jsonl") {
-        #[cfg(all(feature = "fault-inject", feature = "sched-trace"))]
         run_trace_export(
             trace_path,
             args.get("--samples-jsonl").unwrap_or("SAMPLES_chaos.jsonl"),
         );
-        #[cfg(not(all(feature = "fault-inject", feature = "sched-trace")))]
-        {
-            let _ = trace_path;
-            eprintln!("sched_chaos: --trace-jsonl needs --features sched-trace,fault-inject");
-            std::process::exit(2);
-        }
     }
 
     // Phase 4: the library sweep. Every schedule runs on the real USF stack; every 8th
@@ -645,7 +596,7 @@ fn main() {
             );
         }
     }
-    if injecting && totals.sched_fires == 0 {
+    if totals.sched_fires == 0 {
         eprintln!("sched_chaos: no scheduler-level fault fired across the sweep — plane dead?");
         std::process::exit(1);
     }
@@ -674,7 +625,6 @@ fn main() {
     JsonObject::new()
         .field("benchmark", "sched_chaos")
         .field("mode", if smoke { "smoke" } else { "full" })
-        .field("fault_inject", injecting)
         .field("schedules", schedules)
         .field("usf_runs", usf_runs)
         .field("os_runs", os_runs)
@@ -688,7 +638,7 @@ fn main() {
         .field("stall_injections_flagged", stall_injections)
         .field("fuzz_runs", fuzz_runs)
         .field("fuzz_fault_fires", fuzz_fires)
-        .field("fuzz_replays_clean", fuzz_replays)
+        .field("fuzz_replays_clean", fuzz_runs)
         .field("hangs", 0u64)
         .num("elapsed_s", elapsed, 2)
         .write_file(&json_path);

@@ -1,6 +1,7 @@
 //! Schedule-fuzzer smoke harness: seeded random op sequences against the real scheduler
 //! (`usf_nosv::fuzz`), checking every invariant (no lost task, no double grant, domains
-//! respected, gauges reconciled) and writing `BENCH_fuzz.json`.
+//! respected, gauges reconciled, counters match their trace twins) and writing
+//! `BENCH_fuzz.json`.
 //!
 //! Usage: `cargo run -p usf-bench --release --bin sched_fuzz [--smoke] [flags]`
 //!
@@ -11,11 +12,11 @@
 //!    `LostTask`, then shrink the counterexample and require it to reach one op. A silent
 //!    canary fails the run immediately.
 //! 2. **sweep** — `--seeds` seeded sequences per config over the whole config matrix
-//!    (see below); every run must hold all invariants. `--smoke` (CI mode) runs
-//!    256 seeds × 5 configs = 1280 interleavings.
-//! 3. **replay** (only when built with `--features sched-trace`) — each sweep run is
-//!    recorded and re-executed through the simulator's SCHED_COOP instantiation
-//!    (`usf_simsched::replay`); any real-vs-sim drift fails the run.
+//!    (see below), each recorded; every run must hold all invariants. `--smoke` (CI mode)
+//!    runs 256 seeds × 5 configs = 1280 interleavings.
+//! 3. **replay** — each recorded sweep run is re-executed through the simulator's
+//!    SCHED_COOP instantiation (`usf_simsched::replay`); any real-vs-sim drift fails the
+//!    run.
 //!
 //! # The config matrix
 //!
@@ -40,7 +41,9 @@
 use std::time::Instant;
 use usf_bench::cli::{self, FlagSpec};
 use usf_bench::json::JsonObject;
-use usf_nosv::fuzz::{execute, generate, shrink, FuzzConfig, FuzzOp, Mutation, Violation};
+use usf_nosv::fuzz::{
+    execute, execute_recorded, generate, shrink, FuzzConfig, FuzzOp, Mutation, Violation,
+};
 
 const FLAGS: &[FlagSpec] = &[
     FlagSpec {
@@ -141,31 +144,21 @@ fn run_canary() {
     std::process::exit(1);
 }
 
-/// One sweep run. Without the `sched-trace` feature this is invariant checking only; with
-/// it, the run is also recorded and replayed through the simulator. Returns the number of
-/// aged pops the replay served (0 when not tracing).
+/// One sweep run: recorded, checked, and replayed through the simulator. Returns the
+/// number of aged pops the replay served.
 fn run_one(name: &str, cfg: &FuzzConfig, seed: u64, ops: &[FuzzOp]) -> Result<u64, String> {
-    #[cfg(feature = "sched-trace")]
-    {
-        let (result, meta, entries) = usf_nosv::fuzz::execute_traced(cfg, ops);
-        if let Err(f) = result {
-            return Err(format!("config {name} seed {seed}: {f}"));
-        }
-        let report = usf_simsched::replay::replay(&meta, &entries);
-        if !report.is_clean() {
-            return Err(format!(
-                "config {name} seed {seed}: real-vs-sim replay drift: {:?} ({} mismatched grants)",
-                report.divergence, report.mismatched_grants
-            ));
-        }
-        Ok(report.aged_steps.len() as u64)
+    let (result, meta, entries) = execute_recorded(cfg, ops, None);
+    if let Err(f) = result {
+        return Err(format!("config {name} seed {seed}: {f}"));
     }
-    #[cfg(not(feature = "sched-trace"))]
-    {
-        execute(cfg, ops, None)
-            .map(|_| 0)
-            .map_err(|f| format!("config {name} seed {seed}: {f}"))
+    let report = usf_simsched::replay::replay(&meta, &entries);
+    if !report.is_clean() {
+        return Err(format!(
+            "config {name} seed {seed}: real-vs-sim replay drift: {:?} ({} mismatched grants)",
+            report.divergence, report.mismatched_grants
+        ));
     }
+    Ok(report.aged_steps.len() as u64)
 }
 
 /// Shrink a failing sequence and persist it for the CI artifact upload.
@@ -200,8 +193,8 @@ fn write_counterexample(path: &str, cfg_name: &str, cfg: &FuzzConfig, seed: u64,
 fn main() {
     let args = cli::parse_or_exit(
         "sched_fuzz",
-        "Seeded schedule fuzzer: invariant sweep over the real scheduler (and, with \
-         --features sched-trace, real-vs-sim replay), with an injected-bug canary.",
+        "Seeded schedule fuzzer: recorded invariant sweep over the real scheduler with \
+         real-vs-sim replay of every run, after an injected-bug canary.",
         FLAGS,
     );
     let smoke = args.has("--smoke");
@@ -223,11 +216,9 @@ fn main() {
         .unwrap_or("target/SCHED_FUZZ_counterexample.txt")
         .to_string();
 
-    let traced = cfg!(feature = "sched-trace");
     println!(
-        "sched_fuzz: {} mode, {seeds} seeds/config from seed {seed0}, replay {}",
+        "sched_fuzz: {} mode, {seeds} seeds/config from seed {seed0}",
         if smoke { "smoke" } else { "full" },
-        if traced { "on (sched-trace)" } else { "off" },
     );
 
     run_canary();
@@ -251,7 +242,7 @@ fn main() {
         println!("config {name}: {seeds} seeds green");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    if traced && aged_replayed == 0 {
+    if aged_replayed == 0 {
         // The valve config (1 core, 1 ns quantum) starves by construction; its replays
         // must serve aged entries or the aging valve has stopped firing.
         eprintln!("sched_fuzz: no aged pop replayed across the sweep — aging valve dead?");
@@ -270,7 +261,6 @@ fn main() {
         .field("interleavings", interleavings)
         .field("violations", 0u64)
         .field("canary_caught", true)
-        .field("replay", traced)
         .field("replayed_aged_pops", aged_replayed)
         .num("elapsed_s", elapsed, 2)
         .write_file(&json_path);

@@ -1,4 +1,4 @@
-//! `usf-trace`: convert a recorded schedule (sched-trace JSONL) into Chrome
+//! `usf-trace`: convert a recorded schedule (`sched_trace` JSONL) into Chrome
 //! trace-event / Perfetto JSON.
 //!
 //! The input is the JSONL dump produced by `sched_chaos --trace-jsonl` (or any consumer
@@ -40,7 +40,8 @@ const FLAGS: &[FlagSpec] = &[
 fn main() {
     let args = cli::parse_or_exit(
         "usf_trace",
-        "Converts a recorded schedule (sched-trace JSONL) to Perfetto JSON.",
+        "Converts a recorded schedule (sched_trace JSONL, e.g. from `sched_chaos \
+         --trace-jsonl`) to Perfetto JSON.",
         FLAGS,
     );
     let input = args.get("--input").unwrap_or_else(|| {

@@ -1,6 +1,6 @@
 //! Conversion of recorded schedules to Chrome trace-event ("Perfetto") JSON.
 //!
-//! A schedule recorded by the `sched-trace` plane (serialized as JSONL by
+//! A schedule recorded by an installed trace recorder (serialized as JSONL by
 //! [`usf_nosv::sched_trace::to_jsonl`]) is an event log; Perfetto wants *tracks*. This
 //! module rebuilds the timeline the log describes — per-core task-occupancy spans, point
 //! events for faults/migrations/valve fires, and counter series — and renders it in the

@@ -208,7 +208,6 @@ impl Usf {
     /// Install a seeded [`usf_nosv::FaultPlan`] into the shared scheduler, returning the
     /// [`usf_nosv::FaultState`] the chaos harness asserts against. Install-once per
     /// scheduler instance.
-    #[cfg(feature = "fault-inject")]
     pub fn install_faults(&self, plan: &usf_nosv::FaultPlan) -> Arc<usf_nosv::FaultState> {
         self.inner.nosv.install_faults(plan)
     }

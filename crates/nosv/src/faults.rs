@@ -3,12 +3,10 @@
 //!
 //! # Layering
 //!
-//! The types here compile unconditionally — the scenario executor and the chaos bench
-//! consume them without any feature flag, exactly like [`crate::sched_trace`]'s event
-//! types. Only the **hooks** inside the scheduler's hot paths are compiled behind the
-//! `fault-inject` cargo feature: with the feature off the consult macros expand to a
-//! constant `false`/`None` (type-checked but dead), the [`Scheduler`] has no fault-state
-//! field, and the hot path carries no extra branch or atomic.
+//! Injection is a run-time decision, like [`crate::sched_trace`]'s recording: the
+//! [`Scheduler`] carries an optional installed [`FaultState`], and every fault site in
+//! its hot paths is one load and one branch until `Scheduler::install_faults` installs a
+//! plan. The scenario executor and the chaos bench install plans through the same call.
 //!
 //! # Determinism
 //!
@@ -139,8 +137,8 @@ impl FaultSpec {
 }
 
 /// A seeded set of armed fault sites. Pure data: build one, hand it to
-/// `Scheduler::install_faults` (feature `fault-inject`) or drive it
-/// directly through a [`FaultState`] from a harness.
+/// `Scheduler::install_faults` or drive it directly through a [`FaultState`] from a
+/// harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the deterministic fire decisions.

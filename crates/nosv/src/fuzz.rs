@@ -23,6 +23,9 @@
 //! * **No orphaned waiter** — at quiescence no task of a dead (deregistered or killed)
 //!   process may be left parked: ungranted, unreleased, with nothing that will ever wake
 //!   it ([`Violation::OrphanedWaiter`]).
+//! * **Counters match the trace** — in a recorded run ([`execute_recorded`]), every
+//!   counter or stage histogram with a trace-event twin equals the tally of its events
+//!   at quiescence ([`Violation::CounterTraceMismatch`]).
 //!
 //! Sequences come from a seeded [`StdRng`], so every failure is reproducible from
 //! `(config, seed)` alone, and [`shrink`] reduces a failing sequence to a (locally)
@@ -38,7 +41,10 @@
 //! [`Scheduler`]: crate::scheduler::Scheduler
 
 use crate::config::NosvConfig;
+use crate::faults::{FaultPlan, FaultSite, FaultSpec};
+use crate::obs::StatsSnapshot;
 use crate::process::ProcessId;
+use crate::sched_trace::{TraceEntry, TraceEvent, TraceMeta, TraceRecorder};
 use crate::scheduler::Scheduler;
 use crate::task::{TaskId, TaskRef, TaskState};
 use crate::topology::{CoreId, Topology};
@@ -312,6 +318,16 @@ pub enum Violation {
         /// The orphaned task.
         task: TaskId,
     },
+    /// In a recorded run, a counter or stage histogram disagrees with the tally of its
+    /// trace-event twin (see [`execute_recorded`]).
+    CounterTraceMismatch {
+        /// Which twin pair disagreed, as `counter/TraceEvent`.
+        what: &'static str,
+        /// The counter or histogram count.
+        counted: u64,
+        /// The tally of the trace events.
+        traced: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -353,6 +369,14 @@ impl fmt::Display for Violation {
                     "orphaned waiter: slot {slot} ({task:?}) of a dead process is still parked"
                 )
             }
+            Violation::CounterTraceMismatch {
+                what,
+                counted,
+                traced,
+            } => write!(
+                f,
+                "trace twin mismatch ({what}): {counted} counted, {traced} traced"
+            ),
         }
     }
 }
@@ -385,6 +409,8 @@ pub struct FuzzStats {
     pub grants: u64,
     /// Total submits reaching the scheduler.
     pub submits: u64,
+    /// Fault-site firings of an installed fault plan (0 without one).
+    pub faults_injected: u64,
 }
 
 /// The single-threaded fuzzing harness: one real scheduler plus the reference model the
@@ -673,6 +699,7 @@ fn run(
     ops: &[FuzzOp],
     mutation: Option<Mutation>,
     sched: Scheduler,
+    rec: Option<&TraceRecorder>,
 ) -> Result<FuzzStats, FuzzFailure> {
     let mut h = Harness::new(cfg, sched);
     let mut stats = FuzzStats::default();
@@ -686,13 +713,17 @@ fn run(
             });
         }
     }
-    if let Err(violation) = h.quiesce() {
-        return Err(FuzzFailure {
-            violation,
-            op_index: None,
-        });
+    let at_quiescence = |violation| FuzzFailure {
+        violation,
+        op_index: None,
+    };
+    h.quiesce().map_err(at_quiescence)?;
+    let snap = h.sched.stats_snapshot();
+    if let Some(rec) = rec {
+        check_trace_twins(&snap, &rec.snapshot()).map_err(at_quiescence)?;
     }
-    stats.grants = h.sched.stats().counters().grants;
+    stats.grants = snap.counters.grants;
+    stats.faults_injected = snap.counters.faults_injected;
     Ok(stats)
 }
 
@@ -703,75 +734,74 @@ pub fn execute(
     ops: &[FuzzOp],
     mutation: Option<Mutation>,
 ) -> Result<FuzzStats, FuzzFailure> {
-    run(cfg, ops, mutation, build_scheduler(cfg))
+    run(cfg, ops, mutation, build_scheduler(cfg), None)
 }
 
-/// Like [`execute`], but with a trace recorder installed: returns the run result together
-/// with the recorded schedule, ready for the simulator's replay harness.
-#[cfg(feature = "sched-trace")]
-pub fn execute_traced(
+/// Like [`execute`], but with a trace recorder installed and, when `plan` is given, that
+/// fault plan too: scheduler-level fault sites fire during the run and every invariant
+/// must hold anyway. At quiescence the run must also pass the trace-twin oracle
+/// ([`Violation::CounterTraceMismatch`]). Returns the run result together with the
+/// recorded schedule, ready for the simulator's replay harness. An injected fault's
+/// *effects* are ordinary trace events, so a faulty run must replay divergence-free
+/// exactly like a clean one.
+pub fn execute_recorded(
     cfg: &FuzzConfig,
     ops: &[FuzzOp],
-) -> (
-    Result<FuzzStats, FuzzFailure>,
-    crate::sched_trace::TraceMeta,
-    Vec<crate::sched_trace::TraceEntry>,
-) {
+    plan: Option<&FaultPlan>,
+) -> (Result<FuzzStats, FuzzFailure>, TraceMeta, Vec<TraceEntry>) {
     let mut sched = build_scheduler(cfg);
     let rec = sched.install_tracer();
-    let result = run(cfg, ops, None, sched);
-    (result, rec.meta().clone(), rec.snapshot())
+    if let Some(plan) = plan {
+        sched.install_faults(plan);
+    }
+    let result = run(cfg, ops, None, sched, Some(&rec));
+    (result, rec.meta().clone(), rec.take())
 }
 
-/// Like [`execute`], but with `plan` installed into the fuzzed scheduler (feature
-/// `fault-inject`): scheduler-level fault sites fire during the run and the harness
-/// requires every invariant to hold anyway. Returns the run result together with the
-/// shared fault state, so callers can assert on what actually fired.
-#[cfg(feature = "fault-inject")]
-pub fn execute_faulted(
-    cfg: &FuzzConfig,
-    ops: &[FuzzOp],
-    plan: &crate::faults::FaultPlan,
-) -> (
-    Result<FuzzStats, FuzzFailure>,
-    std::sync::Arc<crate::faults::FaultState>,
-) {
-    let sched = build_scheduler(cfg);
-    let state = sched.install_faults(plan);
-    (run(cfg, ops, None, sched), state)
-}
-
-/// [`execute_faulted`] with a trace recorder installed as well (features `fault-inject`
-/// and `sched-trace`): the faulty run's schedule comes back ready for the simulator's
-/// replay harness. An injected fault's *effects* are ordinary trace events, so a faulty
-/// run must replay divergence-free exactly like a clean one.
-#[cfg(all(feature = "fault-inject", feature = "sched-trace"))]
-pub fn execute_faulted_traced(
-    cfg: &FuzzConfig,
-    ops: &[FuzzOp],
-    plan: &crate::faults::FaultPlan,
-) -> (
-    Result<FuzzStats, FuzzFailure>,
-    std::sync::Arc<crate::faults::FaultState>,
-    crate::sched_trace::TraceMeta,
-    Vec<crate::sched_trace::TraceEntry>,
-) {
-    let mut sched = build_scheduler(cfg);
-    let rec = sched.install_tracer();
-    let state = sched.install_faults(plan);
-    let result = run(cfg, ops, None, sched);
-    (result, state, rec.meta().clone(), rec.snapshot())
+/// The free oracle of a recorded run: every counter or stage histogram with a trace
+/// twin equals the tally of its events — `grants` and the `wake` stage count one per
+/// `Grant`, the `intake_wait` stage counts one per entry an `IntakeDrain` absorbed, and
+/// `faults_injected` counts one per `FaultInjected`.
+fn check_trace_twins(snap: &StatsSnapshot, entries: &[TraceEntry]) -> Result<(), Violation> {
+    let (mut grants, mut drained, mut faults) = (0u64, 0u64, 0u64);
+    for e in entries {
+        match e.event {
+            TraceEvent::Grant { .. } => grants += 1,
+            TraceEvent::IntakeDrain { n } => drained += n as u64,
+            TraceEvent::FaultInjected { .. } => faults += 1,
+            _ => {}
+        }
+    }
+    let (counters, stages) = (&snap.counters, &snap.stages);
+    let twins = [
+        ("grants/Grant", counters.grants, grants),
+        ("wake/Grant", stages.wake.count, grants),
+        ("intake_wait/IntakeDrain", stages.intake_wait.count, drained),
+        (
+            "faults_injected/FaultInjected",
+            counters.faults_injected,
+            faults,
+        ),
+    ];
+    for (what, counted, traced) in twins {
+        if counted != traced {
+            return Err(Violation::CounterTraceMismatch {
+                what,
+                counted,
+                traced,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The fault plan the faulted fuzz sweeps arm: only sites the scheduler must *absorb*
 /// without violating any invariant — duplicated wakeups (redundant deliveries), a bounded
 /// number of delayed intake drains (recovered at later scheduling points), and one
-/// widened shutdown race window. [`crate::faults::FaultSite::DropWakeup`] is deliberately
-/// absent: a dropped wakeup genuinely loses the task unless the submitter retries, which
-/// is the chaos harness's canary, not an invariant the scheduler can hold on its own.
-#[cfg(feature = "fault-inject")]
-pub fn absorbable_fault_plan(seed: u64) -> crate::faults::FaultPlan {
-    use crate::faults::{FaultPlan, FaultSite, FaultSpec};
+/// widened shutdown race window. [`FaultSite::DropWakeup`] is deliberately absent: a
+/// dropped wakeup genuinely loses the task unless the submitter retries, which is the
+/// chaos harness's canary, not an invariant the scheduler can hold on its own.
+pub fn absorbable_fault_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
         .arm(FaultSpec::new(FaultSite::DuplicateWakeup).one_in(3))
         .arm(
@@ -841,11 +871,39 @@ mod tests {
         ] {
             for seed in 0..8 {
                 let ops = generate(&cfg, seed);
-                let stats = execute(&cfg, &ops, None)
-                    .unwrap_or_else(|f| panic!("seed {seed} failed: {f} (cfg {cfg:?})"));
+                let (result, _, entries) = execute_recorded(&cfg, &ops, None);
+                let stats =
+                    result.unwrap_or_else(|f| panic!("seed {seed} failed: {f} (cfg {cfg:?})"));
                 assert_eq!(stats.ops, ops.len());
+                assert!(!entries.is_empty(), "a recorded run records");
             }
         }
+    }
+
+    #[test]
+    fn trace_twin_oracle_catches_a_missing_event() {
+        let cfg = FuzzConfig::base();
+        let mut sched = build_scheduler(&cfg);
+        let rec = sched.install_tracer();
+        let p = sched.register_process("p");
+        let t = sched.create_task(p, None).unwrap();
+        sched.submit(&t);
+        let snap = sched.stats_snapshot();
+        let mut entries = rec.snapshot();
+        check_trace_twins(&snap, &entries).expect("an honest recording matches its counters");
+        entries.retain(|e| !matches!(e.event, TraceEvent::Grant { .. }));
+        let mismatch = check_trace_twins(&snap, &entries).expect_err("a lost Grant is caught");
+        assert!(
+            matches!(
+                mismatch,
+                Violation::CounterTraceMismatch {
+                    counted: 1,
+                    traced: 0,
+                    ..
+                }
+            ),
+            "{mismatch}"
+        );
     }
 
     /// Keep only the ops that cannot heal a dropped submit (a later detach, deregister or
@@ -1006,7 +1064,6 @@ mod tests {
         execute(&cfg, &ops, None).unwrap_or_else(|f| panic!("kill regression: {f}"));
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn faulted_seeded_runs_hold_invariants() {
         // Every invariant must hold with the absorbable fault sites armed — and the plan
@@ -1020,9 +1077,11 @@ mod tests {
         ] {
             for seed in 0..6 {
                 let ops = generate(&cfg, seed);
-                let (result, state) = execute_faulted(&cfg, &ops, &absorbable_fault_plan(seed));
-                result.unwrap_or_else(|f| panic!("faulted seed {seed} failed: {f} (cfg {cfg:?})"));
-                fired += state.total_fires();
+                let plan = absorbable_fault_plan(seed);
+                let (result, _, _) = execute_recorded(&cfg, &ops, Some(&plan));
+                let stats = result
+                    .unwrap_or_else(|f| panic!("faulted seed {seed} failed: {f} (cfg {cfg:?})"));
+                fired += stats.faults_injected;
             }
         }
         assert!(

@@ -90,7 +90,6 @@ impl NosvInstance {
     /// Instantiate and install a [`crate::faults::FaultPlan`] into the shared scheduler,
     /// returning the [`crate::faults::FaultState`] harnesses assert against. Install-once
     /// per scheduler (see [`Scheduler::install_faults`]).
-    #[cfg(feature = "fault-inject")]
     pub fn install_faults(
         &self,
         plan: &crate::faults::FaultPlan,

@@ -25,10 +25,10 @@
 //!
 //! # Always-on doctrine
 //!
-//! Unlike the `sched-trace` and `fault-inject` features (exact event logs, expensive,
-//! compiled out by default), the histograms here are cheap enough to keep on in every
-//! build: a recording is one `Instant` read plus a handful of relaxed `fetch_add`s on a
-//! cache-line-padded shard. Production observability that has to be switched on after
+//! Unlike the schedule-trace recorder and the fault plan (exact event logs, expensive, off
+//! until a harness installs them), the histograms here are cheap enough to keep on in
+//! every run: a recording is one `Instant` read plus a handful of relaxed `fetch_add`s on
+//! a cache-line-padded shard. Production observability that has to be switched on after
 //! the incident is not observability.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -129,7 +129,7 @@ counters! {
     /// Tasks reclaimed (released / evicted) by `kill_process`.
     tasks_reclaimed,
     /// Fault-site firings injected by an installed [`crate::faults::FaultState`]
-    /// (always 0 without the `fault-inject` feature).
+    /// (always 0 until a fault plan is installed).
     faults_injected,
 }
 

@@ -55,7 +55,7 @@ pub trait Policy: Send {
 
     /// [`Policy::pick`], additionally reporting which tier of a tiered pop served the task
     /// when the policy knows (`None` for tier-less policies like the FIFO ablation). The
-    /// scheduler always dispatches through this method so the `sched-trace` recorder can
+    /// scheduler always dispatches through this method so an installed trace recorder can
     /// log the tier; the default simply delegates to `pick`.
     fn pick_traced(
         &mut self,

@@ -175,7 +175,7 @@ impl TopologyView for CoreMap {
     }
 }
 
-/// Which tier of the tiered pop served an item — the classification the `sched-trace`
+/// Which tier of the tiered pop served an item — the classification the schedule-trace
 /// recorder logs with every `Pop` event so a replay can assert not just *which* item was
 /// served but *why*.
 ///
@@ -730,7 +730,7 @@ impl<P: Copy + Eq + Hash, T, C: ReadyTime> CoopCore<P, T, C> {
 
     /// [`CoopCore::pick`], additionally reporting which tier of the tiered pop served the
     /// item. The turn-passing and quantum semantics are identical — this is the same code
-    /// path, and it is what the `sched-trace` recorder and the replay harness call so a
+    /// path, and it is what the schedule-trace recorder and the replay harness call so a
     /// recorded pick can be checked tier-for-tier against its sim re-execution.
     pub fn pick_tiered(&mut self, core: usize, now: C) -> Option<(T, PickTier)> {
         if self.order.is_empty() {

@@ -6,29 +6,31 @@
 //!
 //! # Layering
 //!
-//! The event *types* here compile unconditionally — `usf-simsched`'s replay harness and the
-//! equivalence tests consume them without any feature flag. Only the **hooks** inside the
-//! scheduler's hot paths are compiled behind the `sched-trace` cargo feature: with the
-//! feature off, the emit macro expands to nothing type-checked-but-dead, the `Scheduler`
-//! has no recorder field, and the hot path carries no extra atomics or branches.
+//! Recording is a run-time decision: the `Scheduler` carries an optional recorder, and
+//! every hook in its hot paths is one load and one branch until
+//! `Scheduler::install_tracer` installs one. The event types are plain data shared with
+//! `usf-simsched`'s replay harness and the equivalence tests.
 //!
 //! # Which events are authoritative
 //!
-//! Events recorded **under a scheduler-section lock** — [`TraceEvent::RegisterProcess`],
-//! [`TraceEvent::DeregisterProcess`], [`TraceEvent::SetDomain`],
-//! [`TraceEvent::IntakeDrain`], [`TraceEvent::Enqueue`], [`TraceEvent::Pop`],
-//! [`TraceEvent::Grant`], [`TraceEvent::Yield`], [`TraceEvent::Migrate`] and
-//! [`TraceEvent::Shutdown`] — carry a global atomic sequence stamp taken at the recording
-//! point; the recorder orders entries by it. With one shard (a single-node topology) the
-//! one lock totally orders those stamps, so the recorded order *is* the order the
-//! scheduler acted in — the authoritative replay script. On a multi-node topology events
-//! of *different shards* are stamped under different locks: any single-threaded driver —
-//! the fuzzer, the record/replay tests — still gets an exact total order (each event
-//! completes before the next begins), while genuinely concurrent multi-shard traces are best-effort ordered
-//! (cross-shard probe side effects cannot be linearized after the fact) and replay treats
-//! them as diagnostic only. [`TraceEvent::Submit`] is recorded on the intake path, which
-//! takes no scheduler lock, so under concurrent submitters its position is only causally
-//! ordered (it always precedes the `IntakeDrain` that absorbs it).
+//! An entry's step is its index in the recorder's push order, so trace order is the
+//! order of the recorder's lock. The scheduler records each event right after the
+//! decision it describes, with no synchronisation in between, so two events can be
+//! pushed in an order other than the one they happened in only when no happens-before
+//! relation connects them. Events recorded **under a scheduler-section lock** —
+//! [`TraceEvent::RegisterProcess`], [`TraceEvent::DeregisterProcess`],
+//! [`TraceEvent::SetDomain`], [`TraceEvent::IntakeDrain`], [`TraceEvent::Enqueue`],
+//! [`TraceEvent::Pop`], [`TraceEvent::Grant`], [`TraceEvent::Yield`],
+//! [`TraceEvent::Migrate`] and [`TraceEvent::Shutdown`] — are therefore in the order
+//! their lock serialized them. With one shard (a single-node topology) that is a total
+//! order, the authoritative replay script. On a multi-node topology any single-threaded
+//! driver — the fuzzer, the record/replay tests — still gets an exact total order (each
+//! event completes before the next begins), while genuinely concurrent multi-shard
+//! traces are best-effort ordered (cross-shard probe side effects cannot be linearized
+//! after the fact) and replay treats them as diagnostic only. [`TraceEvent::Submit`] is
+//! recorded on the intake path, which takes no scheduler lock, so under concurrent
+//! submitters its position is only causally ordered (it always precedes the
+//! `IntakeDrain` that absorbs it).
 //!
 //! # Logical time
 //!
@@ -187,7 +189,7 @@ pub enum TraceEvent {
         /// The core it was granted instead.
         to: CoreId,
     },
-    /// An armed fault site fired inside the scheduler (feature `fault-inject`). Context
+    /// An armed fault site of an installed fault plan fired inside the scheduler. Context
     /// only: the fault's *effects* (the delayed drain, the redundant submit, the widened
     /// shutdown window) appear as ordinary events in the trace, so replay ignores this
     /// marker and still reproduces the faulty run.
@@ -217,21 +219,14 @@ pub struct TraceEntry {
 /// An append-only recorder of [`TraceEntry`]s, shared between the scheduler (which appends)
 /// and the test/replay harness (which snapshots).
 ///
-/// The recorder's own mutex is *only* contended when the `sched-trace` feature is on and a
-/// recorder is installed; the default build never touches it.
+/// The recorder's mutex is only touched once a recorder is installed; an uninstalled
+/// scheduler never reaches it.
 #[derive(Debug)]
 pub struct TraceRecorder {
     meta: TraceMeta,
     base: Instant,
-    /// `(seq, at_nanos, event)` in arrival order. `seq` is the recording-point order
-    /// stamp: the scheduler passes its global atomic counter through
-    /// [`TraceRecorder::record_at_seq`], which linearizes events recorded under
-    /// different shard locks; entries are stable-sorted by it (and assigned dense
-    /// `step`s) at snapshot/take time.
-    events: Mutex<Vec<(u64, u64, TraceEvent)>>,
-    /// Fallback stamp source for [`TraceRecorder::record_at`] callers that have no
-    /// external counter (tests, ad-hoc recording).
-    next_seq: std::sync::atomic::AtomicU64,
+    /// Entries in push order; each entry's `step` is its index here.
+    events: Mutex<Vec<TraceEntry>>,
 }
 
 impl TraceRecorder {
@@ -242,7 +237,6 @@ impl TraceRecorder {
             meta,
             base: Instant::now(),
             events: Mutex::new(Vec::new()),
-            next_seq: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -251,24 +245,17 @@ impl TraceRecorder {
         &self.meta
     }
 
-    /// Append an event stamped with the exact instant the corresponding policy call used
-    /// and an externally assigned order stamp (the scheduler's global sequence counter).
-    pub fn record_at_seq(&self, at: Instant, seq: u64, event: TraceEvent) {
-        let at_nanos = at.saturating_duration_since(self.base).as_nanos() as u64;
-        // Keep the internal fallback counter ahead of external stamps so mixed callers
-        // never interleave out of order.
-        self.next_seq
-            .fetch_max(seq + 1, std::sync::atomic::Ordering::Relaxed);
-        self.events.lock().push((seq, at_nanos, event));
-    }
-
     /// Append an event stamped with the exact instant the corresponding policy call used.
+    /// Its step is its position in the recorder's push order.
     pub fn record_at(&self, at: Instant, event: TraceEvent) {
-        let seq = self
-            .next_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let at_nanos = at.saturating_duration_since(self.base).as_nanos() as u64;
-        self.events.lock().push((seq, at_nanos, event));
+        let mut events = self.events.lock();
+        let step = events.len() as u64;
+        events.push(TraceEntry {
+            step,
+            at_nanos,
+            event,
+        });
     }
 
     /// Append an event that involves no policy time (stamped with the recording moment).
@@ -286,29 +273,15 @@ impl TraceRecorder {
         self.events.lock().is_empty()
     }
 
-    /// Sort raw entries by their order stamp and assign dense steps.
-    fn finalize(mut raw: Vec<(u64, u64, TraceEvent)>) -> Vec<TraceEntry> {
-        raw.sort_by_key(|&(seq, _, _)| seq);
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (_, at_nanos, event))| TraceEntry {
-                step: i as u64,
-                at_nanos,
-                event,
-            })
-            .collect()
-    }
-
-    /// Clone the recorded entries, ordered by their sequence stamp (the recorder keeps
-    /// recording).
+    /// Clone the recorded entries (the recorder keeps recording).
     pub fn snapshot(&self) -> Vec<TraceEntry> {
-        Self::finalize(self.events.lock().clone())
+        self.events.lock().clone()
     }
 
-    /// Take the recorded entries (ordered by their sequence stamp), leaving the recorder
-    /// empty. Subsequent entries restart at step 0.
+    /// Take the recorded entries, leaving the recorder empty. Subsequent entries restart
+    /// at step 0.
     pub fn take(&self) -> Vec<TraceEntry> {
-        Self::finalize(std::mem::take(&mut *self.events.lock()))
+        std::mem::take(&mut *self.events.lock())
     }
 }
 
@@ -318,8 +291,7 @@ impl TraceRecorder {
 //
 // A recorded schedule is exchanged between processes (the chaos bench records, the
 // `usf_trace` bin converts to Perfetto) as JSON Lines: one meta header line, then one
-// line per entry. Hand-rolled like the rest of the repo's JSON (no serde) and compiled
-// unconditionally — the *reader* side must work in builds without `sched-trace`.
+// line per entry. Hand-rolled like the rest of the repo's JSON (no serde).
 
 /// Serialize a recorded schedule as JSONL: a `{"type":"meta",...}` header line followed
 /// by one flat object per [`TraceEntry`]. The inverse of [`from_jsonl`].
@@ -751,6 +723,39 @@ mod tests {
         assert!(rec.is_empty());
         rec.record(TraceEvent::Shutdown);
         assert_eq!(rec.snapshot()[0].step, 0, "steps restart after take()");
+    }
+
+    #[test]
+    fn concurrent_records_get_dense_steps_in_each_threads_order() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 1_000;
+        let rec = TraceRecorder::new(TraceMeta::from_config(&NosvConfig::with_cores(4)));
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let rec = &rec;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        rec.record(TraceEvent::Submit {
+                            process: t as crate::process::ProcessId,
+                            task: i as TaskId,
+                        });
+                    }
+                });
+            }
+        });
+        let entries = rec.snapshot();
+        assert_eq!(entries.len(), THREADS * PER_THREAD, "no entry lost");
+        let mut next = [0 as TaskId; THREADS];
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(e.step, i as u64, "steps are dense push indices");
+            let TraceEvent::Submit { process, task } = e.event else {
+                panic!("unexpected event {:?}", e.event);
+            };
+            let t = process as usize;
+            assert_eq!(task, next[t], "thread {t}'s entries keep its program order");
+            next[t] += 1;
+        }
+        assert_eq!(next, [PER_THREAD as TaskId; THREADS]);
     }
 
     #[test]

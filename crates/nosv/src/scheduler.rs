@@ -77,91 +77,29 @@
 
 use crate::config::{NosvConfig, PolicyKind};
 use crate::error::{NosvError, Result};
-use crate::faults::FaultSite;
+use crate::faults::{FaultPlan, FaultSite, FaultState};
 use crate::obs::{inc, StatsRegistry, StatsSample, StatsSnapshot};
 use crate::policy::{Policy, TaskMeta};
 use crate::process::{ProcessId, ProcessInfo};
 use crate::readyq::{self, LadderStep, PickTier, ShardLadder};
-use crate::sched_trace::TraceEvent;
+use crate::sched_trace::{TraceEvent, TraceMeta, TraceRecorder};
 use crate::task::{Release, Task, TaskId, TaskRef, WaitOutcome, WakeBatch};
 use crate::topology::{CoreId, Topology};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Emit a trace event when the `sched-trace` feature is on and a recorder is installed.
+/// Append a trace event when a recorder is installed.
 ///
-/// With the feature off, the event expression is still *type-checked* (inside a closure
-/// that is never built into the binary) but no code, branch or atomic survives into the
-/// hot path — the zero-cost-when-disabled contract of the trace layer.
+/// The timestamp and event expressions are evaluated only inside the branch, so with no
+/// recorder a hook costs one load and one predictable branch: no `Instant::now()`, no
+/// `TraceEvent` and no atomic.
 macro_rules! trace_event {
     ($sched:expr, $at:expr, $ev:expr) => {{
-        #[cfg(feature = "sched-trace")]
-        {
-            if let Some(rec) = $sched.tracer.as_ref() {
-                // The global sequence stamp linearizes events recorded under different
-                // shard locks (the recorder stable-sorts by it). With one shard the stamp
-                // order equals the record order, so this is a no-op there.
-                let seq = $sched.sched_seq.fetch_add(1, Ordering::Relaxed);
-                rec.record_at_seq($at, seq, $ev);
-            }
-        }
-        #[cfg(not(feature = "sched-trace"))]
-        {
-            let _ = &$sched;
-            let _typecheck_only = || ($at, $ev);
-        }
-    }};
-}
-
-/// Consult the installed fault plan at a site; the expression is `true` when the fault
-/// fires on this visit. A firing is counted (`faults_injected`) and traced
-/// (`FaultInjected`) right here, before the caller acts on it.
-///
-/// With the `fault-inject` feature off this expands to a constant `false` (the operands
-/// are still type-checked inside a never-built closure) — the same zero-cost-when-disabled
-/// contract as `trace_event!`.
-macro_rules! fault_fires {
-    ($sched:expr, $site:expr, $task:expr) => {{
-        #[cfg(feature = "fault-inject")]
-        {
-            let (site, task) = ($site, $task);
-            let fired = $sched.faults.get().is_some_and(|f| f.consult(site, task));
-            if fired {
-                $sched.note_fault(site, task);
-            }
-            fired
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = &$sched;
-            let _typecheck_only = || ($site, $task);
-            false
-        }
-    }};
-}
-
-/// Like `fault_fires!`, but yields `Some(stall_duration)` when the (delaying) site fires.
-macro_rules! fault_stall {
-    ($sched:expr, $site:expr, $task:expr) => {{
-        #[cfg(feature = "fault-inject")]
-        {
-            let (site, task) = ($site, $task);
-            let stall = $sched
-                .faults
-                .get()
-                .and_then(|f| f.consult_stall(site, task));
-            if stall.is_some() {
-                $sched.note_fault(site, task);
-            }
-            stall
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = &$sched;
-            let _typecheck_only = || ($site, $task);
-            None::<std::time::Duration>
+        if let Some(rec) = $sched.tracer.as_ref() {
+            rec.record_at($at, $ev);
         }
     }};
 }
@@ -330,18 +268,12 @@ pub struct Scheduler {
     /// [`Scheduler::submit`]).
     shutting_down: AtomicBool,
     /// Installed schedule-trace recorder, if any (see [`crate::sched_trace`]).
-    #[cfg(feature = "sched-trace")]
-    tracer: Option<std::sync::Arc<crate::sched_trace::TraceRecorder>>,
-    /// Global order stamp for trace events recorded under different shard locks (see
-    /// `trace_event!`).
-    #[cfg(feature = "sched-trace")]
-    sched_seq: std::sync::atomic::AtomicU64,
+    tracer: Option<Arc<TraceRecorder>>,
     /// Installed fault plan, if any (see [`crate::faults`]). A `OnceLock` rather than a
     /// plain `Option` so harnesses holding only the shared `Arc<Scheduler>` (the real
     /// executors, the chaos bench) can still install a plan; the hot-path consult is a
-    /// single relaxed-ish atomic load.
-    #[cfg(feature = "fault-inject")]
-    faults: std::sync::OnceLock<std::sync::Arc<crate::faults::FaultState>>,
+    /// single acquire load.
+    faults: OnceLock<Arc<FaultState>>,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -409,44 +341,58 @@ impl Scheduler {
             idle_cores: AtomicUsize::new(cores),
             ready_tasks: AtomicI64::new(0),
             shutting_down: AtomicBool::new(false),
-            #[cfg(feature = "sched-trace")]
             tracer: None,
-            #[cfg(feature = "sched-trace")]
-            sched_seq: std::sync::atomic::AtomicU64::new(0),
-            #[cfg(feature = "fault-inject")]
-            faults: std::sync::OnceLock::new(),
+            faults: OnceLock::new(),
         }
     }
 
-    /// Install a fresh [`crate::sched_trace::TraceRecorder`] and return a handle to it:
-    /// every subsequent scheduling decision is appended to the recorder. Must be called
-    /// before the scheduler is shared (it takes `&mut self`), which also means recording
-    /// always covers the scheduler's whole life.
-    #[cfg(feature = "sched-trace")]
-    pub fn install_tracer(&mut self) -> std::sync::Arc<crate::sched_trace::TraceRecorder> {
-        let rec = std::sync::Arc::new(crate::sched_trace::TraceRecorder::new(
-            crate::sched_trace::TraceMeta::from_config(&self.config),
-        ));
-        self.tracer = Some(std::sync::Arc::clone(&rec));
+    /// Install a fresh [`TraceRecorder`] and return a handle to it: every subsequent
+    /// scheduling decision is appended to the recorder. Must be called before the
+    /// scheduler is shared (it takes `&mut self`), which also means recording always
+    /// covers the scheduler's whole life.
+    pub fn install_tracer(&mut self) -> Arc<TraceRecorder> {
+        let rec = Arc::new(TraceRecorder::new(TraceMeta::from_config(&self.config)));
+        self.tracer = Some(Arc::clone(&rec));
         rec
     }
 
-    /// Instantiate and install a [`crate::faults::FaultPlan`], returning the shared
-    /// [`crate::faults::FaultState`] the harness asserts against (fire counts, records).
-    /// Install-once: the first plan wins for the scheduler's whole life (the returned
-    /// state is the installed one either way), so concurrent installers cannot split the
-    /// fault log.
-    #[cfg(feature = "fault-inject")]
-    pub fn install_faults(
-        &self,
-        plan: &crate::faults::FaultPlan,
-    ) -> std::sync::Arc<crate::faults::FaultState> {
-        let st = std::sync::Arc::new(crate::faults::FaultState::new(plan));
-        std::sync::Arc::clone(self.faults.get_or_init(|| st))
+    /// Instantiate and install a [`FaultPlan`], returning the shared [`FaultState`] the
+    /// harness asserts against (fire counts, records). Install-once: the first plan wins
+    /// for the scheduler's whole life (the returned state is the installed one either
+    /// way), so concurrent installers cannot split the fault log.
+    pub fn install_faults(&self, plan: &FaultPlan) -> Arc<FaultState> {
+        let st = Arc::new(FaultState::new(plan));
+        Arc::clone(self.faults.get_or_init(|| st))
     }
 
-    /// Count and trace one fault-site firing (the tail of `fault_fires!`/`fault_stall!`).
-    #[cfg(feature = "fault-inject")]
+    /// Consult the installed fault plan at a site: `true` when the fault fires on this
+    /// visit. A firing is counted (`faults_injected`) and traced (`FaultInjected`) here,
+    /// before the caller acts on it. With no plan installed this is one load and one
+    /// branch.
+    #[inline]
+    fn fault_fires(&self, site: FaultSite, task: Option<TaskId>) -> bool {
+        let Some(f) = self.faults.get() else {
+            return false;
+        };
+        let fired = f.consult(site, task);
+        if fired {
+            self.note_fault(site, task);
+        }
+        fired
+    }
+
+    /// Like [`Scheduler::fault_fires`], but yields the stall duration when the (delaying)
+    /// site fires.
+    #[inline]
+    fn fault_stall(&self, site: FaultSite, task: Option<TaskId>) -> Option<Duration> {
+        let stall = self.faults.get()?.consult_stall(site, task);
+        if stall.is_some() {
+            self.note_fault(site, task);
+        }
+        stall
+    }
+
+    /// Count and trace one fault-site firing.
     fn note_fault(&self, site: FaultSite, task: Option<TaskId>) {
         inc(&self.stats.counters.faults_injected);
         trace_event!(
@@ -846,12 +792,12 @@ impl Scheduler {
         inc(&self.stats.counters.submits);
         // Fault site: drop the wake-up before any grant-slot bookkeeping, so the loss is
         // "clean" — the scheduler has no trace of the submit, exactly like a lost signal.
-        if fault_fires!(self, FaultSite::DropWakeup, Some(task.id())) {
+        if self.fault_fires(FaultSite::DropWakeup, Some(task.id())) {
             return;
         }
         // Fault site: deliver the wake-up twice; the second delivery must be absorbed by
         // the level-triggered grant slot (pending-wakeup counter / redundant-submit path).
-        let duplicate = fault_fires!(self, FaultSite::DuplicateWakeup, Some(task.id()));
+        let duplicate = self.fault_fires(FaultSite::DuplicateWakeup, Some(task.id()));
         self.submit_inner(task);
         if duplicate {
             self.submit_inner(task);
@@ -901,7 +847,7 @@ impl Scheduler {
     /// it still holds its core — the non-progress signature the grant-to-run watchdog
     /// ([`Scheduler::watchdog_scan`]) exists to detect. No lock is held while sleeping.
     fn stall_point(&self, task: &TaskRef) {
-        if let Some(stall) = fault_stall!(self, FaultSite::WorkerStall, Some(task.id())) {
+        if let Some(stall) = self.fault_stall(FaultSite::WorkerStall, Some(task.id())) {
             std::thread::sleep(stall);
         }
     }
@@ -1061,7 +1007,7 @@ impl Scheduler {
             self.shutting_down.store(true, Ordering::SeqCst);
             // Fault site: widen the flag-set → drain window so racing submits actually
             // land inside it (the self-heal path above is what must absorb them).
-            if let Some(stall) = fault_stall!(self, FaultSite::ShutdownRace, None::<TaskId>) {
+            if let Some(stall) = self.fault_stall(FaultSite::ShutdownRace, None) {
                 drop(g);
                 std::thread::sleep(stall);
                 g = self.lock_global();
@@ -1294,7 +1240,7 @@ impl Scheduler {
         // relies on the shutdown drain, and a fault plan must not turn a delay into a
         // liveness hole the hardening cannot see.
         if !self.shutting_down.load(Ordering::SeqCst)
-            && fault_fires!(self, FaultSite::DelayIntakeDrain, None::<TaskId>)
+            && self.fault_fires(FaultSite::DelayIntakeDrain, None)
         {
             return 0;
         }
@@ -2249,15 +2195,11 @@ mod tests {
         assert_eq!(t3.state(), TaskState::Running);
     }
 
-    #[cfg(feature = "fault-inject")]
     mod faulty {
         use super::*;
-        use crate::faults::{FaultPlan, FaultSite, FaultSpec};
+        use crate::faults::FaultSpec;
 
-        fn faulted(
-            cores: usize,
-            plan: FaultPlan,
-        ) -> (Arc<Scheduler>, Arc<crate::faults::FaultState>) {
+        fn faulted(cores: usize, plan: FaultPlan) -> (Arc<Scheduler>, Arc<FaultState>) {
             let s = Arc::new(Scheduler::new(NosvConfig::with_cores(cores)));
             let fs = s.install_faults(&plan);
             (s, fs)

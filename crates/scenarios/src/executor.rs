@@ -375,9 +375,8 @@ impl UsfExecutor {
         // Placement lowers over the instance topology into per-process scheduler domains
         // (enforced by the grant/pick paths) plus recorded affinity hints (§4.3.2).
         let masks = plan.placement_masks(usf.topology());
-        // Scheduler-level fault sites only exist when the stack is compiled with
-        // `fault-inject`; driver-level faults below work regardless.
-        #[cfg(feature = "fault-inject")]
+        // Scheduler-level fault sites are installed into the real scheduler; driver-level
+        // faults below work on every stack.
         let fault_state: Option<std::sync::Arc<FaultState>> = spec
             .faults
             .as_ref()
@@ -388,7 +387,6 @@ impl UsfExecutor {
         // drain, which bounds how long a fault-delayed submit can sit in the intake —
         // without it, an unbounded `DelayIntakeDrain` site could strand the final
         // wakeup with every cooperative thread parked.
-        #[cfg(feature = "fault-inject")]
         let watchdog = fault_state.as_ref().map(|_| {
             use std::sync::atomic::{AtomicBool, Ordering};
             let stop = std::sync::Arc::new(AtomicBool::new(false));
@@ -440,7 +438,6 @@ impl UsfExecutor {
             .map(|h| h.join().expect("scenario driver panicked"))
             .collect();
         let total = epoch.elapsed();
-        #[cfg(feature = "fault-inject")]
         if let Some((stop, handle)) = watchdog {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             let _ = handle.join();
@@ -449,11 +446,9 @@ impl UsfExecutor {
         let samples = sampler.map(|s| s.stop()).unwrap_or_default();
         usf.shutdown();
         let stats_delta = after.delta(&before);
-        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
         let mut delta = usf_sched_delta(&stats_delta);
         // Per-site ground truth for chaos oracles: how often each armed scheduler-level
         // site actually fired (e.g. `stalls_detected >= fault_fires_worker_stall`).
-        #[cfg(feature = "fault-inject")]
         if let Some(state) = &fault_state {
             for site in FaultSite::ALL {
                 let fires = state.fires(site);
@@ -714,7 +709,6 @@ mod tests {
         assert_eq!(r.processes[1].unit_latencies_s.len(), 2);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn unbounded_drain_delays_and_stalls_cannot_hang_a_faulted_run() {
         use crate::spec::{FaultPlanSpec, FaultSpec};

@@ -168,8 +168,8 @@ pub fn bursty_antagonist(cores: usize, size: ProblemSize) -> ScenarioSpec {
 /// the victim dies mid-run, the panicky batch job loses units to injected body panics,
 /// and the steady co-tenant must come through untouched. Scheduler-level sites
 /// (duplicated wakeups, delayed intake drains, a 120ms worker stall the watchdog must
-/// flag) ride along on stacks built with `fault-inject`. Stacks without an injection
-/// plane (the simulator) run the clean lowering of the same processes.
+/// flag) ride along on the USF stack. Stacks without an injection plane (the OS baseline,
+/// the simulator) run the clean lowering of the same processes.
 pub fn chaos(cores: usize, size: ProblemSize) -> ScenarioSpec {
     ScenarioSpec::new("chaos", cores)
         .process(

@@ -281,13 +281,13 @@ impl ProcSpec {
     }
 }
 
-/// A seeded scenario-level fault schedule — plain data, compiled unconditionally (like
-/// the [`usf_nosv::faults`] types it builds on).
+/// A seeded scenario-level fault schedule — plain data, like the [`usf_nosv::faults`]
+/// types it builds on.
 ///
 /// Two layers of faults lower out of one spec:
 ///
 /// * **Driver-level** faults are injected by the scenario driver itself and therefore
-///   work on *every* stack without any cargo feature: unit-body panics
+///   work on *every* stack: unit-body panics
 ///   ([`FaultSite::TaskBodyPanic`], caught per unit — the process degrades, it does not
 ///   hang) and mid-run process death ([`FaultSite::ProcessDeath`] — on the USF stack the
 ///   victim's domain is forcibly reclaimed via
@@ -296,8 +296,8 @@ impl ProcSpec {
 ///   `(seed, process index, unit)`.
 /// * **Scheduler-level** sites ([`FaultPlanSpec::sched_sites`]: dropped/duplicated
 ///   wakeups, delayed intake drains, worker stalls, …) are installed into the real USF
-///   scheduler when the stack is built with the `fault-inject` feature, and ignored by
-///   stacks that cannot inject (the OS baseline, the simulator).
+///   scheduler, and ignored by stacks that cannot inject (the OS baseline, the
+///   simulator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlanSpec {
     /// Seed of every deterministic fire decision.
@@ -310,7 +310,7 @@ pub struct FaultPlanSpec {
     pub kill_proc: Option<usize>,
     /// Units the victim completes before dying.
     pub kill_after_units: usize,
-    /// Scheduler-level sites to arm (fault-inject stacks only).
+    /// Scheduler-level sites to arm (USF stack only).
     pub sched_sites: Vec<FaultSpec>,
 }
 

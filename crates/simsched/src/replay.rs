@@ -1,7 +1,7 @@
 //! Deterministic replay of recorded scheduler traces.
 //!
-//! A trace recorded by the real runtime ([`usf_nosv::sched_trace`], behind its
-//! `sched-trace` feature) is re-executed here through the *simulator's* instantiation of
+//! A trace recorded by the real runtime ([`usf_nosv::sched_trace`], once a recorder is
+//! installed) is re-executed here through the *simulator's* instantiation of
 //! the shared SCHED_COOP generic — [`usf_nosv::CoopCore`]`<ProcessId, TaskId, SimTime>` — and
 //! every recorded pop is compared against what the simulated policy picks at the same logical
 //! step. A mismatch means the simulator and the runtime have drifted apart, which the

@@ -260,8 +260,7 @@ proptest! {
     /// with the exact nanosecond offsets the cores saw) replays through
     /// `usf::simsched::replay` with zero divergence, and aged picks — per-queue valve and
     /// foreign aging probe alike — land at the same logical steps. Unlike
-    /// tests/sched_trace_replay.rs this needs no cargo feature — the trace types compile
-    /// unconditionally.
+    /// tests/sched_trace_replay.rs this needs no real scheduler.
     #[test]
     fn hand_recorded_policy_trace_replays_in_sim(
         ops in proptest::collection::vec((0u8..4, 0u8..10, 0u8..4, 0u32..40_000), 1..80),

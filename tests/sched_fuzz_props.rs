@@ -1,8 +1,8 @@
 //! Property tests driving the schedule fuzzer (`usf_nosv::fuzz`) over the real scheduler:
 //! seeded random op sequences, forced shutdown interleavings, the injected lost-submit
-//! canary, and counterexample shrinking. These run without any cargo feature — the fuzzer
-//! checks its invariants directly against scheduler state; the `sched-trace` feature only
-//! adds the record/replay cross-check (tests/sched_trace_replay.rs).
+//! canary, and counterexample shrinking. The fuzzer checks its invariants directly against
+//! scheduler state; recorded runs add the record/replay cross-check
+//! (tests/sched_trace_replay.rs).
 
 use proptest::prelude::*;
 use usf::nosv::fuzz::{execute, generate, shrink, FuzzConfig, FuzzOp, Mutation, Violation};

@@ -1,13 +1,12 @@
-//! Record/replay equivalence gate (requires `--features sched-trace`): schedules recorded
-//! from the *real* scheduler must re-execute deterministically through the *simulator's*
-//! instantiation of the shared SCHED_COOP core with an identical pick sequence. Any drift
-//! between the runtime policy and the simulated policy fails these tests — this is the CI
-//! tripwire on top of the sampled equivalence of tests/readyq_equivalence.rs.
-#![cfg(feature = "sched-trace")]
+//! Record/replay equivalence gate: schedules recorded from the *real* scheduler must
+//! re-execute deterministically through the *simulator's* instantiation of the shared
+//! SCHED_COOP core with an identical pick sequence. Any drift between the runtime policy
+//! and the simulated policy fails these tests — this is the CI tripwire on top of the
+//! sampled equivalence of tests/readyq_equivalence.rs.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use usf::nosv::fuzz::{execute_traced, generate, FuzzConfig, FuzzOp};
+use usf::nosv::fuzz::{execute_recorded, generate, FuzzConfig, FuzzOp};
 use usf::nosv::scheduler::Scheduler;
 use usf::nosv::{NosvConfig, PickTier, TraceEvent};
 use usf::simsched::replay::assert_replays_clean;
@@ -89,7 +88,7 @@ fn rescue_drain_of_a_busy_scheduler_replays_without_drift() {
     let mut ops: Vec<FuzzOp> = (0..cfg.slots).map(|slot| FuzzOp::Submit { slot }).collect();
     ops.push(FuzzOp::RescueDrain);
     ops.extend((0..cfg.slots).map(|slot| FuzzOp::Detach { slot }));
-    let (result, meta, entries) = execute_traced(&cfg, &ops);
+    let (result, meta, entries) = execute_recorded(&cfg, &ops, None);
     result.unwrap_or_else(|f| panic!("rescue-drain run failed: {f}"));
     let drained: usize = entries
         .iter()
@@ -129,7 +128,7 @@ proptest! {
             _ => FuzzConfig::cross_valve(),
         };
         let ops = generate(&cfg, seed);
-        let (result, meta, entries) = execute_traced(&cfg, &ops);
+        let (result, meta, entries) = execute_recorded(&cfg, &ops, None);
         result.unwrap_or_else(|f| panic!("seed {seed} cfg {which}: {f}"));
         let report = assert_replays_clean(&meta, &entries);
         prop_assert_eq!(report.mismatched_grants, 0);
