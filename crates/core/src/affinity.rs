@@ -8,6 +8,15 @@
 //! otherwise) and [`get_affinity_hint`] echoes it back, while the scheduler keeps choosing
 //! the actual placement. The real placement is observable through
 //! [`current_scheduler_core`].
+//!
+//! The scheduler's own binding is a separate mechanism. When the instance has exactly as
+//! many cores as the process may use CPUs (at least two), core *i* is backed by the
+//! *i*-th of those CPUs, and the scheduler's `WakeBatch` binds a parked worker to the CPU
+//! of the core it is granted — rebind first, then notify, never under a scheduler lock —
+//! so the kernel wakes it where its predecessor is leaving. A hint never changes that
+//! binding, and a thread handed back to the application (`AttachGuard` drop, detach,
+//! release at shutdown or deregister, eviction by a kill) gets back the mask it had
+//! before the scheduler bound it.
 
 use crate::current::current;
 use parking_lot::Mutex;

@@ -329,17 +329,11 @@ impl ProcessHandle {
     }
 }
 
-/// Guard returned by [`ProcessHandle::attach_current`]; detaches the thread on drop.
+/// Guard returned by [`ProcessHandle::attach_current`]; detaches the thread on drop, which
+/// gives it its own CPU mask back.
 #[derive(Debug)]
 pub struct AttachGuard {
     handle: Option<TaskHandle>,
-}
-
-impl AttachGuard {
-    /// The attached task's handle (for yields, timed waits, diagnostics).
-    pub fn task_handle(&self) -> &TaskHandle {
-        self.handle.as_ref().expect("guard not yet dropped")
-    }
 }
 
 impl Drop for AttachGuard {

@@ -128,7 +128,9 @@ where
                     });
                     let result = catch_unwind(AssertUnwindSafe(f));
                     clear_current();
-                    handle.detach();
+                    // The thread goes back to the cache, not to the application: it keeps
+                    // its CPU binding for its next job.
+                    handle.detach_pooled();
                     result
                 }
                 Err(e) => Err(Box::new(format!("usf spawn: attach failed: {e}"))

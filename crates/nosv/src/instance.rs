@@ -217,9 +217,16 @@ impl TaskHandle {
         self.sched.yield_now(&self.task)
     }
 
-    /// Detach the worker: the task finishes and its core is handed over (`nosv_detach`).
+    /// Detach the worker: the task finishes, its core is handed over and the thread gets
+    /// its own CPU mask back (`nosv_detach`).
     pub fn detach(self) {
         self.sched.detach(&self.task)
+    }
+
+    /// Detach a pooled worker thread that will attach again: like [`TaskHandle::detach`],
+    /// but the thread keeps its CPU binding (see [`Scheduler::detach_pooled`]).
+    pub fn detach_pooled(self) {
+        self.sched.detach_pooled(&self.task)
     }
 }
 

@@ -73,6 +73,8 @@ pub mod scheduler;
 pub mod task;
 pub mod topology;
 
+mod binding;
+
 pub use config::{NosvConfig, PolicyKind};
 pub use error::NosvError;
 pub use faults::{FaultPlan, FaultRecord, FaultSite, FaultSpec, FaultState};

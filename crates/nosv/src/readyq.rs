@@ -261,11 +261,6 @@ impl<T, C: ReadyTime> ProcQueues<T, C> {
         self.count == 0
     }
 
-    /// The core map these queues were built for.
-    pub fn core_map(&self) -> &CoreMap {
-        &self.map
-    }
-
     /// Restrict (or, with `None`, un-restrict) these queues to a placement domain: only
     /// the given cores may pop. Cores outside the core map are ignored; an empty or fully
     /// out-of-range list leaves the domain unrestricted (a dead domain would strand every

@@ -69,12 +69,17 @@
 //! `lock_acquisitions`; a drain takes one under its shard lock (or, at shutdown, under
 //! the global lock).
 //!
+//! **Binding-record locks** (one per OS thread, `binding.rs`) serialise that thread's CPU
+//! affinity calls. They are taken only by a firing `WakeBatch` or a returning grant wait,
+//! with no scheduler-section lock held, and only a grant lock is taken under one.
+//!
 //! The enumerated multi-shard operations — `register_process`/`deregister_process`,
 //!    `kill_process`, `set_process_domain`, `shutdown`, `watchdog_scan`, `rescue_drain`
 //!    and the cross-shard dispatch sweep — visit shards strictly one at a time in
 //!    ascending node order, and never hold two block-acquired shard locks or fire a
 //!    `WakeBatch` while any scheduler-section lock is held.
 
+use crate::binding::{self, Worker};
 use crate::config::{NosvConfig, PolicyKind};
 use crate::error::{NosvError, Result};
 use crate::faults::{FaultPlan, FaultSite, FaultState};
@@ -250,6 +255,9 @@ pub struct Scheduler {
     shards: Box<[Shard]>,
     /// Global core id → (shard index, local core index), fixed at construction.
     core_shard: Vec<(usize, usize)>,
+    /// Global core id → the CPU its worker is bound to, or `None` when the instance does
+    /// not have exactly one core per CPU and no worker is bound (see [`crate::binding`]).
+    core_cpus: Option<Box<[usize]>>,
     /// [`Policy::name`] of the installed policy, read once at construction.
     policy_name: String,
     /// Always-on observability plane: event counters, stage-boundary latency histograms,
@@ -274,6 +282,14 @@ pub struct Scheduler {
     /// executors, the chaos bench) can still install a plan; the hot-path consult is a
     /// single acquire load.
     faults: OnceLock<Arc<FaultState>>,
+}
+
+/// The tasks in id order: the order in which a multi-task teardown visits victims, so the
+/// cores it frees (and every pick after them) do not depend on hash-table order.
+fn by_id<'a>(tasks: impl Iterator<Item = &'a TaskRef>) -> Vec<TaskRef> {
+    let mut v: Vec<TaskRef> = tasks.cloned().collect();
+    v.sort_by_key(|t| t.id());
+    v
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -335,6 +351,7 @@ impl Scheduler {
             }),
             shards,
             core_shard,
+            core_cpus: binding::core_cpus(cores),
             policy_name,
             stats: StatsRegistry::new(cores, nshards),
             config,
@@ -586,11 +603,7 @@ impl Scheduler {
                 // reject the process's tasks from now on without the global lock.
                 p.cell.mark_dead();
             }
-            g.tasks
-                .values()
-                .filter(|t| t.process() == process)
-                .cloned()
-                .collect()
+            by_id(g.tasks.values().filter(|t| t.process() == process))
         };
         trace_event!(
             self,
@@ -652,12 +665,7 @@ impl Scheduler {
             };
             p.cell.mark_dead();
             inc(&self.stats.counters.processes_killed);
-            let victims: Vec<TaskRef> = g
-                .tasks
-                .values()
-                .filter(|t| t.process() == process)
-                .cloned()
-                .collect();
+            let victims = by_id(g.tasks.values().filter(|t| t.process() == process));
             for t in &victims {
                 g.tasks.remove(&t.id());
                 inc(&self.stats.counters.tasks_reclaimed);
@@ -779,6 +787,9 @@ impl Scheduler {
     /// worker and can no longer run freely.
     pub fn attach(&self, task: &TaskRef) {
         inc(&self.stats.counters.attaches);
+        if self.core_cpus.is_some() {
+            task.set_worker(Worker::this_thread());
+        }
         self.submit(task);
         self.prepark_drain();
         let _ = task.wait_grant(None, self.record_dispatch());
@@ -967,11 +978,24 @@ impl Scheduler {
     }
 
     /// Detach: the task finishes, its core is handed to the next ready task and it is removed
-    /// from the scheduler. This is `nosv_detach`.
+    /// from the scheduler; its worker thread gets its own CPU mask back. This is
+    /// `nosv_detach`.
     pub fn detach(&self, task: &TaskRef) {
+        self.finish(task, Release::EvictAndFinish)
+    }
+
+    /// [`Scheduler::detach`] for a pooled worker thread that will attach again (the
+    /// `usf-core` thread cache): the thread keeps its CPU binding, so its next job is not
+    /// rebound when it gets the same core.
+    pub fn detach_pooled(&self, task: &TaskRef) {
+        self.finish(task, Release::FinishPooled)
+    }
+
+    /// The body of [`Scheduler::detach`] and [`Scheduler::detach_pooled`].
+    fn finish(&self, task: &TaskRef, how: Release) {
         inc(&self.stats.counters.detaches);
         let mut wakes = WakeBatch::new();
-        self.free_cores(task.release(Release::EvictAndFinish, &mut wakes));
+        self.free_cores(task.release(how, &mut wakes));
         // Registry removal is the task-table write: the one global-section touch of the
         // task lifecycle (not a scheduling point — the wake-churn hot path never gets
         // here).
@@ -1012,7 +1036,7 @@ impl Scheduler {
                 std::thread::sleep(stall);
                 g = self.lock_global();
             }
-            let tasks: Vec<TaskRef> = g.tasks.values().cloned().collect();
+            let tasks = by_id(g.tasks.values());
             // Intake-lock drains without the shard locks: a shard-lock drain racing us
             // takes disjoint entries, and either drainer releases its share (the flag is
             // already set).
@@ -1199,7 +1223,8 @@ impl Scheduler {
                 immediate,
             }
         );
-        task.grant_core(core, &self.stats.stages.wake, wakes);
+        let cpu = self.core_cpus.as_ref().map(|cpus| cpus[core]);
+        task.grant_core(core, cpu, &self.stats.stages.wake, wakes);
     }
 
     /// Transition a core slot to busy, maintaining the idle-core gauge and the watchdog's
@@ -2176,6 +2201,50 @@ mod tests {
         assert_eq!(report, KillReport::default());
         assert_eq!(t.state(), TaskState::Running);
         assert_eq!(s.stats().counters().processes_killed, 0);
+    }
+
+    /// One single-threaded kill scenario, recorded: 16 victims (4 running, 4 blocked, 4
+    /// queued in the policy, 4 in the intake) and 6 queued co-tenant tasks that take the
+    /// freed cores. Returns the event sequence without timestamps.
+    fn recorded_kill() -> Vec<TraceEvent> {
+        let mut s = Scheduler::new(NosvConfig::with_cores(4));
+        let rec = s.install_tracer();
+        let victim = s.register_process("victim");
+        let cotenant = s.register_process("cotenant");
+        let v: Vec<TaskRef> = (0..16)
+            .map(|_| s.create_task(victim, None).unwrap())
+            .collect();
+        for t in &v[0..4] {
+            s.submit(t);
+            assert!(s.block_prologue(t).is_some(), "blocks, freeing its core");
+        }
+        for t in &v[4..12] {
+            s.submit(t);
+        }
+        for _ in 0..6 {
+            s.submit(&s.create_task(cotenant, None).unwrap());
+        }
+        s.rescue_drain();
+        for t in &v[12..16] {
+            s.submit(t);
+        }
+        assert_eq!(v[0].state(), TaskState::Blocked);
+        assert_eq!(v[4].state(), TaskState::Running);
+        let report = s.kill_process(victim);
+        assert_eq!(report.running_preempted, 4);
+        rec.snapshot().into_iter().map(|e| e.event).collect()
+    }
+
+    #[test]
+    fn kill_frees_victims_in_task_id_order() {
+        let first = recorded_kill();
+        for run in 1..20 {
+            assert_eq!(
+                recorded_kill(),
+                first,
+                "run {run}: the kill recorded another event sequence"
+            );
+        }
     }
 
     #[test]

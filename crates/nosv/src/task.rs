@@ -13,13 +13,21 @@
 //! writes under a single grant-lock acquisition. `WakeBatch` is the only code that
 //! notifies the condvar. The scheduler calls these methods and never names a slot field,
 //! so "one core, one task" (SCHED_COOP's first invariant) is enforced in this one file.
+//!
+//! `WakeBatch` also places the woken thread: it first rebinds a granted worker to the CPU
+//! of its new core (or gives a released one its own mask back), then notifies it,
+//! and it does both only after every scheduler lock is dropped, so no affinity call ever
+//! runs under a lock (see `binding.rs`). A worker that finds its grant before its waker's
+//! bind settles its own binding before it runs, so it never runs bound to the CPU of
+//! another core.
 
+use crate::binding::Worker;
 use crate::obs::{inc, Histogram};
 use crate::process::{ProcCell, ProcessId};
 use crate::topology::CoreId;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifier of a task, unique within a scheduler instance.
@@ -78,6 +86,8 @@ struct GrantSlot {
     /// When the current grant was published (set by the grant, consumed by the woken
     /// worker): the start of the grant→first-run (dispatch-latency) stage histogram.
     dispatched_at: Option<Instant>,
+    /// The CPU backing the granted core, when the scheduler binds workers to CPUs.
+    cpu: Option<usize>,
 }
 
 /// Per-task counters (diagnostics).
@@ -87,6 +97,8 @@ pub struct TaskStats {
     pub grants: AtomicU64,
     /// Times this task blocked (pause / timed wait).
     pub blocks: AtomicU64,
+    /// Times a grant moved this task's worker thread to the CPU of its new core.
+    pub rebinds: AtomicU64,
 }
 
 /// How [`Task::release`] takes a task out of scheduler control.
@@ -99,10 +111,16 @@ pub(crate) enum Release {
     All,
     /// Take the held core too and finish the task (detach, `kill_process`).
     EvictAndFinish,
+    /// Like `EvictAndFinish`, but the worker thread keeps its CPU binding: a pooled thread
+    /// detaching between jobs (it attaches again, so it is not handed back).
+    FinishPooled,
 }
 
 /// Grant-slot condvar notifications owed by transitions made under scheduler locks, fired
-/// only after every guard has dropped — the only code that notifies `grant_cv`.
+/// only after every guard has dropped — the only code that notifies `grant_cv`. Each
+/// notification of a grant first binds the worker to its new core's CPU, and a released
+/// worker gets its own mask back (see `binding.rs`): both affinity calls run here,
+/// under no scheduler lock, before the wakee is notified.
 ///
 /// Notifying `grant_cv` while a shard lock is held wakes the worker straight into the lock
 /// its waker still holds: the woken thread runs, immediately blocks on the contended
@@ -118,12 +136,18 @@ pub(crate) enum Release {
 /// batch (the `Drop` impl is the safety net; paths that go on to park explicitly
 /// [`WakeBatch::fire`] first).
 pub(crate) struct WakeBatch {
+    /// Tasks owed a notification, each after its worker's binding is settled.
     tasks: Vec<TaskRef>,
+    /// Workers handed back to the application, owed their own masks.
+    restores: Vec<Arc<Worker>>,
 }
 
 impl WakeBatch {
     pub(crate) fn new() -> Self {
-        WakeBatch { tasks: Vec::new() }
+        WakeBatch {
+            tasks: Vec::new(),
+            restores: Vec::new(),
+        }
     }
 
     /// Number of notifications owed so far.
@@ -131,10 +155,14 @@ impl WakeBatch {
         self.tasks.len()
     }
 
-    /// Deliver every owed notification. Callers must have dropped the scheduler lock and
-    /// all grant guards first.
+    /// Settle every owed binding and deliver every owed notification. Callers must have
+    /// dropped the scheduler lock and all grant guards first.
     pub(crate) fn fire(&mut self) {
+        for worker in self.restores.drain(..) {
+            worker.restore();
+        }
         for t in self.tasks.drain(..) {
+            t.settle_binding();
             t.grant_cv.notify_all();
         }
     }
@@ -159,6 +187,9 @@ pub struct Task {
     pref_core: AtomicUsize,
     grant: Mutex<GrantSlot>,
     grant_cv: Condvar,
+    /// The binding record of the thread that attached the task, when the scheduler binds
+    /// workers to CPUs.
+    worker: OnceLock<Arc<Worker>>,
     /// Per-task counters.
     pub stats: TaskStats,
 }
@@ -185,8 +216,10 @@ impl Task {
                 released: false,
                 ready_at: None,
                 dispatched_at: None,
+                cpu: None,
             }),
             grant_cv: Condvar::new(),
+            worker: OnceLock::new(),
             stats: TaskStats::default(),
         })
     }
@@ -199,6 +232,26 @@ impl Task {
     /// Process domain the task belongs to.
     pub fn process(&self) -> ProcessId {
         self.process
+    }
+
+    /// Record the binding record of the thread attaching the task (a task attaches once).
+    pub(crate) fn set_worker(&self, worker: Arc<Worker>) {
+        let _ = self.worker.set(worker);
+    }
+
+    /// Settle the worker's binding for the core the task holds now (see `Worker::bind`):
+    /// bound to its CPU by a waker, or unbound when the worker itself finds it elsewhere.
+    fn settle_binding(&self) {
+        let Some(worker) = self.worker.get() else {
+            return;
+        };
+        let moved = worker.bind(|| {
+            let g = self.grant.lock();
+            g.cpu.filter(|_| g.granted.is_some() && !g.released)
+        });
+        if moved {
+            inc(&self.stats.rebinds);
+        }
     }
 
     /// Whether the owning process is still registered (lock-free; see [`ProcCell`]).
@@ -307,11 +360,13 @@ impl Task {
     }
 
     /// Grant `core` (which becomes the preferred core): closes the enqueue→grant stage
-    /// into `wake`, opens grant→first-run and owes the waiter its notification in `wakes`.
-    /// The caller holds `core`'s shard lock and has marked the core busy.
+    /// into `wake`, opens grant→first-run and owes the waiter its notification in `wakes`
+    /// — after binding its worker to `cpu`, the CPU backing `core`, when the scheduler
+    /// binds. The caller holds `core`'s shard lock and has marked the core busy.
     pub(crate) fn grant_core(
         self: &Arc<Self>,
         core: CoreId,
+        cpu: Option<usize>,
         wake: &Histogram,
         wakes: &mut WakeBatch,
     ) {
@@ -327,28 +382,35 @@ impl Task {
             g.granted = Some(core);
             g.queued = false;
             g.state = TaskState::Running;
+            g.cpu = cpu;
         }
         wakes.tasks.push(Arc::clone(self));
     }
 
     /// Release the task from scheduler control (see [`Release`]): from then on every wait
     /// returns at once and the worker runs as a plain OS thread. Returns the core taken
-    /// from the task, which the caller must free (`EvictAndFinish` only). A notification
-    /// is owed in `wakes` exactly when a waiter may be parked — the task was not released
-    /// yet and holds no core; a task holding a core is running, or its grant's
-    /// notification is still in flight.
+    /// from the task, which the caller must free (`EvictAndFinish`/`FinishPooled` only).
+    /// A notification is owed in `wakes` exactly when a waiter may be parked — the task
+    /// was not released yet and holds no core; a task holding a core is running, or its
+    /// grant's notification is still in flight. The first release also owes the worker
+    /// its own mask, unless it is pooled.
     pub(crate) fn release(self: &Arc<Self>, how: Release, wakes: &mut WakeBatch) -> Option<CoreId> {
         let mut g = self.grant.lock();
         let evicted = match how {
             Release::Waiting if g.granted.is_some() => return None,
             Release::Waiting | Release::All => None,
-            Release::EvictAndFinish => {
+            Release::EvictAndFinish | Release::FinishPooled => {
                 g.state = TaskState::Finished;
                 g.granted.take()
             }
         };
-        if !g.released && g.granted.is_none() && evicted.is_none() {
-            wakes.tasks.push(Arc::clone(self));
+        if !g.released {
+            if g.granted.is_none() && evicted.is_none() {
+                wakes.tasks.push(Arc::clone(self));
+            }
+            if let Some(worker) = self.worker.get().filter(|_| how != Release::FinishPooled) {
+                wakes.restores.push(Arc::clone(worker));
+            }
         }
         g.released = true;
         evicted
@@ -360,7 +422,8 @@ impl Task {
     ///
     /// When the grant stamped a dispatch time, `record` receives the grant→first-run
     /// (dispatch) latency — the time between the scheduler publishing the grant and this
-    /// worker observing it. Every blocking scheduling point waits through here.
+    /// worker observing it. Every blocking scheduling point waits through here, and
+    /// returns a grant only once the worker is not bound to another core's CPU.
     pub(crate) fn wait_grant(
         &self,
         deadline: Option<Instant>,
@@ -372,6 +435,10 @@ impl Task {
                 if let Some(t0) = g.dispatched_at.take() {
                     record(t0.elapsed());
                 }
+                drop(g);
+                // The grant's waker binds before it notifies; a grant found without
+                // waiting may still have that bind in flight.
+                self.settle_binding();
                 return Some(Some(core));
             }
             if g.released {
@@ -413,7 +480,7 @@ mod tests {
     #[test]
     fn record_core_sets_preference() {
         let t = Task::new(1, 0, ProcCell::new(), None);
-        t.grant_core(3, &Histogram::new(1), &mut WakeBatch::new());
+        t.grant_core(3, None, &Histogram::new(1), &mut WakeBatch::new());
         assert_eq!(t.preferred_core(), Some(3));
         assert_eq!(t.state(), TaskState::Running);
     }
@@ -432,7 +499,7 @@ mod tests {
         let h = std::thread::spawn(move || t2.wait_grant(None, |_| {}));
         std::thread::sleep(Duration::from_millis(20));
         // The batch drops at the end of the statement, firing the notification.
-        t.grant_core(5, &Histogram::new(1), &mut WakeBatch::new());
+        t.grant_core(5, None, &Histogram::new(1), &mut WakeBatch::new());
         assert_eq!(h.join().unwrap(), Some(Some(5)));
     }
 
@@ -457,7 +524,7 @@ mod tests {
     fn yield_core_refuses_a_core_the_task_no_longer_holds() {
         let t = Task::new(1, 0, ProcCell::new(), None);
         let mut wakes = WakeBatch::new();
-        t.grant_core(0, &Histogram::new(1), &mut wakes);
+        t.grant_core(0, None, &Histogram::new(1), &mut wakes);
         assert_eq!(t.held_core(), Some(0));
         assert!(!t.yield_core(1, Instant::now()), "not the held core");
         // A kill between the pre-check and the hand-over evicts the task.
@@ -479,7 +546,7 @@ mod tests {
     fn release_waiting_spares_a_running_task() {
         let t = Task::new(1, 0, ProcCell::new(), None);
         let mut wakes = WakeBatch::new();
-        t.grant_core(2, &Histogram::new(1), &mut wakes);
+        t.grant_core(2, None, &Histogram::new(1), &mut wakes);
         assert_eq!(t.release(Release::Waiting, &mut wakes), None);
         assert!(!t.is_released());
         assert_eq!(t.release(Release::All, &mut wakes), None);

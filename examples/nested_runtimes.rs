@@ -67,7 +67,7 @@ fn main() {
         cache.created, cache.reused
     );
     println!(
-        "speedup vs baseline     : {:.2}x (the inner teams persist on both sides, so this is the cost of a cooperative hand-off against a kernel time-slice switch; it depends on the host's core count and wake-up latency)",
+        "speedup vs baseline     : {:.2}x (the inner teams persist on both sides, so this weighs a cooperative hand-off, which wakes the successor on its core's CPU when the instance has one core per CPU, against a kernel time-slice switch; a run this short reads near 1x on a small host)",
         coop.mflops / baseline.mflops.max(1e-9)
     );
     usf.shutdown();
