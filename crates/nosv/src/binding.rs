@@ -11,7 +11,8 @@
 //!
 //! The rules, kept by [`crate::task`] — its `WakeBatch` and its grant wait are the only
 //! callers of [`Worker::bind`] and [`Worker::restore`], and run them after every scheduler
-//! lock is dropped:
+//! lock is dropped; a record's lock serialises its thread's affinity calls, and only a
+//! grant lock is ever taken under it:
 //!
 //! * The map exists only when the instance has exactly as many cores as the process may
 //!   use CPUs, and at least two ([`core_cpus`]); otherwise nothing is ever bound. A

@@ -942,7 +942,7 @@ mod tests {
         // The deregister-then-submit-and-drain interleaving that exposed a missing
         // process-liveness check (a Created task of a purged process was granted /
         // resurrected the process in the quantum rotation). The rule now lives in the
-        // intake drain (`Scheduler::drain_intake_forced`); the sequence is green and
+        // intake drain (`shard.rs`, `Locked::drain_intake`); the sequence is green and
         // pinned here as a regression.
         let cfg = FuzzConfig::base();
         let ops = vec![

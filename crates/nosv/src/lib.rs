@@ -74,6 +74,8 @@ pub mod task;
 pub mod topology;
 
 mod binding;
+mod registry;
+mod shard;
 
 pub use config::{NosvConfig, PolicyKind};
 pub use error::NosvError;

@@ -55,50 +55,3 @@ impl ProcCell {
         self.domain.lock().clone()
     }
 }
-
-/// Bookkeeping for one registered process domain.
-#[derive(Debug, Clone)]
-pub struct ProcessInfo {
-    /// Identifier assigned at registration.
-    pub id: ProcessId,
-    /// Human-readable name (diagnostics only).
-    pub name: String,
-    /// Number of tasks ever created in this domain.
-    pub tasks_created: u64,
-    /// Number of live (not yet finished) tasks.
-    pub tasks_live: u64,
-    /// Placement domain: the cores this process's tasks may be granted, when restricted
-    /// (NUMA-aware pinning, §5.6). `None` means anywhere.
-    pub domain: Option<Vec<CoreId>>,
-    /// Shared liveness/domain cell; each task of the process holds a clone so shard-local
-    /// scheduling paths can check process liveness without the global lock.
-    pub(crate) cell: Arc<ProcCell>,
-}
-
-impl ProcessInfo {
-    /// Create bookkeeping for a new process domain.
-    pub fn new(id: ProcessId, name: impl Into<String>) -> Self {
-        ProcessInfo {
-            id,
-            name: name.into(),
-            tasks_created: 0,
-            tasks_live: 0,
-            domain: None,
-            cell: ProcCell::new(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn new_process_info_is_empty() {
-        let p = ProcessInfo::new(3, "llama-server");
-        assert_eq!(p.id, 3);
-        assert_eq!(p.name, "llama-server");
-        assert_eq!(p.tasks_created, 0);
-        assert_eq!(p.tasks_live, 0);
-    }
-}

@@ -1,222 +1,106 @@
 //! The centralized multi-process scheduler (the "shared memory segment" of nOS-V).
 //!
-//! One [`Scheduler`] instance owns the virtual core slots and the installed [`Policy`].
-//! The scheduler section is **split along the NUMA shard boundary**: each node owns a
-//! `Shard` — an independently locked `ShardState` (its core slots, grant/stall bookkeeping
-//! and a full SCHED_COOP ready-queue core) plus that node's submit intake —
-//! while the rarely-written registry — process table, task table, id counters, the
-//! shutdown flag — lives in a `GlobalState` behind its own lock. Per-task grant slots
-//! keep their own lock so a worker can wait for a core without holding any
-//! scheduler-section lock; the slot is private to [`crate::task`], and this module moves
-//! a task only through its `Task` transition methods. [`PolicyKind::Coop`] runs one
-//! shard per NUMA node (one node ⇒ the single-lock scheduler); a global queue cannot be
-//! sharded, so [`PolicyKind::Fifo`] and custom policies run one shard owning every core.
-//! Which shard a ready task is queued in and the order in which a core consults the
-//! shards are [`crate::readyq`] code ([`readyq::enqueue_shard`], [`ShardLadder`]) shared
-//! with the sim replay.
+//! One [`Scheduler`] instance owns the virtual core slots and the installed policy, and
+//! serves every process domain of an instance. Its state is split along a strict
+//! three-level lock hierarchy, taken only in this order, one module per level, each
+//! level's state private to its module (see the matching table in DESIGN.md):
 //!
-//! **The de-contended hot path.** The paper's central claim is that scheduling points are
-//! cheap enough for a centralized scheduler to arbitrate oversubscription, so the
-//! operations that fire on every wake-up must not serialize on a global lock:
+//! 1. the **registry** (`registry.rs`), behind the global-section lock;
+//! 2. the **shards** (`shard.rs`), one dispatch lock per NUMA node;
+//! 3. the **grant slots** ([`crate::task`]), one lock per task.
 //!
-//! * `submit` to a busy system publishes the ready task to an **intake, one per shard**,
-//!   with one push under the intake lock, and returns without taking any scheduler lock
-//!   (submitters targeting different nodes never touch the same intake). The intake is
-//!   drained in push order — under the shard lock — by whichever core reaches the next
-//!   scheduling point (release/dispatch/yield), i.e. by threads that were taking that
-//!   shard's lock anyway, and by workers about to park (the pre-park drain, so a wake-up
-//!   never waits for the next organic scheduling point).
-//!   Only when idle cores exist does `submit` take a shard lock itself to place the task
-//!   immediately (an idle system is uncontended by definition).
-//! * Same-node scheduling points — the submit-triggered drain, `place_ready_task`,
-//!   `pick_live`, `release_core`, `dispatch_idle_cores` for a core of node N — take only
-//!   node N's shard lock. Producers and consumers pinned to different nodes never share
-//!   a scheduler-section cache line end-to-end: intake shard, dispatch lock and core
-//!   slots are all per-node.
-//! * Grant-slot condvar notifications are **never delivered under a scheduler-section
-//!   lock**: grants and releases owe their notifications to a `WakeBatch` (the only
-//!   notifier, in `task.rs`), fired only after every guard has dropped, so a woken worker
-//!   never convoys on the lock its waker holds.
-//! * `has_ready`, `ready_count` and `busy_cores` read relaxed-ish atomic gauges
-//!   (`ready_tasks`, `idle_cores`), so `yield_now`'s "is switching useful" check never
-//!   contends with submitters.
-//! * Every shard-lock acquisition bumps that shard's `lock_acquisitions` counter and
-//!   every global-section acquisition bumps `global_lock_acquisitions` (their sum is the
-//!   snapshot's `lock_acquisitions`), which is how the tests verify that the submit fast
-//!   path takes no scheduler lock (`tests::submit_fast_path_takes_no_scheduler_lock`) and
-//!   that steady-state wake churn never touches the global section
-//!   (`wake_churn.rs::steady_state_churn_takes_no_global_section`).
-//!
-//! # Lock hierarchy
-//!
-//! Three lock classes, in strict acquisition order, plus one leaf (see the matching table
-//! in DESIGN.md):
-//!
-//! 1. **Global-section lock** (`GlobalState`): process/task tables, id counters, the
-//!    shutdown flag. May be held while taking shard locks (rare multi-shard ops below);
-//!    never acquired while holding a shard or grant lock.
-//! 2. **Shard locks** (`ShardState`, one per node): at most one is *block*-acquired at a
-//!    time; additional shards are reached only via `try_lock` (cross-shard stealing and
-//!    the rate-limited aging valve), which cannot deadlock regardless of order.
-//! 3. **Grant locks** (per task, owned by `task.rs`): taken only inside a `Task` method,
-//!    under a shard lock (grant delivery, the yield hand-over) or none; a grant lock is
-//!    never held while acquiring any scheduler-section lock. The public entry points
-//!    (`submit`, `pause`, …) run their grant-slot transition first and only then take
-//!    scheduler locks.
-//!
-//! **Intake locks** (one per shard) are leaves: held for one push or one take, never while
-//! acquiring another lock. They are not scheduler-section locks and bump no
-//! `lock_acquisitions`; a drain takes one under its shard lock (or, at shutdown, under
-//! the global lock).
-//!
-//! **Binding-record locks** (one per OS thread, `binding.rs`) serialise that thread's CPU
-//! affinity calls. They are taken only by a firing `WakeBatch` or a returning grant wait,
-//! with no scheduler-section lock held, and only a grant lock is taken under one.
-//!
-//! The enumerated multi-shard operations — `register_process`/`deregister_process`,
-//!    `kill_process`, `set_process_domain`, `shutdown`, `watchdog_scan`, `rescue_drain`
-//!    and the cross-shard dispatch sweep — visit shards strictly one at a time in
-//!    ascending node order, and never hold two block-acquired shard locks or fire a
-//!    `WakeBatch` while any scheduler-section lock is held.
+//! This module holds the public API and the glue between the levels: each entry point
+//! runs its grant-slot transition first, then takes the registry and shard locks it
+//! needs, and delivers the notifications it owes only once every lock has dropped.
+//! `Hooks` is what every level reads without a lock.
 
-use crate::binding::{self, Worker};
+use crate::binding::Worker;
 use crate::config::{NosvConfig, PolicyKind};
 use crate::error::{NosvError, Result};
 use crate::faults::{FaultPlan, FaultSite, FaultState};
 use crate::obs::{inc, StatsRegistry, StatsSample, StatsSnapshot};
-use crate::policy::{Policy, TaskMeta};
-use crate::process::{ProcessId, ProcessInfo};
-use crate::readyq::{self, LadderStep, PickTier, ShardLadder};
+use crate::process::ProcessId;
+use crate::registry::GlobalState;
 use crate::sched_trace::{TraceEvent, TraceMeta, TraceRecorder};
-use crate::task::{Release, Task, TaskId, TaskRef, WaitOutcome, WakeBatch};
+use crate::shard::Shards;
+use crate::task::{Release, TaskId, TaskRef, WaitOutcome, WakeBatch};
 use crate::topology::{CoreId, Topology};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Append a trace event when a recorder is installed.
+/// Append a trace event when a recorder is installed in `$hooks`.
 ///
 /// The timestamp and event expressions are evaluated only inside the branch, so with no
 /// recorder a hook costs one load and one predictable branch: no `Instant::now()`, no
 /// `TraceEvent` and no atomic.
 macro_rules! trace_event {
-    ($sched:expr, $at:expr, $ev:expr) => {{
-        if let Some(rec) = $sched.tracer.as_ref() {
+    ($hooks:expr, $at:expr, $ev:expr) => {{
+        if let Some(rec) = $hooks.tracer.as_deref() {
             rec.record_at($at, $ev);
         }
     }};
 }
+pub(crate) use trace_event;
 
-/// State of one virtual core slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreSlot {
-    /// Nothing granted on this core.
-    Idle,
-    /// The given task currently holds this core.
-    Busy(TaskId),
+/// The lock-free plane every level of the scheduler reads.
+pub(crate) struct Hooks {
+    /// Always-on counters and stage histograms (see [`crate::obs`]).
+    pub(crate) stats: StatsRegistry,
+    /// Installed schedule-trace recorder, if any (see [`crate::sched_trace`]).
+    pub(crate) tracer: Option<Arc<TraceRecorder>>,
+    /// Installed fault plan, if any (see [`crate::faults`]). A `OnceLock` so harnesses
+    /// holding only the shared `Arc<Scheduler>` can still install one; the hot-path
+    /// consult is a single acquire load.
+    faults: OnceLock<Arc<FaultState>>,
+    /// The shutdown flag: set once, under the global-section lock, before the shutdown
+    /// drain, so a submit racing shutdown can detect it after publishing and self-heal
+    /// (see [`Scheduler::submit`]); no dispatch path grants once it is set.
+    shutting_down: AtomicBool,
 }
 
-/// A shard's submit intake: a submit to a busy system pushes its ready task here, under
-/// the intake lock and no scheduler lock; the next scheduling point of the shard takes
-/// the whole list in push order.
-///
-/// The intake lock is a leaf of the lock hierarchy (see the module documentation). Every
-/// shard has its own, so submitters targeting different nodes never contend on it. Push
-/// order is lock order, which is a valid submission order: each producer's submits keep
-/// their program order.
-struct Intake {
-    /// Published tasks, each with the instant of its submit — the start of the
-    /// submit→drain stage histogram (`obs::StageStats::intake_wait`).
-    entries: Mutex<Vec<(TaskRef, Instant)>>,
-    /// `entries.len()`, stored under the intake lock and read lock-free by the pre-park
-    /// check and the stats sampler.
-    len: AtomicUsize,
-}
+impl Hooks {
+    /// Whether shutdown has begun.
+    #[inline]
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
 
-impl Intake {
-    fn new() -> Self {
-        Intake {
-            entries: Mutex::new(Vec::new()),
-            len: AtomicUsize::new(0),
+    /// Consult the installed fault plan at a site: `true` when the fault fires on this
+    /// visit, counted and traced before the caller acts on it. With no plan installed
+    /// this is one load and one branch.
+    #[inline]
+    pub(crate) fn fault_fires(&self, site: FaultSite, task: Option<TaskId>) -> bool {
+        let Some(f) = self.faults.get() else {
+            return false;
+        };
+        let fired = f.consult(site, task);
+        if fired {
+            self.note_fault(site, task);
         }
+        fired
     }
 
-    /// Publish a ready task: one push under the intake lock.
-    fn push(&self, task: TaskRef, pushed_at: Instant) {
-        let mut entries = self.entries.lock();
-        entries.push((task, pushed_at));
-        self.len.store(entries.len(), Ordering::Relaxed);
+    /// Like [`Hooks::fault_fires`], yielding the stall duration of a delaying site.
+    #[inline]
+    fn fault_stall(&self, site: FaultSite, task: Option<TaskId>) -> Option<Duration> {
+        let stall = self.faults.get()?.consult_stall(site, task);
+        if stall.is_some() {
+            self.note_fault(site, task);
+        }
+        stall
     }
 
-    /// Take every published task in push order, each with its publish instant.
-    fn drain(&self) -> Vec<(TaskRef, Instant)> {
-        let mut entries = self.entries.lock();
-        self.len.store(0, Ordering::Relaxed);
-        std::mem::take(&mut *entries)
+    /// Count and trace one fault-site firing.
+    fn note_fault(&self, site: FaultSite, task: Option<TaskId>) {
+        inc(&self.stats.counters.faults_injected);
+        trace_event!(
+            self,
+            Instant::now(),
+            TraceEvent::FaultInjected { site, task }
+        );
     }
-
-    /// Current depth (the intake gauge).
-    fn depth(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-}
-
-/// The rarely-written registry section of the scheduler, behind its own lock (level 1 of
-/// the lock hierarchy — see the module documentation): process and task tables, id
-/// counters and the shutdown flag. Steady-state wake churn never touches it; every
-/// acquisition bumps `global_lock_acquisitions`, which is how
-/// `wake_churn.rs::steady_state_churn_takes_no_global_section` proves that.
-pub(crate) struct GlobalState {
-    tasks: HashMap<TaskId, TaskRef>,
-    processes: HashMap<ProcessId, ProcessInfo>,
-    next_task_id: TaskId,
-    next_process_id: ProcessId,
-    shutdown: bool,
-}
-
-/// Per-NUMA-node dispatch state, independently locked (level 2 of the lock hierarchy):
-/// the node's core slots and watchdog bookkeeping, a full SCHED_COOP ready-queue core,
-/// and the shard's pick ladder. The single-lock scheduler is the one-shard case of this
-/// structure.
-pub(crate) struct ShardState {
-    /// This shard's index (== NUMA node id when there is more than one shard).
-    si: usize,
-    /// The global ids of the cores this shard owns, ascending (parallel to `slots`).
-    cores: Vec<CoreId>,
-    /// Core slots, indexed by *local* core index (see `Scheduler::core_shard`).
-    slots: Vec<CoreSlot>,
-    /// The shard's ready queues; a full policy instance so per-process quanta and the
-    /// pick tiers work unchanged within a shard.
-    policy: Box<dyn Policy>,
-    /// Tasks currently queued in this shard's policy, so the pick path can resolve a
-    /// popped [`TaskMeta`] to its [`TaskRef`] (and detect stale entries of released
-    /// tasks) without the global task table.
-    queued: HashMap<TaskId, TaskRef>,
-    /// The order in which this shard's cores consult the shards, and the rate limiter on
-    /// its foreign aging probes (one per quantum, so the anti-starvation valve never
-    /// becomes a steady cross-node traffic source).
-    ladder: ShardLadder<Instant>,
-    /// When each busy core was last granted (the grant-to-run watchdog's reference
-    /// point), by local core index.
-    granted_at: Vec<Option<Instant>>,
-    /// Whether the current grant on each core has already been flagged by a watchdog scan
-    /// (each non-progressing grant is reported once, not on every scan).
-    stall_flagged: Vec<bool>,
-}
-
-/// One node's slice of the scheduler: the locked dispatch state plus what other threads
-/// reach without that lock. Aligned so that two nodes' shards never share a cache line.
-#[repr(align(128))]
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Submit intake, drained under `state`'s lock.
-    intake: Intake,
-    /// Policy-ready entry count, maintained under `state`'s lock and read lock-free by
-    /// foreign shards deciding whether a steal/aging probe (or the cross-shard dispatch
-    /// sweep) is worth a `try_lock` at all.
-    ready: AtomicUsize,
 }
 
 /// One non-progressing core flagged by [`Scheduler::watchdog_scan`]: the granted task has
@@ -246,56 +130,21 @@ pub struct KillReport {
 
 /// The centralized scheduler shared by every process domain of an instance.
 pub struct Scheduler {
-    topo: Topology,
     config: NosvConfig,
-    /// The rarely-written registry section (level 1 of the lock hierarchy).
+    /// The registry (level 1), behind the global-section lock.
     global: Mutex<GlobalState>,
-    /// Dispatch shards (level 2): one per NUMA node under [`PolicyKind::Coop`], one
-    /// otherwise.
-    shards: Box<[Shard]>,
-    /// Global core id → (shard index, local core index), fixed at construction.
-    core_shard: Vec<(usize, usize)>,
-    /// Global core id → the CPU its worker is bound to, or `None` when the instance does
-    /// not have exactly one core per CPU and no worker is bound (see [`crate::binding`]).
-    core_cpus: Option<Box<[usize]>>,
-    /// [`Policy::name`] of the installed policy, read once at construction.
+    /// The dispatch shards (level 2).
+    shards: Shards,
+    /// The installed policy's name, read once at construction.
     policy_name: String,
-    /// Always-on observability plane: event counters, stage-boundary latency histograms,
-    /// per-shard stats and the snapshot time base (see [`crate::obs`]). Recording never
-    /// takes the scheduler lock.
-    stats: StatsRegistry,
-    /// Number of idle core slots; maintained under the lock, read lock-free by `submit`
-    /// to decide whether immediate placement is worth taking the lock for.
-    idle_cores: AtomicUsize,
-    /// Ready-task gauge: intake entries plus policy-queued entries. Signed because stale
-    /// entries of detached tasks are only reconciled when they are popped, and shutdown
-    /// zeroes it; readers clamp at zero.
-    ready_tasks: AtomicI64,
-    /// Lock-free mirror of `GlobalState::shutdown`, set before the shutdown drain so a
-    /// submit racing shutdown can detect it after publishing and self-heal (see
-    /// [`Scheduler::submit`]).
-    shutting_down: AtomicBool,
-    /// Installed schedule-trace recorder, if any (see [`crate::sched_trace`]).
-    tracer: Option<Arc<TraceRecorder>>,
-    /// Installed fault plan, if any (see [`crate::faults`]). A `OnceLock` rather than a
-    /// plain `Option` so harnesses holding only the shared `Arc<Scheduler>` (the real
-    /// executors, the chaos bench) can still install a plan; the hot-path consult is a
-    /// single acquire load.
-    faults: OnceLock<Arc<FaultState>>,
-}
-
-/// The tasks in id order: the order in which a multi-task teardown visits victims, so the
-/// cores it frees (and every pick after them) do not depend on hash-table order.
-fn by_id<'a>(tasks: impl Iterator<Item = &'a TaskRef>) -> Vec<TaskRef> {
-    let mut v: Vec<TaskRef> = tasks.cloned().collect();
-    v.sort_by_key(|t| t.id());
-    v
+    /// What every level reads without a lock.
+    hooks: Hooks,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("cores", &self.topo.num_cores())
+            .field("cores", &self.config.topology.num_cores())
             .field("policy", &self.config.policy)
             .finish()
     }
@@ -304,62 +153,25 @@ impl std::fmt::Debug for Scheduler {
 impl Scheduler {
     /// Create a scheduler with the given configuration.
     pub fn new(config: NosvConfig) -> Self {
-        let topo = config.topology.clone();
-        let cores = topo.num_cores();
+        let topo = &config.topology;
         // SCHED_COOP's queues are per core and per node already, so it shards along the
         // node boundary; a policy with one global queue cannot.
         let nshards = match config.policy {
             PolicyKind::Coop => topo.num_numa_nodes().max(1),
             PolicyKind::Fifo | PolicyKind::Custom(_) => 1,
         };
-        let mut core_shard = vec![(0usize, 0usize); cores];
-        let shards: Box<[Shard]> = (0..nshards)
-            .map(|si| {
-                let owned: Vec<CoreId> = topo
-                    .cores()
-                    .filter(|&c| readyq::shard_of_core(&topo, nshards, c) == si)
-                    .collect();
-                for (li, &c) in owned.iter().enumerate() {
-                    core_shard[c] = (si, li);
-                }
-                let n = owned.len();
-                Shard {
-                    state: Mutex::new(ShardState {
-                        si,
-                        cores: owned,
-                        slots: vec![CoreSlot::Idle; n],
-                        policy: config.policy.build(&config),
-                        queued: HashMap::new(),
-                        ladder: ShardLadder::new(si, nshards, config.process_quantum),
-                        granted_at: vec![None; n],
-                        stall_flagged: vec![false; n],
-                    }),
-                    intake: Intake::new(),
-                    ready: AtomicUsize::new(0),
-                }
-            })
-            .collect();
-        let policy_name = shards[0].state.lock().policy.name().to_string();
+        let shards = Shards::new(&config, nshards);
         Scheduler {
-            topo,
-            global: Mutex::new(GlobalState {
-                tasks: HashMap::new(),
-                processes: HashMap::new(),
-                next_task_id: 1,
-                next_process_id: 1,
-                shutdown: false,
-            }),
+            global: Mutex::default(),
+            policy_name: shards.policy_name(),
             shards,
-            core_shard,
-            core_cpus: binding::core_cpus(cores),
-            policy_name,
-            stats: StatsRegistry::new(cores, nshards),
+            hooks: Hooks {
+                stats: StatsRegistry::new(topo.num_cores(), nshards),
+                tracer: None,
+                faults: OnceLock::new(),
+                shutting_down: AtomicBool::new(false),
+            },
             config,
-            idle_cores: AtomicUsize::new(cores),
-            ready_tasks: AtomicI64::new(0),
-            shutting_down: AtomicBool::new(false),
-            tracer: None,
-            faults: OnceLock::new(),
         }
     }
 
@@ -369,7 +181,7 @@ impl Scheduler {
     /// covers the scheduler's whole life.
     pub fn install_tracer(&mut self) -> Arc<TraceRecorder> {
         let rec = Arc::new(TraceRecorder::new(TraceMeta::from_config(&self.config)));
-        self.tracer = Some(Arc::clone(&rec));
+        self.hooks.tracer = Some(Arc::clone(&rec));
         rec
     }
 
@@ -379,96 +191,19 @@ impl Scheduler {
     /// way), so concurrent installers cannot split the fault log.
     pub fn install_faults(&self, plan: &FaultPlan) -> Arc<FaultState> {
         let st = Arc::new(FaultState::new(plan));
-        Arc::clone(self.faults.get_or_init(|| st))
+        Arc::clone(self.hooks.faults.get_or_init(|| st))
     }
 
-    /// Consult the installed fault plan at a site: `true` when the fault fires on this
-    /// visit. A firing is counted (`faults_injected`) and traced (`FaultInjected`) here,
-    /// before the caller acts on it. With no plan installed this is one load and one
-    /// branch.
-    #[inline]
-    fn fault_fires(&self, site: FaultSite, task: Option<TaskId>) -> bool {
-        let Some(f) = self.faults.get() else {
-            return false;
-        };
-        let fired = f.consult(site, task);
-        if fired {
-            self.note_fault(site, task);
-        }
-        fired
-    }
-
-    /// Like [`Scheduler::fault_fires`], but yields the stall duration when the (delaying)
-    /// site fires.
-    #[inline]
-    fn fault_stall(&self, site: FaultSite, task: Option<TaskId>) -> Option<Duration> {
-        let stall = self.faults.get()?.consult_stall(site, task);
-        if stall.is_some() {
-            self.note_fault(site, task);
-        }
-        stall
-    }
-
-    /// Count and trace one fault-site firing.
-    fn note_fault(&self, site: FaultSite, task: Option<TaskId>) {
-        inc(&self.stats.counters.faults_injected);
-        trace_event!(
-            self,
-            Instant::now(),
-            TraceEvent::FaultInjected { site, task }
-        );
-    }
-
-    /// Acquire the global-section lock (registry tables), bumping the counter that lets
+    /// Acquire the global-section lock (the registry), bumping the counter that lets
     /// tests prove which paths stay off it (steady-state churn must leave it flat).
     fn lock_global(&self) -> parking_lot::MutexGuard<'_, GlobalState> {
-        inc(&self.stats.counters.global_lock_acquisitions);
+        inc(&self.stats().counters.global_lock_acquisitions);
         self.global.lock()
-    }
-
-    /// Block-acquire shard `si`'s dispatch lock. At most one shard lock is ever
-    /// block-acquired at a time (the hierarchy's level-2 rule); additional shards are
-    /// reached only through [`Scheduler::try_lock_shard`].
-    fn lock_shard(&self, si: usize) -> parking_lot::MutexGuard<'_, ShardState> {
-        inc(&self.stats.shards[si].lock_acquisitions);
-        self.shards[si].state.lock()
-    }
-
-    /// Opportunistically acquire a *second* shard's lock (cross-shard stealing and the
-    /// aging valve). Never blocks, so no ordering discipline between shard locks is
-    /// needed to stay deadlock-free — a busy victim is simply skipped.
-    fn try_lock_shard(&self, si: usize) -> Option<parking_lot::MutexGuard<'_, ShardState>> {
-        let g = self.shards[si].state.try_lock()?;
-        inc(&self.stats.shards[si].lock_acquisitions);
-        Some(g)
-    }
-
-    /// The shard owning `core`.
-    fn shard_of(&self, core: CoreId) -> usize {
-        self.core_shard[core].0
-    }
-
-    /// The shard a submit of `task` is published to, drained by and queued in.
-    fn home_shard(&self, task: &TaskRef) -> usize {
-        readyq::enqueue_shard(&self.topo, self.shards.len(), None, task.preferred_core())
-    }
-
-    /// Whether any *other* shard has policy-queued work (lock-free probe guard).
-    fn others_ready(&self, si: usize) -> bool {
-        self.shards
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != si && s.ready.load(Ordering::Relaxed) > 0)
-    }
-
-    /// Total entries across the per-shard intakes (the intake-depth gauge).
-    fn intake_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.intake.depth()).sum()
     }
 
     /// The topology this scheduler manages.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.config.topology
     }
 
     /// The configuration the scheduler was built with.
@@ -480,23 +215,21 @@ impl Scheduler {
     /// [`StatsRegistry::counters`]), stage-boundary histograms, per-shard lock counters
     /// and the snapshot time base.
     pub fn stats(&self) -> &StatsRegistry {
-        &self.stats
+        &self.hooks.stats
     }
 
     /// One unified observation of the scheduler: cumulative counters, stage-boundary
-    /// latency histograms (scheduler-wide) and per-shard lock and rotation counts. Takes
-    /// each shard lock briefly (one at a time) to read its policy's quantum rotations;
-    /// everything else is lock-free — an observation tool, not a hot-path call (the lock
-    /// acquisitions show up in `lock_acquisitions` like any others).
+    /// latency histograms and per-shard lock and rotation counts. Takes each shard lock
+    /// briefly, one at a time, to read its policy's quantum rotations (the acquisitions
+    /// show up in `lock_acquisitions` like any others); everything else is lock-free.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let rotations: Vec<u64> = (0..self.shards.len())
-            .map(|si| self.lock_shard(si).policy.rotations())
-            .collect();
-        let (counters, shards) = self.stats.counters_and_shards(&rotations);
+        let rotations = self.shards.each_policy(&self.hooks, |p| p.rotations());
+        let stats = &self.hooks.stats;
+        let (counters, shards) = stats.counters_and_shards(&rotations);
         StatsSnapshot {
-            at: self.stats.elapsed(),
+            at: stats.elapsed(),
             counters,
-            stages: self.stats.stages.snapshot(),
+            stages: stats.stages.snapshot(),
             shards,
         }
     }
@@ -504,24 +237,22 @@ impl Scheduler {
     /// One lock-free time-series point (the sampler's per-tick read): atomic gauges and
     /// two cumulative counters only, so sampling never perturbs the schedule.
     pub fn sample(&self) -> StatsSample {
+        let stats = &self.hooks.stats;
         StatsSample {
-            at: self.stats.elapsed(),
+            at: stats.elapsed(),
             ready_tasks: self.ready_count(),
-            intake_depth: self.intake_depth(),
+            intake_depth: self.shards.intake_depth(),
             busy_cores: self.busy_cores(),
-            submits: self.stats.counters.submits.load(Ordering::Relaxed),
-            grants: self.stats.counters.grants.load(Ordering::Relaxed),
+            submits: stats.counters.submits.load(Ordering::Relaxed),
+            grants: stats.counters.grants.load(Ordering::Relaxed),
         }
     }
 
     /// Start a background sampler appending one [`StatsSample`] every `period`. Off by
     /// default — nothing samples unless a harness asks; stop (and collect) with
     /// [`crate::obs::StatsSampler::stop`].
-    pub fn start_sampler(
-        self: &std::sync::Arc<Self>,
-        period: Duration,
-    ) -> crate::obs::StatsSampler {
-        let sched = std::sync::Arc::clone(self);
+    pub fn start_sampler(self: &Arc<Self>, period: Duration) -> crate::obs::StatsSampler {
+        let sched = Arc::clone(self);
         crate::obs::StatsSampler::start(period, move || sched.sample())
     }
 
@@ -532,55 +263,42 @@ impl Scheduler {
 
     /// Number of process-quantum rotations performed by the policy (summed over shards).
     pub fn policy_rotations(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|si| self.lock_shard(si).policy.rotations())
-            .sum()
+        let rotations = self.shards.each_policy(&self.hooks, |p| p.rotations());
+        rotations.into_iter().sum()
     }
 
     /// Number of tasks currently ready (queued, not running). Lock-free: reads the atomic
     /// gauge, which may transiently include entries of tasks detached while queued.
     pub fn ready_count(&self) -> usize {
-        self.ready_tasks.load(Ordering::SeqCst).max(0) as usize
+        self.shards.ready_count()
     }
 
     /// Whether any task is ready. Lock-free (see [`Scheduler::ready_count`]); this is what
     /// makes yield-storm "is switching useful" checks free of contention.
     pub fn has_ready(&self) -> bool {
-        self.ready_tasks.load(Ordering::SeqCst) > 0
+        self.ready_count() > 0
     }
 
     /// Number of cores currently running a task. Lock-free.
     pub fn busy_cores(&self) -> usize {
-        self.topo
-            .num_cores()
-            .saturating_sub(self.idle_cores.load(Ordering::SeqCst))
+        let cores = self.config.topology.num_cores();
+        cores.saturating_sub(self.shards.idle_cores())
     }
 
     /// Number of live (registered, unfinished) tasks.
     pub fn live_tasks(&self) -> usize {
-        self.lock_global().tasks.len()
+        self.lock_global().live_tasks()
     }
-
-    // -------------------------------------------------------------------------------------
-    // Processes
-    // -------------------------------------------------------------------------------------
 
     /// Register a process domain and return its identifier. A multi-shard operation:
     /// global registry first, then every shard's policy, one lock at a time in ascending
     /// order (rare by design — registration is not a scheduling point).
     pub fn register_process(&self, name: impl Into<String>) -> ProcessId {
-        let id = {
-            let mut g = self.lock_global();
-            let id = g.next_process_id;
-            g.next_process_id += 1;
-            g.processes.insert(id, ProcessInfo::new(id, name));
-            id
-        };
-        for si in 0..self.shards.len() {
-            self.lock_shard(si).policy.register_process(id);
-        }
+        let id = self.lock_global().register(name.into());
+        let h = &self.hooks;
+        self.shards.each_policy(h, |p| p.register_process(id));
         trace_event!(
-            self,
+            self.hooks,
             Instant::now(),
             TraceEvent::RegisterProcess { process: id }
         );
@@ -596,55 +314,18 @@ impl Scheduler {
     /// deregister must never leave a waiter parked forever, whatever state the race with
     /// submit/pause left it in.
     pub fn deregister_process(&self, process: ProcessId) {
-        let stranded: Vec<TaskRef> = {
-            let mut g = self.lock_global();
-            if let Some(p) = g.processes.remove(&process) {
-                // Marking the shared cell dead is what lets the shard-local intake drains
-                // reject the process's tasks from now on without the global lock.
-                p.cell.mark_dead();
-            }
-            by_id(g.tasks.values().filter(|t| t.process() == process))
-        };
+        let stranded = self.lock_global().deregister(process);
         trace_event!(
-            self,
+            self.hooks,
             Instant::now(),
             TraceEvent::DeregisterProcess { process }
         );
-        self.purge_from_shards(process);
-        // Every scheduler-section lock is dropped; the batch notifies the released
-        // waiters once their grant guards are dropped too (collect-then-notify).
+        self.shards.purge(&self.hooks, process);
+        // No scheduler lock is held: the batch notifies the released waiters.
         let mut wakes = WakeBatch::new();
         for t in stranded {
             t.release(Release::Waiting, &mut wakes);
         }
-    }
-
-    /// Purge a dead process (its shared cell already marked) from every shard, one lock
-    /// at a time, returning how many queued entries were dropped. Each shard's intake
-    /// drain runs first: a task of this process still sitting in the intake would
-    /// otherwise be enqueued at a later drain — the dead process cell makes the drain
-    /// release it instead. The policy then drops any entries still queued for the
-    /// process; the lock-free ready gauges must shed them too or has_ready() would stay
-    /// stuck true and permanently defeat the yield fast path.
-    fn purge_from_shards(&self, process: ProcessId) -> usize {
-        let mut purged = 0;
-        for si in 0..self.shards.len() {
-            let mut wakes = WakeBatch::new();
-            let mut st = self.lock_shard(si);
-            self.drain_intake(&mut st, &mut wakes);
-            let before = st.policy.ready_count();
-            st.policy.deregister_process(process);
-            let dropped = before.saturating_sub(st.policy.ready_count());
-            if dropped > 0 {
-                self.ready_tasks.fetch_sub(dropped as i64, Ordering::SeqCst);
-                self.shards[si].ready.fetch_sub(dropped, Ordering::Relaxed);
-            }
-            st.queued.retain(|_, t| t.process() != process);
-            purged += dropped;
-            drop(st);
-            wakes.fire();
-        }
-        purged
     }
 
     /// Forcibly reclaim a process that died mid-run: like
@@ -656,31 +337,27 @@ impl Scheduler {
     pub fn kill_process(&self, process: ProcessId) -> KillReport {
         let mut report = KillReport::default();
         // Phase 1 (global): unregister, mark the shared cell dead (shard-local paths
-        // reject the process's tasks from here on) and pull every victim out of the task
-        // table.
-        let victims: Vec<TaskRef> = {
+        // reject the process's tasks from here on) and take every victim off the table.
+        let victims = {
             let mut g = self.lock_global();
-            let Some(p) = g.processes.remove(&process) else {
+            let Some(victims) = g.kill(process) else {
                 return report;
             };
-            p.cell.mark_dead();
-            inc(&self.stats.counters.processes_killed);
-            let victims = by_id(g.tasks.values().filter(|t| t.process() == process));
-            for t in &victims {
-                g.tasks.remove(&t.id());
-                inc(&self.stats.counters.tasks_reclaimed);
-            }
+            let counters = &self.stats().counters;
+            inc(&counters.processes_killed);
+            let n = victims.len() as u64;
+            counters.tasks_reclaimed.fetch_add(n, Ordering::Relaxed);
             victims
         };
         trace_event!(
-            self,
+            self.hooks,
             Instant::now(),
             TraceEvent::DeregisterProcess { process }
         );
         // Phase 2 (per shard, one lock at a time): flush the intake (victims sitting
         // there are released by the drain — their process cell is dead) and purge the
         // policy queues, shedding the ready gauges.
-        report.queued_reclaimed = self.purge_from_shards(process);
+        report.queued_reclaimed = self.shards.purge(&self.hooks, process);
         // Phase 3 (grant teardown, no scheduler-section lock held): evict running
         // victims, release waiting ones — each released waiter is owed exactly one
         // notification, which the batch delivers once the grant guards are dropped.
@@ -693,7 +370,7 @@ impl Scheduler {
         report.waiters_released = wakes.len();
         wakes.fire();
         // Phase 4: hand each freed core to co-tenants' ready work.
-        self.free_cores(freed);
+        self.shards.free_cores(&self.hooks, freed);
         report
     }
 
@@ -707,24 +384,23 @@ impl Scheduler {
         let filtered = cores.and_then(|cs| {
             let kept: Vec<CoreId> = cs
                 .into_iter()
-                .filter(|&c| c < self.topo.num_cores())
+                .filter(|&c| c < self.config.topology.num_cores())
                 .collect();
             (!kept.is_empty()).then_some(kept)
         });
         {
-            let mut g = self.lock_global();
+            let g = self.lock_global();
             // Unknown (never-registered or already-deregistered) processes are ignored
             // entirely: forwarding to the policy would re-register the pid into the
             // quantum rotation as a ghost the grant path knows nothing about.
-            let Some(p) = g.processes.get_mut(&process) else {
+            let Some(cell) = g.cell(process) else {
                 return;
             };
-            p.domain = filtered.clone();
             // Publish to the shared cell so shard-local immediate grants see the new
             // domain without the global lock.
-            p.cell.set_domain(filtered.clone());
+            cell.set_domain(filtered.clone());
             trace_event!(
-                self,
+                self.hooks,
                 Instant::now(),
                 TraceEvent::SetDomain {
                     process,
@@ -732,66 +408,43 @@ impl Scheduler {
                 }
             );
         }
-        for si in 0..self.shards.len() {
-            self.lock_shard(si)
-                .policy
-                .set_process_domain(process, filtered.clone());
-        }
+        let h = &self.hooks;
+        self.shards
+            .each_policy(h, |p| p.set_process_domain(process, filtered.clone()));
     }
 
-    /// Names and ids of the registered process domains.
+    /// Names and ids of the registered process domains, in id order.
     pub fn processes(&self) -> Vec<(ProcessId, String)> {
-        let g = self.lock_global();
-        let mut v: Vec<_> = g
-            .processes
-            .values()
-            .map(|p| (p.id, p.name.clone()))
-            .collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
+        self.lock_global().processes()
     }
-
-    // -------------------------------------------------------------------------------------
-    // Task lifecycle
-    // -------------------------------------------------------------------------------------
 
     /// Create (but do not submit) a task belonging to `process`. The task carries its
-    /// process's shared liveness/domain cell, which is what lets every shard-local path
-    /// consult process state without the global lock.
+    /// process's shared cell, so shard-local paths never consult the registry.
     pub fn create_task(&self, process: ProcessId, label: Option<String>) -> Result<TaskRef> {
         let mut g = self.lock_global();
-        if g.shutdown {
+        // Read under the lock `shutdown` sets it under: no task is created after
+        // shutdown collected the tasks it releases.
+        if self.hooks.shutting_down() {
             return Err(NosvError::ShutDown);
         }
-        let Some(p) = g.processes.get_mut(&process) else {
-            return Err(NosvError::UnknownProcess(process));
-        };
-        p.tasks_created += 1;
-        p.tasks_live += 1;
-        let cell = std::sync::Arc::clone(&p.cell);
-        let id = g.next_task_id;
-        g.next_task_id += 1;
-        let task = Task::new(id, process, cell, label);
-        g.tasks.insert(id, TaskRef::clone(&task));
-        Ok(task)
+        g.create_task(process, label)
     }
 
-    /// The grant→first-run observation hook passed to the grant-slot waits: records into
-    /// the scheduler-wide `dispatch` stage histogram.
+    /// The grant-slot waits' grant→first-run hook: the `dispatch` stage histogram.
     fn record_dispatch(&self) -> impl Fn(Duration) + '_ {
-        |waited| self.stats.stages.dispatch.record(waited)
+        |waited| self.stats().stages.dispatch.record(waited)
     }
 
     /// Attach: submit the task and block the calling OS thread until the scheduler grants it
     /// a core. This is the `nosv_attach` pattern (§4.3.1): the thread is recruited as a
     /// worker and can no longer run freely.
     pub fn attach(&self, task: &TaskRef) {
-        inc(&self.stats.counters.attaches);
-        if self.core_cpus.is_some() {
+        inc(&self.stats().counters.attaches);
+        if self.shards.binds_workers() {
             task.set_worker(Worker::this_thread());
         }
         self.submit(task);
-        self.prepark_drain();
+        self.shards.prepark_drain(&self.hooks);
         let _ = task.wait_grant(None, self.record_dispatch());
     }
 
@@ -800,15 +453,16 @@ impl Scheduler {
     /// shard's intake with one push under the intake lock, and the call returns without
     /// taking any scheduler lock. Safe to call from any thread.
     pub fn submit(&self, task: &TaskRef) {
-        inc(&self.stats.counters.submits);
+        inc(&self.stats().counters.submits);
+        let (h, id) = (&self.hooks, Some(task.id()));
         // Fault site: drop the wake-up before any grant-slot bookkeeping, so the loss is
         // "clean" — the scheduler has no trace of the submit, exactly like a lost signal.
-        if self.fault_fires(FaultSite::DropWakeup, Some(task.id())) {
+        if h.fault_fires(FaultSite::DropWakeup, id) {
             return;
         }
         // Fault site: deliver the wake-up twice; the second delivery must be absorbed by
         // the level-triggered grant slot (pending-wakeup counter / redundant-submit path).
-        let duplicate = self.fault_fires(FaultSite::DuplicateWakeup, Some(task.id()));
+        let duplicate = h.fault_fires(FaultSite::DuplicateWakeup, id);
         self.submit_inner(task);
         if duplicate {
             self.submit_inner(task);
@@ -818,39 +472,37 @@ impl Scheduler {
     /// The submit body proper (after the fault sites, so an injected duplicate delivery
     /// does not re-consult the plan and cascade).
     fn submit_inner(&self, task: &TaskRef) {
-        let Some(now) = task.mark_ready(&self.stats.counters.pending_wakeups) else {
+        let Some(now) = task.mark_ready(&self.stats().counters.pending_wakeups) else {
             return;
         };
         trace_event!(
-            self,
+            self.hooks,
             now,
             TraceEvent::Submit {
                 process: task.process(),
                 task: task.id(),
             }
         );
-        self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-        let home = self.home_shard(task);
-        self.shards[home].intake.push(TaskRef::clone(task), now);
+        let home = self.shards.publish(task, now);
         // The intake lock pairs our push with the drain of a core going idle, which
-        // `mark_idle` counts before it drains. If that drain's critical section follows
+        // `release_core` counts before it drains. If that drain's critical section follows
         // our push's, the drain takes our entry. Otherwise the drain's unlock
         // happens-before our lock, so its `idle_cores` increment happens-before the load
         // below: we see the idle core and place the task ourselves.
-        if self.idle_cores.load(Ordering::SeqCst) > 0 {
+        if self.shards.idle_cores() > 0 {
             // Place the task ourselves (if stale entries make the drain enqueue instead
             // of granting, the scheduling point fills the idle cores from the policy).
-            self.scheduling_point(home, false);
+            self.shards.scheduling_point(&self.hooks, home, false);
             // The idle core may live in a foreign shard (whose lock we never block on
             // from here): the guarded sweep visits the other shards one at a time.
-            self.dispatch_sweep();
-        } else if self.shutting_down.load(Ordering::SeqCst) {
+            self.shards.dispatch_sweep(&self.hooks);
+        } else if self.hooks.shutting_down() {
             // We published after shutdown's drain: self-heal so the gauge does not stay
             // stuck positive and the entry does not pin the task until Scheduler drop (the
             // drain drops the entry; nothing is dispatched once the flag is set). The
             // waiter itself is safe either way — the task was registered before the
             // shutdown flag was set, so the release loop covers it.
-            self.scheduling_point(home, false);
+            self.shards.scheduling_point(&self.hooks, home, false);
         }
     }
 
@@ -858,7 +510,10 @@ impl Scheduler {
     /// it still holds its core — the non-progress signature the grant-to-run watchdog
     /// ([`Scheduler::watchdog_scan`]) exists to detect. No lock is held while sleeping.
     fn stall_point(&self, task: &TaskRef) {
-        if let Some(stall) = self.fault_stall(FaultSite::WorkerStall, Some(task.id())) {
+        let stall = self
+            .hooks
+            .fault_stall(FaultSite::WorkerStall, Some(task.id()));
+        if let Some(stall) = stall {
             std::thread::sleep(stall);
         }
     }
@@ -868,10 +523,11 @@ impl Scheduler {
     /// instant the task went off-core, or `None` when the call must return at once —
     /// the task was released, or a counted wake-up elides the block.
     fn block_prologue(&self, task: &TaskRef) -> Option<Instant> {
-        let held = task.block(&self.stats.counters.pauses_elided)?;
+        let held = task.block(&self.stats().counters.pauses_elided)?;
         let off_core = Instant::now();
-        self.free_cores(held);
-        self.prepark_drain();
+        let h = &self.hooks;
+        self.shards.free_cores(h, held);
+        self.shards.prepark_drain(h);
         Some(off_core)
     }
 
@@ -882,16 +538,16 @@ impl Scheduler {
         let Some(off_core) = self.block_prologue(task) else {
             return;
         };
-        inc(&self.stats.counters.pauses);
+        inc(&self.stats().counters.pauses);
         let _ = task.wait_grant(None, self.record_dispatch());
-        self.stats.stages.pause_block.record(off_core.elapsed());
+        self.stats().stages.pause_block.record(off_core.elapsed());
     }
 
     /// Timed block: like [`Scheduler::pause`], but if no submit arrives within `timeout` the
     /// task re-submits itself and waits to be rescheduled. This is `nosv_waitfor` and is the
     /// building block for sleeps and the poll/epoll integration (§4.3.4).
     pub fn waitfor(&self, task: &TaskRef, timeout: Duration) -> WaitOutcome {
-        inc(&self.stats.counters.waitfors);
+        inc(&self.stats().counters.waitfors);
         let Some(off_core) = self.block_prologue(task) else {
             return WaitOutcome::Woken;
         };
@@ -900,13 +556,13 @@ impl Scheduler {
             Some(_) => WaitOutcome::Woken,
             None => {
                 // Timed out without being woken: resubmit ourselves and wait for a core.
-                inc(&self.stats.counters.waitfor_timeouts);
+                inc(&self.stats().counters.waitfor_timeouts);
                 self.submit(task);
                 let _ = task.wait_grant(None, self.record_dispatch());
                 WaitOutcome::TimedOut
             }
         };
-        self.stats.stages.pause_block.record(off_core.elapsed());
+        self.stats().stages.pause_block.record(off_core.elapsed());
         outcome
     }
 
@@ -920,60 +576,19 @@ impl Scheduler {
         // with nothing ready (the busy-wait-barrier pattern) touches neither the task's
         // grant lock nor the scheduler lock.
         if !self.has_ready() {
-            inc(&self.stats.counters.yields_noop);
+            inc(&self.stats().counters.yields_noop);
             return false;
         }
         let Some(core) = task.held_core() else {
             return false;
         };
-        // The requeue below lands in the yielding core's own shard, the one locked here.
-        let si = readyq::enqueue_shard(&self.topo, self.shards.len(), Some(core), None);
-        let mut wakes = WakeBatch::new();
-        let mut st = self.lock_shard(si);
-        self.drain_intake(&mut st, &mut wakes);
-        // Pick the successor *before* requeueing ourselves: with per-core FIFO affinity the
-        // yielding task would otherwise be at the head of its own core's queue and the yield
-        // would hand the core straight back to it, starving everyone else.
-        let now = Instant::now();
-        let Some(next_task) = self.pick_live(&mut st, core, now) else {
-            // The gauge raced or every queued entry was stale; nothing to switch to.
-            drop(st);
-            inc(&self.stats.counters.yields_noop);
-            return false;
-        };
-        // Hand the core over, re-validated under the grant lock: a kill or shutdown since
-        // the check above took the core already (kill re-dispatches it), and handing it
-        // over too would run two tasks on it. Then the successor was popped for nothing:
-        // restore its gauge entry and place it as the drain would.
-        if !task.yield_core(core, now) {
-            self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-            self.place_ready_task(&mut st, &next_task, &mut wakes);
+        if !self.shards.hand_over(&self.hooks, task, core) {
             return false;
         }
-        trace_event!(
-            self,
-            now,
-            TraceEvent::Yield {
-                task: task.id(),
-                core,
-            }
-        );
-        // A voluntary yield surrenders the affinity claim: requeueing with the last-ran
-        // core as preference would put the yielder in that core's queue, where
-        // affinity-first picking hands the core straight back to it (or a fellow
-        // yielder) ahead of older ready tasks — a yield storm between busy-wait barrier
-        // spinners would then starve every task that has never been granted a core.
-        self.enqueue(&mut st, task, None, now);
-        self.ready_tasks.fetch_add(1, Ordering::SeqCst);
-        self.grant(&mut st, &next_task, core, false, &mut wakes);
-        drop(st);
-        // About to park waiting for our own next grant: hand the successor its wakeup
-        // first (the Drop safety net would only fire after the wait returns).
-        wakes.fire();
-        inc(&self.stats.counters.yields);
+        inc(&self.stats().counters.yields);
         let off_core = Instant::now();
         let _ = task.wait_grant(None, self.record_dispatch());
-        self.stats.stages.yield_block.record(off_core.elapsed());
+        self.stats().stages.yield_block.record(off_core.elapsed());
         true
     }
 
@@ -993,20 +608,13 @@ impl Scheduler {
 
     /// The body of [`Scheduler::detach`] and [`Scheduler::detach_pooled`].
     fn finish(&self, task: &TaskRef, how: Release) {
-        inc(&self.stats.counters.detaches);
+        inc(&self.stats().counters.detaches);
         let mut wakes = WakeBatch::new();
-        self.free_cores(task.release(how, &mut wakes));
-        // Registry removal is the task-table write: the one global-section touch of the
-        // task lifecycle (not a scheduling point — the wake-churn hot path never gets
-        // here).
-        {
-            let mut g = self.lock_global();
-            let process = task.process();
-            g.tasks.remove(&task.id());
-            if let Some(p) = g.processes.get_mut(&process) {
-                p.tasks_live = p.tasks_live.saturating_sub(1);
-            }
-        }
+        let held = task.release(how, &mut wakes);
+        self.shards.free_cores(&self.hooks, held);
+        // The one global-section touch of the task lifecycle (not a scheduling point —
+        // the wake-churn hot path never gets here).
+        self.lock_global().remove_task(task.id());
     }
 
     /// Shut the scheduler down: every task waiting for a core is released from scheduler
@@ -1017,53 +625,44 @@ impl Scheduler {
     /// The intakes are drained under the same lock acquisition that sets the shutdown
     /// flag, so a submit racing shutdown can never leave a waiter parked: either its push
     /// lands before the drain (released below alongside the registered tasks), or its
-    /// grant-slot update ran before the task's release (the task is in `tasks` — it was
+    /// grant-slot update ran before the task's release (the task is registered — it was
     /// created before the flag was set — so it is released below and `wait_grant` returns
     /// immediately).
     pub fn shutdown(&self) {
         let (tasks, queued) = {
             let mut g = self.lock_global();
-            g.shutdown = true;
-            trace_event!(self, Instant::now(), TraceEvent::Shutdown);
+            trace_event!(self.hooks, Instant::now(), TraceEvent::Shutdown);
             // Published before the drain: a submit that pushes after this drain will
             // observe the flag and self-heal (see `submit`), and every shard's dispatch
             // path refuses new grants from here on.
-            self.shutting_down.store(true, Ordering::SeqCst);
+            self.hooks.shutting_down.store(true, Ordering::SeqCst);
             // Fault site: widen the flag-set → drain window so racing submits actually
             // land inside it (the self-heal path above is what must absorb them).
-            if let Some(stall) = self.fault_stall(FaultSite::ShutdownRace, None) {
+            if let Some(stall) = self.hooks.fault_stall(FaultSite::ShutdownRace, None) {
                 drop(g);
                 std::thread::sleep(stall);
                 g = self.lock_global();
             }
-            let tasks = by_id(g.tasks.values());
-            // Intake-lock drains without the shard locks: a shard-lock drain racing us
-            // takes disjoint entries, and either drainer releases its share (the flag is
-            // already set).
-            let queued: Vec<_> = self.shards.iter().flat_map(|s| s.intake.drain()).collect();
-            (tasks, queued)
+            (g.tasks(), self.shards.drain_for_shutdown())
         };
-        self.ready_tasks.store(0, Ordering::SeqCst);
-        for s in self.shards.iter() {
-            s.ready.store(0, Ordering::Relaxed);
-        }
-        // The global lock dropped above: the batch wakes the released waiters into
-        // uncontended locks (collect-then-notify).
+        // No scheduler lock is held: the batch notifies the released waiters.
         let mut wakes = WakeBatch::new();
-        for t in tasks.iter().chain(queued.iter().map(|(t, _)| t)) {
+        for t in tasks.iter().chain(queued.iter()) {
             t.release(Release::All, &mut wakes);
         }
     }
 
     /// Whether the scheduler has been shut down.
     pub fn is_shutdown(&self) -> bool {
-        self.shutting_down.load(Ordering::SeqCst)
+        self.hooks.shutting_down()
     }
 
     /// Grant-to-run watchdog: report every core whose current grant has been held for at
     /// least `max_hold` without reaching a scheduling point. Each non-progressing grant
     /// is flagged once (repeat scans stay quiet until the core is re-granted), and
-    /// flagging bumps [`crate::obs::Counters::stalls_detected`].
+    /// flagging bumps [`crate::obs::Counters::stalls_detected`]. Takes each shard lock
+    /// in turn and never the global-section lock: a core slot records the process of the
+    /// task holding it.
     ///
     /// Detection is deliberately report-only: a task that holds a core past the deadline
     /// is *running* on its bound worker thread (the USF binding of §4.2), so "requeueing"
@@ -1071,43 +670,7 @@ impl Scheduler {
     /// decides the response — log it, kill the owning process
     /// ([`Scheduler::kill_process`]), or widen the deadline.
     pub fn watchdog_scan(&self, max_hold: Duration) -> Vec<StallReport> {
-        let now = Instant::now();
-        // Multi-shard exception: visit every shard, one lock at a time in ascending
-        // order (shard-major iteration equals core order — nodes own contiguous core
-        // ranges), flagging under the owning shard's lock.
-        let mut flagged: Vec<(CoreId, TaskId, Duration)> = Vec::new();
-        for si in 0..self.shards.len() {
-            let mut st = self.lock_shard(si);
-            for li in 0..st.slots.len() {
-                let CoreSlot::Busy(task) = st.slots[li] else {
-                    continue;
-                };
-                let Some(at) = st.granted_at[li] else {
-                    continue;
-                };
-                let held_for = now.saturating_duration_since(at);
-                if held_for >= max_hold && !st.stall_flagged[li] {
-                    st.stall_flagged[li] = true;
-                    inc(&self.stats.counters.stalls_detected);
-                    flagged.push((st.cores[li], task, held_for));
-                }
-            }
-        }
-        if flagged.is_empty() {
-            // The common scan finds nothing: stay off the global section entirely, so a
-            // background watchdog never perturbs the steady-state churn sentinel.
-            return Vec::new();
-        }
-        let g = self.lock_global();
-        flagged
-            .into_iter()
-            .map(|(core, task, held_for)| StallReport {
-                core,
-                task,
-                process: g.tasks.get(&task).map(|t| t.process()).unwrap_or_default(),
-                held_for,
-            })
-            .collect()
+        self.shards.watchdog_scan(&self.hooks, max_hold)
     }
 
     /// An artificial scheduling point for watchdog/maintenance threads: drain the intake
@@ -1121,420 +684,7 @@ impl Scheduler {
     /// there is none; a periodic `rescue_drain` bounds that delay without perturbing an
     /// otherwise healthy schedule (an empty intake makes this a cheap no-op).
     pub fn rescue_drain(&self) -> usize {
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return 0;
-        }
-        (0..self.shards.len())
-            .map(|si| self.scheduling_point(si, true))
-            .sum()
-    }
-
-    /// The featureless idle-worker drain: called on the block paths (`attach`, `pause`,
-    /// `waitfor`) immediately before parking, so a submit that raced onto the intake
-    /// while its target system looked busy is granted *now* rather than at the next
-    /// organic scheduling point (intake waits of tens of milliseconds, and unbounded ones
-    /// with no further traffic, came from exactly this window whenever every worker was
-    /// parked). The empty check is lock-free, so the common park — nothing pending —
-    /// costs two atomic loads and never touches the scheduler lock.
-    fn prepark_drain(&self) {
-        if self.intake_depth() == 0 || self.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        for si in 0..self.shards.len() {
-            if self.shards[si].intake.depth() > 0 {
-                self.scheduling_point(si, false);
-            }
-        }
-        self.dispatch_sweep();
-    }
-
-    /// One artificial scheduling point on shard `si`: under its lock, drain the intake
-    /// and dispatch ready work onto its idle cores; then, with the lock dropped, deliver
-    /// the owed grant notifications. `forced` bypasses an armed
-    /// [`FaultSite::DelayIntakeDrain`] ([`Scheduler::rescue_drain`] only). Returns how
-    /// many intake entries were drained.
-    fn scheduling_point(&self, si: usize, forced: bool) -> usize {
-        let mut wakes = WakeBatch::new();
-        let mut st = self.lock_shard(si);
-        let n = if forced {
-            self.drain_intake_forced(&mut st, &mut wakes)
-        } else {
-            self.drain_intake(&mut st, &mut wakes)
-        };
-        self.dispatch_idle_cores(&mut st, &mut wakes);
-        drop(st);
-        wakes.fire();
-        n
-    }
-
-    /// Hand each core a task gave up (pause, detach, kill) to the next ready task, one
-    /// shard lock at a time, firing the owed notifications as each lock drops; then run
-    /// the cross-shard sweep. Takes no lock on entry.
-    fn free_cores(&self, cores: impl IntoIterator<Item = CoreId>) {
-        for core in cores {
-            let mut wakes = WakeBatch::new();
-            // The guard is a temporary: it drops at the end of this statement, before
-            // `wakes` fires at the end of the iteration.
-            self.release_core(&mut self.lock_shard(self.shard_of(core)), core, &mut wakes);
-        }
-        self.dispatch_sweep();
-    }
-
-    // -------------------------------------------------------------------------------------
-    // Internals (scheduler lock held)
-    // -------------------------------------------------------------------------------------
-
-    /// Mark `core` busy and grant it to `task`. Caller holds `core`'s shard lock.
-    /// `immediate` records whether this grant bypassed the policy queues (an idle-core
-    /// grant straight from `place_ready_task`, with no preceding pop). The waiter's
-    /// condvar notification is *not* delivered here — it is owed to `wakes`, which the
-    /// caller fires after dropping the scheduler lock (collect-then-notify).
-    fn grant(
-        &self,
-        st: &mut ShardState,
-        task: &TaskRef,
-        core: CoreId,
-        immediate: bool,
-        wakes: &mut WakeBatch,
-    ) {
-        self.mark_busy(st, core, task.id());
-        inc(&self.stats.counters.grants);
-        if let Some(from) = task.preferred_core() {
-            if from == core {
-                inc(&self.stats.counters.affinity_hits);
-            } else {
-                trace_event!(
-                    self,
-                    Instant::now(),
-                    TraceEvent::Migrate {
-                        task: task.id(),
-                        from,
-                        to: core,
-                    }
-                );
-            }
-        }
-        trace_event!(
-            self,
-            Instant::now(),
-            TraceEvent::Grant {
-                task: task.id(),
-                core,
-                immediate,
-            }
-        );
-        let cpu = self.core_cpus.as_ref().map(|cpus| cpus[core]);
-        task.grant_core(core, cpu, &self.stats.stages.wake, wakes);
-    }
-
-    /// Transition a core slot to busy, maintaining the idle-core gauge and the watchdog's
-    /// grant timestamp. Caller holds `core`'s owning shard lock.
-    fn mark_busy(&self, st: &mut ShardState, core: CoreId, id: TaskId) {
-        let li = self.core_shard[core].1;
-        debug_assert_eq!(self.core_shard[core].0, st.si);
-        if matches!(st.slots[li], CoreSlot::Idle) {
-            self.idle_cores.fetch_sub(1, Ordering::SeqCst);
-        }
-        st.slots[li] = CoreSlot::Busy(id);
-        st.granted_at[li] = Some(Instant::now());
-        st.stall_flagged[li] = false;
-    }
-
-    /// Transition a core slot to idle, maintaining the idle-core gauge. Caller holds
-    /// `core`'s owning shard lock.
-    fn mark_idle(&self, st: &mut ShardState, core: CoreId) {
-        let li = self.core_shard[core].1;
-        debug_assert_eq!(self.core_shard[core].0, st.si);
-        if !matches!(st.slots[li], CoreSlot::Idle) {
-            self.idle_cores.fetch_add(1, Ordering::SeqCst);
-        }
-        st.slots[li] = CoreSlot::Idle;
-        st.granted_at[li] = None;
-        st.stall_flagged[li] = false;
-    }
-
-    /// Move every intake entry into the scheduler proper: stale entries (task detached, or
-    /// shutdown) are dropped, tasks whose process was deregistered while they sat in the
-    /// intake are released (placing them would resurrect the purged process in the
-    /// rotation, and they could never be picked once purged again), and live ones are
-    /// placed ([`Scheduler::place_ready_task`]). Callers hold the shard lock, which is
-    /// what serializes drains of that shard's intake.
-    fn drain_intake(&self, st: &mut ShardState, wakes: &mut WakeBatch) -> usize {
-        // Fault site: skip this drain, delaying queued submits to the next scheduling
-        // point. Never skipped once shutdown is underway — the released-waiter guarantee
-        // relies on the shutdown drain, and a fault plan must not turn a delay into a
-        // liveness hole the hardening cannot see.
-        if !self.shutting_down.load(Ordering::SeqCst)
-            && self.fault_fires(FaultSite::DelayIntakeDrain, None)
-        {
-            return 0;
-        }
-        self.drain_intake_forced(st, wakes)
-    }
-
-    /// The drain body proper, never subject to the [`FaultSite::DelayIntakeDrain`] fault:
-    /// [`Scheduler::rescue_drain`] calls this directly because a rescue must not itself
-    /// be delayed. Each shard drains only its own intake. Returns how many intake entries
-    /// were processed.
-    fn drain_intake_forced(&self, st: &mut ShardState, wakes: &mut WakeBatch) -> usize {
-        let drained = self.shards[st.si].intake.drain();
-        let n = drained.len();
-        if drained.is_empty() {
-            return 0;
-        }
-        let now = Instant::now();
-        trace_event!(self, now, TraceEvent::IntakeDrain { n });
-        for (task, pushed_at) in drained {
-            // Close the submit→drain stage: how long the wake-up sat in the intake.
-            self.stats
-                .stages
-                .intake_wait
-                .record(now.saturating_duration_since(pushed_at));
-            // `is_released()` is the shard-local equivalent of the old "still in the
-            // task table" check: detach/kill mark a task released exactly when removing
-            // it from the table.
-            if self.shutting_down.load(Ordering::SeqCst) || task.is_released() {
-                self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            if !task.proc_alive() {
-                self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-                // Collect-then-notify: woken after the shard lock drops.
-                task.release(Release::All, wakes);
-                continue;
-            }
-            self.place_ready_task(st, &task, wakes);
-        }
-        n
-    }
-
-    /// Place a ready task: grant it an idle core if one is available (honouring affinity)
-    /// and no older work is queued, otherwise enqueue it in the shard's policy.
-    ///
-    /// The `has_ready` guard keeps intake draining fair: a task published after older
-    /// tasks were queued in the policy must not jump them just because a core went idle in
-    /// between — it is enqueued instead, and the pop tiers (which include the aging valve)
-    /// decide.
-    fn place_ready_task(&self, st: &mut ShardState, task: &TaskRef, wakes: &mut WakeBatch) {
-        if !st.policy.has_ready() {
-            // The placement domain is read from the task's shared process cell — the
-            // shard-local path never consults the global process table.
-            let domain = task.proc_domain();
-            if let Some(core) = self.choose_idle_core(st, task.preferred_core(), domain.as_deref())
-            {
-                // The task was marked queued by the caller; the grant clears it. It leaves
-                // the ready gauge first, as a popped task does, so no observer of the grant
-                // still counts it ready.
-                self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-                self.grant(st, task, core, true, wakes);
-                return;
-            }
-        }
-        self.enqueue(st, task, task.preferred_core(), Instant::now());
-    }
-
-    /// Queue `task` in this shard's policy with core preference `pref`, indexed in `queued`
-    /// and counted in the shard's ready counter (the caller owns the scheduler-wide
-    /// `ready_tasks` gauge).
-    fn enqueue(&self, st: &mut ShardState, task: &TaskRef, pref: Option<CoreId>, now: Instant) {
-        let meta = TaskMeta {
-            id: task.id(),
-            process: task.process(),
-            preferred_core: pref,
-        };
-        trace_event!(
-            self,
-            now,
-            TraceEvent::Enqueue {
-                process: meta.process,
-                task: meta.id,
-                preferred: pref,
-            }
-        );
-        st.policy.enqueue(&self.topo, meta, now);
-        st.queued.insert(meta.id, TaskRef::clone(task));
-        self.shards[st.si].ready.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pick an idle core *owned by this shard* for a task with the given preference:
-    /// preferred core if idle, else an idle core in the same NUMA node, else any idle
-    /// core of the shard — all restricted to the task's process placement domain when one
-    /// is set. (With one shard this is exactly the old whole-machine scan.)
-    fn choose_idle_core(
-        &self,
-        st: &ShardState,
-        preferred: Option<CoreId>,
-        domain: Option<&[CoreId]>,
-    ) -> Option<CoreId> {
-        let allowed = |c: CoreId| domain.map_or(true, |d| d.contains(&c));
-        let is_idle = |c: CoreId| {
-            let (si, li) = self.core_shard[c];
-            si == st.si && matches!(st.slots[li], CoreSlot::Idle) && allowed(c)
-        };
-        if let Some(p) = preferred {
-            if p < self.topo.num_cores() {
-                if is_idle(p) {
-                    return Some(p);
-                }
-                let node = self.topo.node_of(p);
-                if let Some(c) = self.topo.cores_in_node(node).find(|&c| is_idle(c)) {
-                    return Some(c);
-                }
-            }
-        }
-        st.cores.iter().copied().find(|&c| is_idle(c))
-    }
-
-    /// A core became free: drain the shard's intake, then hand the core to the next ready
-    /// task according to the policy (if the drain did not already fill it), or leave it
-    /// idle.
-    fn release_core(&self, st: &mut ShardState, core: CoreId, wakes: &mut WakeBatch) {
-        self.mark_idle(st, core);
-        self.drain_intake(st, wakes);
-        // Hot path: only the freed core can normally be idle while work is queued
-        // (place_ready_task grants idle cores whenever the policy is empty), so dispatch
-        // it directly instead of scanning all slots under the lock.
-        let li = self.core_shard[core].1;
-        if matches!(st.slots[li], CoreSlot::Idle) {
-            self.dispatch_core(st, core, Instant::now(), wakes);
-        }
-        // Rare: stale entries of detached tasks can leave *other* cores idle while the
-        // policy still reports ready work — fall back to the full scan only then.
-        if (st.policy.has_ready() || self.others_ready(st.si))
-            && self.idle_cores.load(Ordering::SeqCst) > 0
-        {
-            self.dispatch_idle_cores(st, wakes);
-        }
-    }
-
-    /// One logical pick for `core` — one trip down the shard's [`ShardLadder`] (foreign
-    /// aging probe, local tiers, steal; see there for the order), so a recorded
-    /// `Pop`/`PopEmpty` event advances replayed policy state identically. What is
-    /// decided here is only what the ladder cannot know: a foreign shard is tried only
-    /// when its lock-free ready counter is non-zero and its lock is free right now
-    /// (`try_lock` — a busy victim is skipped, never waited on), and whichever shard
-    /// serves the task loses the entry from its `queued` map and its counters.
-    fn pick_once(
-        &self,
-        st: &mut ShardState,
-        core: CoreId,
-        now: Instant,
-    ) -> Option<(TaskMeta, Option<PickTier>, Option<TaskRef>)> {
-        let ShardState {
-            si,
-            ladder,
-            policy,
-            queued,
-            ..
-        } = st;
-        let home = *si;
-        ladder.pick(now, |step| {
-            let (vi, aged) = match step {
-                LadderStep::Local => {
-                    let (meta, tier) = policy.pick_traced(&self.topo, core, now)?;
-                    self.shards[home].ready.fetch_sub(1, Ordering::Relaxed);
-                    return Some((meta, tier, queued.remove(&meta.id)));
-                }
-                LadderStep::ForeignAged(vi) => (vi, true),
-                LadderStep::Steal(vi) => (vi, false),
-            };
-            if self.shards[vi].ready.load(Ordering::Relaxed) == 0 {
-                return None;
-            }
-            let mut vg = self.try_lock_shard(vi)?;
-            let (meta, tier) = if aged {
-                (
-                    vg.policy.pick_aged(&self.topo, core, now)?,
-                    Some(PickTier::Aged),
-                )
-            } else {
-                vg.policy.pick_traced(&self.topo, core, now)?
-            };
-            self.shards[vi].ready.fetch_sub(1, Ordering::Relaxed);
-            Some((meta, tier, vg.queued.remove(&meta.id)))
-        })
-    }
-
-    /// Pop ready tasks (local, aged-foreign, or stolen — see [`Scheduler::pick_once`])
-    /// until a live one is found, maintaining the ready gauge. Stale queue entries (tasks
-    /// detached while still queued) are skipped and reconciled here.
-    fn pick_live(&self, st: &mut ShardState, core: CoreId, now: Instant) -> Option<TaskRef> {
-        while let Some((meta, tier, task)) = self.pick_once(st, core, now) {
-            self.ready_tasks.fetch_sub(1, Ordering::SeqCst);
-            trace_event!(
-                self,
-                now,
-                TraceEvent::Pop {
-                    core,
-                    tier,
-                    task: meta.id,
-                }
-            );
-            if let Some(task) = task {
-                if !task.is_released() {
-                    return Some(task);
-                }
-            }
-        }
-        // The empty pick still re-armed the aging valve — record it so the replayed
-        // policy's valve state stays in lockstep (see `TraceEvent::PopEmpty`).
-        trace_event!(self, now, TraceEvent::PopEmpty { core });
-        None
-    }
-
-    /// Try to dispatch a ready task onto an idle core of this shard.
-    fn dispatch_core(
-        &self,
-        st: &mut ShardState,
-        core: CoreId,
-        now: Instant,
-        wakes: &mut WakeBatch,
-    ) {
-        debug_assert!(matches!(st.slots[self.core_shard[core].1], CoreSlot::Idle));
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(task) = self.pick_live(st, core, now) {
-            self.grant(st, &task, core, false, wakes);
-        }
-    }
-
-    /// Dispatch ready work onto every idle core of this shard (cheap early-exit when
-    /// nothing is ready here or in a stealable foreign shard).
-    fn dispatch_idle_cores(&self, st: &mut ShardState, wakes: &mut WakeBatch) {
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        for li in 0..st.slots.len() {
-            if !(st.policy.has_ready() || self.others_ready(st.si)) {
-                break;
-            }
-            if matches!(st.slots[li], CoreSlot::Idle) {
-                let core = st.cores[li];
-                self.dispatch_core(st, core, now, wakes);
-            }
-        }
-    }
-
-    /// Cross-shard liveness sweep: after an operation that freed cores or enqueued work
-    /// in one shard, visit the *other* shards (one lock at a time, never while holding a
-    /// shard lock) so an idle core over there picks up work it could not see. A no-op
-    /// with one shard; guarded by the lock-free gauges so the steady state — every core
-    /// busy, or nothing ready — pays two atomic loads and takes no lock.
-    fn dispatch_sweep(&self) {
-        if self.shards.len() == 1 {
-            return;
-        }
-        for si in 0..self.shards.len() {
-            if self.shutting_down.load(Ordering::SeqCst)
-                || !self.has_ready()
-                || self.idle_cores.load(Ordering::SeqCst) == 0
-            {
-                return;
-            }
-            self.scheduling_point(si, false);
-        }
+        self.shards.rescue_drain(&self.hooks)
     }
 }
 
@@ -2126,6 +1276,62 @@ mod tests {
         s.deregister_process(p);
         h.join().unwrap(); // must return: the blocked waiter was released
         assert!(t1.is_released());
+    }
+
+    /// Why the global task table stays: a deregister leaves a task that holds a core
+    /// registered (it keeps running), and only the table lets `shutdown` find and release
+    /// it afterwards.
+    #[test]
+    fn deregistered_running_task_stays_registered_until_it_detaches() {
+        let s = sched(1);
+        let p = s.register_process("p");
+        let t = s.create_task(p, None).unwrap();
+        s.submit(&t);
+        s.deregister_process(p);
+        assert_eq!(
+            t.state(),
+            TaskState::Running,
+            "deregister spares a held core"
+        );
+        assert!(!t.is_released());
+        assert_eq!(s.live_tasks(), 1);
+        s.shutdown();
+        assert!(t.is_released(), "shutdown releases the deregistered runner");
+        // Its next pause returns at once: a released task never parks.
+        let (s2, t2) = (Arc::clone(&s), TaskRef::clone(&t));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            s2.pause(&t2);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the released task's pause must return at once");
+        assert_eq!(s.live_tasks(), 1, "counted until it detaches");
+        s.detach(&t);
+        assert_eq!(s.live_tasks(), 0);
+    }
+
+    /// The watchdog reads each stalled task's process from its core slot: a scan never
+    /// waits for the registry, so a task that leaves the task table meanwhile is still
+    /// reported with its own process (a registry lookup after the scan reported such a
+    /// task as process 0, an id that is never assigned).
+    #[test]
+    fn watchdog_reports_the_slot_process_without_the_registry() {
+        let s = sched(2);
+        let _other = s.register_process("other");
+        let p = s.register_process("p");
+        let t = s.create_task(p, None).unwrap();
+        s.submit(&t);
+        let registry = s.lock_global();
+        let s2 = Arc::clone(&s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(s2.watchdog_scan(Duration::ZERO)).unwrap());
+        let reports = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a watchdog scan must not wait for the registry lock");
+        drop(registry);
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].task, reports[0].process), (t.id(), p));
     }
 
     #[test]

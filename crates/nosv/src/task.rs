@@ -14,6 +14,10 @@
 //! notifies the condvar. The scheduler calls these methods and never names a slot field,
 //! so "one core, one task" (SCHED_COOP's first invariant) is enforced in this one file.
 //!
+//! The grant lock is level 3 of the scheduler's lock hierarchy: taken only inside a
+//! `Task` method, under a shard lock (grant delivery, the yield hand-over) or none, and
+//! never held while acquiring a registry or shard lock.
+//!
 //! `WakeBatch` also places the woken thread: it first rebinds a granted worker to the CPU
 //! of its new core (or gives a released one its own mask back), then notifies it,
 //! and it does both only after every scheduler lock is dropped, so no affinity call ever
@@ -123,18 +127,14 @@ pub(crate) enum Release {
 /// under no scheduler lock, before the wakee is notified.
 ///
 /// Notifying `grant_cv` while a shard lock is held wakes the worker straight into the lock
-/// its waker still holds: the woken thread runs, immediately blocks on the contended
-/// mutex, and the hand-off serializes — a lock convoy that shows up as a long tail in the
-/// `wake` and `dispatch` stage histograms under wake churn. Deferring the notify is safe
-/// with these std-semantics condvars because the grant-slot predicate (`granted` /
-/// `released`) is always written under the task's grant mutex *before* the batch fires: a
-/// waiter either observes the new state without sleeping, or parks and is woken by the
-/// deferred notify — no interleaving loses the wakeup.
+/// its waker still holds — a lock convoy. Deferring the notify is safe because the
+/// grant-slot predicate (`granted` / `released`) is always written under the task's grant
+/// mutex *before* the batch fires: a waiter either observes the new state without
+/// sleeping, or parks and is woken by the deferred notify.
 ///
-/// Declare a batch **before** acquiring the scheduler lock: locals drop in reverse
-/// declaration order, so even an early return releases the guard first and then fires the
-/// batch (the `Drop` impl is the safety net; paths that go on to park explicitly
-/// [`WakeBatch::fire`] first).
+/// A held shard lock carries its own batch and fires it once the lock is released; a
+/// batch anywhere else is declared before any guard, so it fires after them (the `Drop`
+/// impl is the safety net; paths that go on to park [`WakeBatch::fire`] first).
 pub(crate) struct WakeBatch {
     /// Tasks owed a notification, each after its worker's binding is settled.
     tasks: Vec<TaskRef>,

@@ -514,7 +514,7 @@ impl Engine {
     /// it (affinity), then fill the remaining idle cores with anything else (work
     /// conservation). Only picks that can succeed are attempted: nothing at all unless
     /// `dispatch_due`, a pass ends once nothing is queued (as the real
-    /// `Scheduler::dispatch_idle_cores` breaks out on `!has_ready()`), and a core is
+    /// shard's `dispatch_idle_cores` breaks out when nothing is ready), and a core is
     /// skipped when nothing queued may run there ([`SimPolicy::has_ready_for`]).
     fn dispatch_idle_cores(&mut self) -> usize {
         if !std::mem::take(&mut self.dispatch_due) {
