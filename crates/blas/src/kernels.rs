@@ -1,38 +1,118 @@
 //! Serial tile kernels: the level-3 BLAS / LAPACK operations the workloads need.
 //!
-//! All kernels operate on row-major `f64` slices of dimension `n × n` (tiles) or explicit
-//! `m × k × n` shapes for gemm, and are written as straightforward register-blocked loops.
+//! All kernels operate on row-major `f64` slices. [`gemm_acc`] is an `MR×NR`
+//! register-blocked micro-kernel (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication", ACM TOMS 2008) whose every element is summed in exactly the order of
+//! [`Matrix::multiply_reference`](crate::Matrix::multiply_reference): `k` ascending, one
+//! multiply and one add per term (never a fused multiply-add), no term skipped. Its output
+//! therefore equals the i-k-j reference bit for bit. The Cholesky tile kernels
+//! ([`gemm_nt_sub`], [`syrk_ln_sub`], [`potrf`], [`trsm_right_lower_transpose`]) are plain
+//! loops.
+
+use std::ops::Range;
+
+/// Rows of `C` one micro-kernel block holds in registers.
+const MR: usize = 2;
+/// Columns of `C` one micro-kernel block holds in registers.
+const NR: usize = 8;
 
 /// `C += A · B` where `A` is `m×k`, `B` is `k×n` and `C` is `m×n`, all row-major.
+///
+/// On x86-64 the same body runs compiled for AVX2 when the CPU has it; both copies give
+/// the same bits.
 pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU running this supports AVX2, checked on the line above.
+        return unsafe { gemm_acc_avx2(m, k, n, a, b, c) };
+    }
+    gemm_acc_body(m, k, n, a, b, c);
+}
+
+/// [`gemm_acc_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_acc_avx2(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_acc_body(m, k, n, a, b, c);
+}
+
+/// Full `MR×NR` blocks of `C` go through [`micro_block`]; the columns and rows left over
+/// past the last full block go through the i-k-j loop.
+#[inline(always)]
+fn gemm_acc_body(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    let (m_blocked, n_blocked) = (m - m % MR, n - n % NR);
+    for i in (0..m_blocked).step_by(MR) {
+        for j in (0..n_blocked).step_by(NR) {
+            micro_block(i, j, k, n, a, b, c);
+        }
+        gemm_ikj(i..i + MR, n_blocked..n, k, n, a, b, c);
+    }
+    gemm_ikj(m_blocked..m, 0..n, k, n, a, b, c);
+}
+
+/// `C[i..i+MR][j..j+NR] += A[i..i+MR][..] · B[..][j..j+NR]`, the block held in a local
+/// array across the whole `k` loop instead of being reloaded from `C` for every `k`.
+#[inline(always)]
+fn micro_block(i: usize, j: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    let a_rows: [&[f64]; MR] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    let mut acc = [[0.0; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(i + r) * n + j..][..NR]);
+    }
+    for kk in 0..k {
+        let b_row = &b[kk * n + j..][..NR];
+        for (row, a_row) in acc.iter_mut().zip(a_rows) {
+            let a_rk = a_row[kk];
+            for (x, &b_q) in row.iter_mut().zip(b_row) {
+                *x += a_rk * b_q;
             }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for j in 0..n {
-                c_row[j] += aik * b_row[j];
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i + r) * n + j..][..NR].copy_from_slice(row);
+    }
+}
+
+/// `C[rows][cols] += A[rows][..] · B[..][cols]` by the i-k-j loop of the reference.
+#[inline(always)]
+fn gemm_ikj(
+    rows: Range<usize>,
+    cols: Range<usize>,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    for i in rows {
+        let c_row = &mut c[i * n..][cols.clone()];
+        for (kk, &a_ik) in a[i * k..][..k].iter().enumerate() {
+            let b_row = &b[kk * n..][cols.clone()];
+            for (x, &b_kj) in c_row.iter_mut().zip(b_row) {
+                *x += a_ik * b_kj;
             }
         }
     }
 }
 
-/// `C -= A · Bᵀ` for square `n×n` tiles (the update used by blocked Cholesky's gemm step).
-pub fn gemm_nt_sub(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n * n);
-    debug_assert_eq!(c.len(), n * n);
-    for i in 0..n {
+/// `C -= A · Bᵀ` where `A` is `m×k`, `B` is `n×k` and `C` is `m×n`, all row-major (the
+/// update used by blocked Cholesky's gemm step).
+pub fn gemm_nt_sub(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(c.len(), m * n);
+    for i in 0..m {
         for j in 0..n {
             let mut s = 0.0;
-            for k in 0..n {
-                s += a[i * n + k] * b[j * n + k];
+            for kk in 0..k {
+                s += a[i * k + kk] * b[j * k + kk];
             }
             c[i * n + j] -= s;
         }
@@ -112,29 +192,97 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
+    /// `A` with every third element zeroed, so the kernel cannot skip zero terms unseen.
+    fn a_with_zeros(m: usize, k: usize, seed: u64) -> Matrix {
+        let mut a = Matrix::pseudo_random(m, k, seed);
+        a.as_mut_slice()
+            .iter_mut()
+            .step_by(3)
+            .for_each(|x| *x = 0.0);
+        a
+    }
+
+    /// Every remainder class of the `MR×NR` blocking: no full block, full blocks only, and
+    /// full blocks with leftover rows and/or columns.
+    fn shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        let ms = [0, 1, 2, 3, 16, 17];
+        let ns = [1, 7, 8, 9, 64, 65];
+        let ks = [0, 1, 5, 64];
+        ms.into_iter().flat_map(move |m| {
+            ns.into_iter()
+                .flat_map(move |n| ks.into_iter().map(move |k| (m, k, n)))
+        })
+    }
+
     #[test]
     fn gemm_acc_matches_reference() {
-        let (m, k, n) = (7, 5, 9);
-        let a = Matrix::pseudo_random(m, k, 1);
-        let b = Matrix::pseudo_random(k, n, 2);
-        let mut c = Matrix::zeros(m, n);
-        gemm_acc(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
-        let reference = Matrix::multiply_reference(&a, &b);
-        assert!(c.max_abs_diff(&reference) < 1e-12);
+        for (m, k, n) in shapes() {
+            let a = a_with_zeros(m, k, 1);
+            let b = Matrix::pseudo_random(k, n, 2);
+            let mut c = Matrix::zeros(m, n);
+            gemm_acc(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
+            assert!(
+                c == Matrix::multiply_reference(&a, &b),
+                "{m}x{k}x{n} differs from the reference"
+            );
+        }
     }
 
     #[test]
     fn gemm_acc_accumulates() {
-        let n = 4;
-        let a = Matrix::identity(n);
-        let b = Matrix::pseudo_random(n, n, 3);
-        let mut c = b.clone();
-        gemm_acc(n, n, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
-        // C was B, plus I*B = 2B.
-        for i in 0..n {
-            for j in 0..n {
-                assert!((c[(i, j)] - 2.0 * b[(i, j)]).abs() < 1e-12);
+        // C₀ + A·B summed term by term from C₀, as the reference sums from zero.
+        let (m, k, n) = (17, 64, 65);
+        let a = a_with_zeros(m, k, 4);
+        let b = Matrix::pseudo_random(k, n, 5);
+        let c0 = Matrix::pseudo_random(m, n, 6);
+        let mut c = c0.clone();
+        gemm_acc(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
+        let mut expected = c0;
+        for i in 0..m {
+            for kk in 0..k {
+                for j in 0..n {
+                    expected[(i, j)] += a[(i, kk)] * b[(kk, j)];
+                }
             }
+        }
+        assert!(c == expected);
+    }
+
+    #[test]
+    fn gemm_acc_does_not_skip_zero_terms() {
+        // 0 · ∞ is NaN: a kernel that skips a zero in A hides an infinity in B.
+        let (m, k, n) = (3, 2, 9);
+        let mut a = Matrix::pseudo_random(m, k, 7);
+        let mut b = Matrix::pseudo_random(k, n, 8);
+        a[(0, 1)] = 0.0;
+        a[(2, 1)] = 0.0;
+        b[(1, 0)] = f64::INFINITY;
+        b[(1, 8)] = f64::INFINITY;
+        let mut c = Matrix::zeros(m, n);
+        gemm_acc(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
+        for (i, j) in [(0, 0), (0, 8), (2, 0), (2, 8)] {
+            assert!(c[(i, j)].is_nan(), "C[{i}][{j}] = {}", c[(i, j)]);
+        }
+        assert_eq!(c[(1, 0)], f64::INFINITY.copysign(a[(1, 1)]));
+        assert!(c[(0, 4)].is_finite());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_copy_matches_portable_body_bit_for_bit() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for (m, k, n) in shapes() {
+            let a = a_with_zeros(m, k, 9);
+            let b = Matrix::pseudo_random(k, n, 10);
+            let c0 = Matrix::pseudo_random(m, n, 11);
+            let (mut portable, mut avx2) = (c0.clone(), c0);
+            gemm_acc_body(m, k, n, a.as_slice(), b.as_slice(), portable.as_mut_slice());
+            // SAFETY: the CPU supports AVX2, checked above.
+            unsafe { gemm_acc_avx2(m, k, n, a.as_slice(), b.as_slice(), avx2.as_mut_slice()) };
+            let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable), bits(&avx2), "{m}x{k}x{n}");
         }
     }
 
@@ -216,7 +364,7 @@ mod tests {
         let b = Matrix::pseudo_random(n, n, 32);
         let c0 = Matrix::pseudo_random(n, n, 33);
         let mut c = c0.clone();
-        gemm_nt_sub(n, a.as_slice(), b.as_slice(), c.as_mut_slice());
+        gemm_nt_sub(n, n, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
         let abt = Matrix::multiply_reference(&a, &b.transpose());
         for i in 0..n {
             for j in 0..n {

@@ -10,8 +10,9 @@
 //! 2. they synchronize their workers with *custom busy-wait barriers* whose behaviour under
 //!    oversubscription (with or without the one-line `sched_yield` fix) drives Figure 3.
 //!
-//! Numerical peak performance is *not* the point; the kernels are straightforward blocked
-//! loops that compute correct results and generate a realistic parallel structure.
+//! Numerical peak performance is *not* the point. The serial gemm is a register-blocked
+//! micro-kernel whose results equal the naive reference bit for bit, and the Cholesky tile
+//! kernels are plain loops (see [`kernels`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -97,8 +97,9 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Reference multiply: `C = A·B` computed with the naive triple loop (used to validate
-    /// the parallel kernels).
+    /// Reference multiply: `C = A·B` computed with the naive i-k-j triple loop (used to
+    /// validate the kernels; [`kernels::gemm_acc`](crate::kernels::gemm_acc) sums every
+    /// element in this same order, so it equals this result bit for bit).
     pub fn multiply_reference(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols, b.rows, "dimension mismatch");
         let mut c = Matrix::zeros(a.rows, b.cols);
@@ -113,7 +114,8 @@ impl Matrix {
         c
     }
 
-    /// Largest absolute element-wise difference between two matrices.
+    /// Largest absolute element-wise difference between two matrices; NaN if any element
+    /// of either is NaN.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
@@ -121,7 +123,7 @@ impl Matrix {
             .iter()
             .zip(&other.data)
             .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
+            .fold(0.0, max_error)
     }
 
     /// Frobenius norm.
@@ -132,6 +134,17 @@ impl Matrix {
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+    }
+}
+
+/// The larger of two error magnitudes, NaN when either is NaN. An error fold must use this
+/// and not `f64::max`, which returns the other operand for a NaN and so reads a product full
+/// of NaN as exact.
+pub fn max_error(a: f64, b: f64) -> f64 {
+    if a.is_nan() || a >= b {
+        a
+    } else {
+        b
     }
 }
 
@@ -200,6 +213,18 @@ mod tests {
     fn transpose_round_trip() {
         let a = Matrix::pseudo_random(4, 7, 9);
         assert!(a.transpose().transpose().max_abs_diff(&a) < 1e-15);
+    }
+
+    #[test]
+    fn one_nan_element_fails_max_abs_diff() {
+        let a = Matrix::pseudo_random(4, 5, 8);
+        for at in [(0, 0), (2, 3), (3, 4)] {
+            let mut b = a.clone();
+            b[at] = f64::NAN;
+            let err = b.max_abs_diff(&a);
+            assert!(err.is_nan(), "NaN at {at:?} reads as error {err}");
+            assert!(a.max_abs_diff(&b).is_nan());
+        }
     }
 
     #[test]

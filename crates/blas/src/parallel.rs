@@ -3,6 +3,7 @@
 use crate::config::{BarrierKind, BlasConfig, BlasThreading};
 use crate::kernels;
 use crate::matrix::Matrix;
+use std::ops::Range;
 use usf_core::sync::{Barrier, BusyBarrier, Mutex};
 use usf_runtimes::forkjoin::{Team, TeamConfig};
 use usf_runtimes::threadpool::TransientPool;
@@ -102,9 +103,26 @@ impl BlasHandle {
         if m == 0 || n == 0 {
             return;
         }
+        self.for_row_chunks(m, n, c, |rows, c_rows| {
+            let a_rows = &a[rows.start * k..rows.end * k];
+            kernels::gemm_acc(rows.len(), k, n, a_rows, b, c_rows);
+        });
+    }
+
+    /// Run `body(rows, c_rows)` over the `m` rows of the row-major `m×n` matrix `c`:
+    /// directly when one worker suffices, otherwise one disjoint chunk of rows per inner
+    /// thread through [`BlasHandle::run_parallel`].
+    fn for_row_chunks(
+        &self,
+        m: usize,
+        n: usize,
+        c: &mut [f64],
+        body: impl Fn(Range<usize>, &mut [f64]) + Send + Sync,
+    ) {
+        assert_eq!(c.len(), m * n, "C dimension mismatch");
         let workers = self.threads().min(m).max(1);
         if workers == 1 {
-            kernels::gemm_acc(m, k, n, a, b, c);
+            body(0..m, c);
             return;
         }
         let out = SharedOut(c.as_mut_ptr());
@@ -113,12 +131,11 @@ impl BlasHandle {
             let r0 = t * rows_per;
             let r1 = ((t + 1) * rows_per).min(m);
             if r0 < r1 {
-                // Safety: each worker writes only rows [r0, r1) of C, and the ranges are
-                // disjoint across workers; A and B are read-only.
-                let c_chunk =
+                // Safety: C holds `m × n` elements (asserted above), each worker writes
+                // only rows [r0, r1) of it, and the ranges are disjoint across workers.
+                let c_rows =
                     unsafe { std::slice::from_raw_parts_mut(out.ptr().add(r0 * n), (r1 - r0) * n) };
-                let a_chunk = &a[r0 * k..r1 * k];
-                kernels::gemm_acc(r1 - r0, k, n, a_chunk, b, c_chunk);
+                body(r0..r1, c_rows);
             }
         });
     }
@@ -184,28 +201,9 @@ impl BlasHandle {
         if n == 0 {
             return;
         }
-        let workers = self.threads().min(n).max(1);
-        if workers == 1 {
-            kernels::gemm_nt_sub(n, a, b, c);
-            return;
-        }
-        let out = SharedOut(c.as_mut_ptr());
-        let rows_per = n.div_ceil(workers);
-        self.run_parallel(workers, |t| {
-            let r0 = t * rows_per;
-            let r1 = ((t + 1) * rows_per).min(n);
-            if r0 < r1 {
-                for i in r0..r1 {
-                    for j in 0..n {
-                        let mut s = 0.0;
-                        for k in 0..n {
-                            s += a[i * n + k] * b[j * n + k];
-                        }
-                        // Safety: row `i` is owned exclusively by this worker.
-                        unsafe { *out.ptr().add(i * n + j) -= s };
-                    }
-                }
-            }
+        self.for_row_chunks(n, n, c, |rows, c_rows| {
+            let a_rows = &a[rows.start * n..rows.end * n];
+            kernels::gemm_nt_sub(rows.len(), n, n, a_rows, b, c_rows);
         });
     }
 }
@@ -363,11 +361,11 @@ mod tests {
         let b = Matrix::pseudo_random(n, n, 6);
         let c0 = Matrix::pseudo_random(n, n, 7);
         let mut serial = c0.clone();
-        kernels::gemm_nt_sub(n, a.as_slice(), b.as_slice(), serial.as_mut_slice());
+        kernels::gemm_nt_sub(n, n, n, a.as_slice(), b.as_slice(), serial.as_mut_slice());
         let handle = BlasHandle::new(BlasConfig::omp(3, ExecMode::Os));
         let mut par = c0.clone();
         handle.gemm_nt_sub(n, a.as_slice(), b.as_slice(), par.as_mut_slice());
-        assert!(par.max_abs_diff(&serial) < 1e-12);
+        assert!(par == serial);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use usf_blas::matrix::max_error;
 use usf_blas::{BarrierKind, BlasConfig, BlasHandle, BlasThreading, Matrix};
 use usf_core::exec::ExecMode;
 use usf_core::sync::Mutex;
@@ -200,8 +201,8 @@ impl CholeskyInstance {
         self.tasks
     }
 
-    /// Maximum absolute error of `L·Lᵀ` of the last factorization vs. the input (`None`
-    /// before the first unit; small sizes only).
+    /// Maximum absolute error of `L·Lᵀ` of the last factorization vs. the input, NaN if any
+    /// element is NaN (`None` before the first unit; small sizes only).
     pub fn verify_last(&self) -> Option<f64> {
         let tiles = self.last_tiles.as_ref()?;
         let (nb, ts) = (self.nb, self.ts);
@@ -225,7 +226,7 @@ impl CholeskyInstance {
         let mut err: f64 = 0.0;
         for i in 0..n {
             for j in 0..=i {
-                err = err.max((rebuilt[(i, j)] - self.a[(i, j)]).abs());
+                err = max_error(err, (rebuilt[(i, j)] - self.a[(i, j)]).abs());
             }
         }
         Some(err)
@@ -309,6 +310,17 @@ mod tests {
         assert!(inst.verify_last().unwrap() < 1e-6);
         drop(inst);
         usf.shutdown();
+    }
+
+    #[test]
+    fn one_nan_element_fails_verify_last() {
+        let mut inst = CholeskyInstance::new(&CholeskyConfig::small(ExecMode::Os));
+        inst.factorize_once();
+        assert!(inst.verify_last().unwrap() < 1e-6);
+        // Tile (2, 1) lies below the diagonal, so its every element enters L·Lᵀ.
+        inst.last_tiles.as_ref().unwrap()[2 * inst.nb + 1].lock()[17] = f64::NAN;
+        let err = inst.verify_last().unwrap();
+        assert!(err.is_nan(), "a NaN factor reads as error {err}");
     }
 
     #[test]

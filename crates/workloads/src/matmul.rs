@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use usf_blas::matrix::max_error;
 use usf_blas::{BarrierKind, BlasConfig, BlasHandle, BlasThreading, Matrix};
 use usf_core::exec::ExecMode;
 use usf_core::sync::Mutex;
@@ -199,8 +200,8 @@ impl MatmulInstance {
         self.tasks
     }
 
-    /// Maximum absolute error of the last product vs. the reference multiplication
-    /// (`None` before the first unit; only sensible for small sizes).
+    /// Maximum absolute error of the last product vs. the reference multiplication, NaN if
+    /// any element is NaN (`None` before the first unit; only sensible for small sizes).
     pub fn verify_last(&self) -> Option<f64> {
         let c_tiles = self.last_c.as_ref()?;
         let reference = Matrix::multiply_reference(&self.a, &self.b);
@@ -212,7 +213,7 @@ impl MatmulInstance {
                 for i in 0..ts {
                     for j in 0..ts {
                         let d = (tile[i * ts + j] - reference[(bi * ts + i, bj * ts + j)]).abs();
-                        err = err.max(d);
+                        err = max_error(err, d);
                     }
                 }
             }
@@ -301,9 +302,19 @@ mod tests {
             cfg.outer_workers as u64,
             "the inner BLAS teams must outlive the tasks that borrow them"
         );
-        assert!(inst.verify_last().unwrap() < 1e-9);
+        assert_eq!(inst.verify_last(), Some(0.0));
         drop(inst);
         usf.shutdown();
+    }
+
+    #[test]
+    fn one_nan_element_fails_verify_last() {
+        let mut inst = MatmulInstance::new(&MatmulConfig::small(ExecMode::Os));
+        inst.run_once();
+        assert_eq!(inst.verify_last(), Some(0.0));
+        inst.last_c.as_ref().unwrap()[5].lock()[17] = f64::NAN;
+        let err = inst.verify_last().unwrap();
+        assert!(err.is_nan(), "a NaN product reads as error {err}");
     }
 
     #[test]
