@@ -11,7 +11,8 @@
 
 use usf_bench::{cli, fmt_mflops, fmt_speedup, header, machine_line, Scale};
 use usf_simsched::Machine;
-use usf_workloads::sim_matmul::{run_sim_matmul, MatmulVariant, SimMatmulConfig};
+use usf_workloads::sim_matmul::{run_sim_matmul, SimMatmulConfig};
+use usf_workloads::sim_nested::Stack;
 
 fn main() {
     let scale = cli::parse_or_exit(
@@ -51,17 +52,12 @@ fn main() {
 
     // Baseline performance (Figure 3a) plus element-wise speedups for the other variants.
     let mut results: Vec<Vec<Vec<f64>>> = Vec::new(); // [variant][row][col] -> mflops
-    for variant in [
-        MatmulVariant::Baseline,
-        MatmulVariant::Manual,
-        MatmulVariant::SchedCoop,
-        MatmulVariant::Original,
-    ] {
+    for stack in Stack::ALL {
         let mut grid = Vec::new();
         for ts in &task_sizes {
             let mut row = Vec::new();
             for threads in &thread_counts {
-                let mut cfg = SimMatmulConfig::new(matrix_size, *ts, *threads, variant);
+                let mut cfg = SimMatmulConfig::new(matrix_size, *ts, *threads, stack);
                 cfg.machine = machine.clone();
                 if scale == Scale::Quick {
                     cfg.max_outer_workers = 256;

@@ -5,9 +5,8 @@
 
 use usf_bench::{cli, fmt_mflops, fmt_speedup, header, machine_line, Scale};
 use usf_simsched::Machine;
-use usf_workloads::sim_cholesky::{
-    run_sim_cholesky, CholeskyScheduler, Composition, Parallelism, SimCholeskyConfig,
-};
+use usf_workloads::sim_cholesky::{run_sim_cholesky, Composition, Parallelism, SimCholeskyConfig};
+use usf_workloads::sim_nested::Stack;
 
 fn main() {
     let scale = cli::parse_or_exit(
@@ -38,13 +37,12 @@ fn main() {
     for comp in &rows {
         let mut row = Vec::new();
         for par in Parallelism::ALL {
-            let mut base_cfg =
-                SimCholeskyConfig::new(comp.clone(), par, CholeskyScheduler::Baseline);
+            let mut base_cfg = SimCholeskyConfig::new(comp.clone(), par, Stack::Baseline);
             base_cfg.machine = machine.clone();
             base_cfg.task_size = task_size;
             base_cfg.tasks_per_worker = tasks_per_worker;
             let mut coop_cfg = base_cfg.clone();
-            coop_cfg.scheduler = CholeskyScheduler::SchedCoop;
+            coop_cfg.stack = Stack::SchedCoop;
             let base = run_sim_cholesky(&base_cfg);
             let coop = run_sim_cholesky(&coop_cfg);
             row.push(format!(

@@ -20,8 +20,6 @@ pub struct UsfConfig {
     pub policy: PolicyKind,
     /// Per-process quantum evaluated at scheduling points (default 20 ms).
     pub quantum: Duration,
-    /// Slice used by timed polling loops (default 5 ms, §4.3.4).
-    pub wait_slice: Duration,
     /// Maximum number of finished worker threads kept for reuse by the thread cache
     /// (default 256; 0 disables caching).
     pub thread_cache_capacity: usize,
@@ -40,7 +38,6 @@ impl UsfConfig {
             numa_nodes: 1,
             policy: PolicyKind::Coop,
             quantum: Duration::from_millis(20),
-            wait_slice: Duration::from_millis(5),
             thread_cache_capacity: 256,
             instance_name: None,
         }
@@ -69,7 +66,6 @@ impl UsfConfig {
     /// | `USF_NUMA_NODES` | NUMA nodes | 1 |
     /// | `USF_POLICY` | `coop` or `fifo` | `coop` |
     /// | `USF_QUANTUM_MS` | per-process quantum in ms | 20 |
-    /// | `USF_WAIT_SLICE_MS` | timed-poll slice in ms | 5 |
     /// | `USF_CACHE` | thread-cache capacity | 256 |
     /// | `USF_INSTANCE` | shared instance name | none |
     pub fn from_env() -> Result<Option<Self>, UsfError> {
@@ -101,9 +97,6 @@ impl UsfConfig {
         if let Ok(v) = std::env::var("USF_QUANTUM_MS") {
             cfg.quantum = Duration::from_millis(parse(&v, "USF_QUANTUM_MS")?);
         }
-        if let Ok(v) = std::env::var("USF_WAIT_SLICE_MS") {
-            cfg.wait_slice = Duration::from_millis(parse(&v, "USF_WAIT_SLICE_MS")?);
-        }
         if let Ok(v) = std::env::var("USF_CACHE") {
             cfg.thread_cache_capacity = parse(&v, "USF_CACHE")?;
         }
@@ -120,7 +113,6 @@ impl UsfConfig {
         NosvConfig::with_topology(Topology::new(self.cores, self.numa_nodes.max(1)))
             .quantum(self.quantum)
             .policy(self.policy.clone())
-            .wait_slice(self.wait_slice)
     }
 }
 
@@ -145,7 +137,6 @@ mod tests {
         let c = UsfConfig::with_cores(4);
         assert_eq!(c.cores, 4);
         assert_eq!(c.quantum, Duration::from_millis(20));
-        assert_eq!(c.wait_slice, Duration::from_millis(5));
         assert!(matches!(c.policy, PolicyKind::Coop));
         let n = c.to_nosv();
         assert_eq!(n.topology.num_cores(), 4);

@@ -9,6 +9,10 @@
 use crate::current::current;
 use std::time::{Duration, Instant};
 
+/// The slice a polling loop waits between checks when the caller names none: the paper's
+/// poll/epoll integration re-checks every 5 ms.
+const DEFAULT_SLICE: Duration = Duration::from_millis(5);
+
 /// Result of [`poll_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollOutcome {
@@ -26,7 +30,7 @@ pub fn poll_until(
     timeout: Duration,
     slice: Option<Duration>,
 ) -> PollOutcome {
-    let slice = slice.unwrap_or(Duration::from_millis(5));
+    let slice = slice.unwrap_or(DEFAULT_SLICE);
     let deadline = Instant::now() + timeout;
     let ctx = current();
     loop {
@@ -50,7 +54,7 @@ pub fn poll_until(
 /// Convenience wrapper: poll an already-armed readiness flag forever (no timeout), checking
 /// every `slice`. Returns once the predicate is true.
 pub fn poll_forever(mut ready: impl FnMut() -> bool, slice: Option<Duration>) {
-    let slice = slice.unwrap_or(Duration::from_millis(5));
+    let slice = slice.unwrap_or(DEFAULT_SLICE);
     let ctx = current();
     loop {
         if ready() {

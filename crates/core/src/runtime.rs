@@ -9,6 +9,7 @@
 
 use crate::config::UsfConfig;
 use crate::current::{clear_current, set_current, CurrentCtx};
+use crate::error::UsfError;
 use crate::thread::{spawn_on, JoinHandle, ThreadCache, ThreadCacheStats};
 use std::sync::Arc;
 use usf_nosv::{MetricsSnapshot, NosvInstance, ProcessId, TaskHandle, Topology};
@@ -129,13 +130,12 @@ impl Usf {
         }
     }
 
-    /// Create an instance from the `USF_*` environment variables; `None` when `USF_ENABLE`
-    /// is unset (the application should fall back to [`crate::exec::ExecMode::Os`]).
-    pub fn from_env() -> Option<Usf> {
-        match UsfConfig::from_env() {
-            Ok(Some(cfg)) => Some(Usf::new(cfg)),
-            _ => None,
-        }
+    /// Create an instance from the `USF_*` environment variables; `Ok(None)` when
+    /// `USF_ENABLE` is unset (the application should fall back to
+    /// [`crate::exec::ExecMode::Os`]), and the error of [`UsfConfig::from_env`] when a
+    /// variable is present but unparsable.
+    pub fn from_env() -> Result<Option<Usf>, UsfError> {
+        Ok(UsfConfig::from_env()?.map(Usf::new))
     }
 
     /// Connect to (or create) the named shared instance — the stand-in for several OS
@@ -534,7 +534,7 @@ mod tests {
     fn from_env_disabled_returns_none() {
         // USF_ENABLE is not set in the test environment.
         if std::env::var("USF_ENABLE").is_err() {
-            assert!(Usf::from_env().is_none());
+            assert!(Usf::from_env().unwrap().is_none());
         }
     }
 }

@@ -63,9 +63,6 @@ pub struct NosvConfig {
     pub process_quantum: Duration,
     /// Scheduling policy.
     pub policy: PolicyKind,
-    /// Default slice used by timed waits when the caller does not provide one
-    /// (the paper's poll/epoll integration re-checks every 5 ms).
-    pub default_wait_slice: Duration,
 }
 
 impl NosvConfig {
@@ -85,7 +82,6 @@ impl NosvConfig {
             topology,
             process_quantum: Duration::from_millis(20),
             policy: PolicyKind::Coop,
-            default_wait_slice: Duration::from_millis(5),
         }
     }
 
@@ -98,12 +94,6 @@ impl NosvConfig {
     /// Set the scheduling policy.
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Set the default timed-wait slice.
-    pub fn wait_slice(mut self, slice: Duration) -> Self {
-        self.default_wait_slice = slice;
         self
     }
 }
@@ -122,7 +112,6 @@ mod tests {
     fn defaults_follow_paper() {
         let cfg = NosvConfig::with_cores(4);
         assert_eq!(cfg.process_quantum, Duration::from_millis(20));
-        assert_eq!(cfg.default_wait_slice, Duration::from_millis(5));
         assert!(matches!(cfg.policy, PolicyKind::Coop));
     }
 
@@ -130,11 +119,9 @@ mod tests {
     fn builder_style_overrides() {
         let cfg = NosvConfig::with_cores(2)
             .quantum(Duration::from_millis(5))
-            .policy(PolicyKind::Fifo)
-            .wait_slice(Duration::from_millis(1));
+            .policy(PolicyKind::Fifo);
         assert_eq!(cfg.process_quantum, Duration::from_millis(5));
         assert!(matches!(cfg.policy, PolicyKind::Fifo));
-        assert_eq!(cfg.default_wait_slice, Duration::from_millis(1));
     }
 
     #[test]

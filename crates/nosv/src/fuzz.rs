@@ -3,9 +3,9 @@
 //! The fuzzer drives a single-threaded [`Scheduler`] through a generated sequence of
 //! [`FuzzOp`]s — the scheduler's *non-blocking* entry points only (`submit`,
 //! `rescue_drain`, `detach`, `set_process_domain`, `deregister_process`, `kill_process`,
-//! `watchdog_scan`, `shutdown`; the blocking points `attach`/`pause`/`yield_now`/`waitfor`
-//! would park the fuzzing thread in `wait_grant` forever) — and checks a set of invariants
-//! after **every** op:
+//! `watchdog_scan`, `shutdown`, and the non-blocking half of `pause`; the blocking points
+//! `attach`/`pause`/`yield_now`/`waitfor` would park the fuzzing thread in `wait_grant`
+//! forever) — and checks a set of invariants after **every** op:
 //!
 //! * **No double grant** — at most one running task per core ([`Violation::DoubleGrant`]).
 //! * **Gauge consistency** — the busy-core gauge equals the number of running tasks
@@ -156,6 +156,14 @@ pub enum FuzzOp {
         /// Task-slot index.
         slot: usize,
     },
+    /// Pause the slot's task if it is running: give up its core as [`Scheduler::pause`]
+    /// does, without waiting for the next grant. The task stays blocked until a later
+    /// [`FuzzOp::Submit`], which carries its last core into that core's shard (no-op on
+    /// an empty or non-running slot).
+    Pause {
+        /// Task-slot index.
+        slot: usize,
+    },
     /// Pin a process to the cores of one NUMA node.
     PinNode {
         /// Process index (modulo the process count).
@@ -193,6 +201,7 @@ impl fmt::Display for FuzzOp {
             FuzzOp::Submit { slot } => write!(f, "submit(slot {slot})"),
             FuzzOp::RescueDrain => write!(f, "rescue_drain"),
             FuzzOp::Detach { slot } => write!(f, "detach(slot {slot})"),
+            FuzzOp::Pause { slot } => write!(f, "pause(slot {slot})"),
             FuzzOp::PinNode { proc_index, node } => {
                 write!(f, "pin(proc {proc_index} -> node {node})")
             }
@@ -212,9 +221,9 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Vec<FuzzOp> {
     let w_pin: u32 = if cfg.pin_bias { 25 } else { 8 };
     let w_unpin: u32 = if cfg.pin_bias { 12 } else { 5 };
     let w_shutdown: u32 = if cfg.allow_shutdown { 4 } else { 0 };
-    // Submit, RescueDrain, Detach, PinNode, Unpin, Deregister, KillProcess,
+    // Submit, RescueDrain, Detach, Pause, PinNode, Unpin, Deregister, KillProcess,
     // WatchdogScan, Shutdown.
-    let weights = [35u32, 10, 25, w_pin, w_unpin, 4, 3, 3, w_shutdown];
+    let weights = [40u32, 10, 12, 20, w_pin, w_unpin, 4, 3, 3, w_shutdown];
     let total: u32 = weights.iter().sum();
     (0..cfg.ops)
         .map(|_| {
@@ -232,20 +241,23 @@ pub fn generate(cfg: &FuzzConfig, seed: u64) -> Vec<FuzzOp> {
                 2 => FuzzOp::Detach {
                     slot: rng.gen_range(0..cfg.slots),
                 },
-                3 => FuzzOp::PinNode {
+                3 => FuzzOp::Pause {
+                    slot: rng.gen_range(0..cfg.slots),
+                },
+                4 => FuzzOp::PinNode {
                     proc_index: rng.gen_range(0..cfg.processes),
                     node: rng.gen_range(0..cfg.nodes),
                 },
-                4 => FuzzOp::Unpin {
+                5 => FuzzOp::Unpin {
                     proc_index: rng.gen_range(0..cfg.processes),
                 },
-                5 => FuzzOp::Deregister {
+                6 => FuzzOp::Deregister {
                     proc_index: rng.gen_range(0..cfg.processes),
                 },
-                6 => FuzzOp::KillProcess {
+                7 => FuzzOp::KillProcess {
                     proc_index: rng.gen_range(0..cfg.processes),
                 },
-                7 => FuzzOp::WatchdogScan,
+                8 => FuzzOp::WatchdogScan,
                 _ => FuzzOp::Shutdown,
             }
         })
@@ -475,6 +487,16 @@ impl Harness {
                     self.last_grants[slot] = 0;
                 }
             }
+            FuzzOp::Pause { slot } => {
+                // Only a running task pauses itself. It owes the model nothing until a
+                // later submit makes it pending again.
+                let running = self.slots[slot]
+                    .as_ref()
+                    .filter(|t| t.state() == TaskState::Running);
+                if let Some(t) = running {
+                    let _ = self.sched.block_prologue(t);
+                }
+            }
             FuzzOp::PinNode { proc_index, node } => {
                 let p = proc_index % self.pids.len();
                 let node = node % self.topo.num_numa_nodes();
@@ -647,7 +669,15 @@ impl Harness {
             // The throwaway "flusher" task's submit + detach are two scheduling points
             // that pop stale entries and drain any fault-delayed intake.
             let Some(p) = (0..self.pids.len()).find(|&p| self.alive[p]) else {
-                break;
+                // Every process is dead, so no flusher task can exist, yet a fault-delayed
+                // drain can still strand a dead task's entry in the intake. The rescue
+                // drain is the scheduling point that needs no task (and no delayed drain
+                // holds it back).
+                if self.sched.ready_count() == 0 {
+                    break;
+                }
+                self.sched.rescue_drain();
+                continue;
             };
             let Ok(t) = self.sched.create_task(self.pids[p], None) else {
                 break;
@@ -1088,6 +1118,26 @@ mod tests {
             fired > 0,
             "the absorbable plan never fired across the sweep"
         );
+    }
+
+    #[test]
+    fn faulted_quiescence_with_every_process_dead_reconciles_the_gauge() {
+        // Shrunk from faulted `valve` seed 6: the last deregister and the final detach both
+        // hit a delayed intake drain, so task 2's entry stays in the intake after its
+        // process died, and no live process is left to host a flusher. Quiescence must
+        // still drain it and bring the ready gauge back to zero.
+        let cfg = FuzzConfig::valve();
+        let ops = [
+            FuzzOp::Submit { slot: 9 },
+            FuzzOp::Deregister { proc_index: 2 },
+            FuzzOp::KillProcess { proc_index: 1 },
+            FuzzOp::Submit { slot: 0 },
+            FuzzOp::Deregister { proc_index: 0 },
+        ];
+        let plan = absorbable_fault_plan(6);
+        let (result, _, _) = execute_recorded(&cfg, &ops, Some(&plan));
+        let stats = result.unwrap_or_else(|f| panic!("every-process-dead quiescence: {f}"));
+        assert!(stats.faults_injected > 0, "the delayed drain must fire");
     }
 
     #[test]

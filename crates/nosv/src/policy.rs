@@ -49,22 +49,16 @@ pub trait Policy: Send {
     /// A task became ready. The policy must keep it until a later [`Policy::pick`] returns it.
     fn enqueue(&mut self, topo: &Topology, task: TaskMeta, now: Instant);
 
-    /// Core `core` is idle: return the task that should run there, or `None` to leave it
-    /// idle. `now` is the scheduler's notion of the current time (for quantum accounting).
-    fn pick(&mut self, topo: &Topology, core: CoreId, now: Instant) -> Option<TaskMeta>;
-
-    /// [`Policy::pick`], additionally reporting which tier of a tiered pop served the task
-    /// when the policy knows (`None` for tier-less policies like the FIFO ablation). The
-    /// scheduler always dispatches through this method so an installed trace recorder can
-    /// log the tier; the default simply delegates to `pick`.
-    fn pick_traced(
+    /// Core `core` is idle: return the task that should run there, with the tier of a
+    /// tiered pop that served it (`None` for tier-less policies like the FIFO ablation),
+    /// so an installed trace recorder can log it; or `None` to leave the core idle. `now`
+    /// is the scheduler's notion of the current time (for quantum accounting).
+    fn pick(
         &mut self,
         topo: &Topology,
         core: CoreId,
         now: Instant,
-    ) -> Option<(TaskMeta, Option<PickTier>)> {
-        self.pick(topo, core, now).map(|m| (m, None))
-    }
+    ) -> Option<(TaskMeta, Option<PickTier>)>;
 
     /// Aging-valve-only pick on behalf of `core`: return a task that has waited longer
     /// than its fairness deadline, or `None`. The scheduler's cross-shard aging probe
@@ -124,12 +118,6 @@ impl CoopPolicy {
     pub fn current_process(&self) -> Option<ProcessId> {
         self.core.current_process()
     }
-
-    /// Pick with tier reporting — the same code path as [`Policy::pick`], exposed for
-    /// trace/replay equivalence tests that want to compare picks tier-for-tier.
-    pub fn pick_tiered(&mut self, core: CoreId, now: Instant) -> Option<(TaskMeta, PickTier)> {
-        self.core.pick_tiered(core, now)
-    }
 }
 
 impl Policy for CoopPolicy {
@@ -154,11 +142,7 @@ impl Policy for CoopPolicy {
             .enqueue(task.process, task, task.preferred_core, now);
     }
 
-    fn pick(&mut self, _topo: &Topology, core: CoreId, now: Instant) -> Option<TaskMeta> {
-        self.core.pick(core, now)
-    }
-
-    fn pick_traced(
+    fn pick(
         &mut self,
         _topo: &Topology,
         core: CoreId,
@@ -217,8 +201,13 @@ impl Policy for FifoPolicy {
         self.queue.push_back(task);
     }
 
-    fn pick(&mut self, _topo: &Topology, _core: CoreId, _now: Instant) -> Option<TaskMeta> {
-        self.queue.pop_front()
+    fn pick(
+        &mut self,
+        _topo: &Topology,
+        _core: CoreId,
+        _now: Instant,
+    ) -> Option<(TaskMeta, Option<PickTier>)> {
+        self.queue.pop_front().map(|m| (m, None))
     }
 
     fn has_ready(&self) -> bool {
@@ -252,9 +241,9 @@ mod tests {
         p.enqueue(&topo, meta(2, 0, Some(1)), now);
         p.enqueue(&topo, meta(3, 1, None), now);
         assert_eq!(p.ready_count(), 3);
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 1);
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 2);
-        assert_eq!(p.pick(&topo, 1, now).unwrap().id, 3);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 1);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 2);
+        assert_eq!(p.pick(&topo, 1, now).unwrap().0.id, 3);
         assert!(p.pick(&topo, 0, now).is_none());
     }
 
@@ -267,9 +256,9 @@ mod tests {
         p.enqueue(&topo, meta(1, 0, Some(2)), now);
         p.enqueue(&topo, meta(2, 0, Some(0)), now);
         // Core 0 should get task 2 (its affine task), not task 1.
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 2);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 2);
         // Core 2 gets its own.
-        assert_eq!(p.pick(&topo, 2, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 2, now).unwrap().0.id, 1);
     }
 
     #[test]
@@ -281,9 +270,9 @@ mod tests {
         p.enqueue(&topo, meta(1, 0, Some(1)), now); // node 0
         p.enqueue(&topo, meta(2, 0, Some(3)), now); // node 1
                                                     // Core 0 (node 0) should steal from core 1 (same node) before core 3.
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 1);
         // Now only the remote task remains; core 0 still gets it (anywhere placement).
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 2);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 2);
         assert!(!p.has_ready());
     }
 
@@ -295,8 +284,8 @@ mod tests {
         let now = Instant::now();
         p.enqueue(&topo, meta(1, 0, None), now);
         p.enqueue(&topo, meta(2, 0, Some(0)), now);
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 2);
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 2);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 1);
     }
 
     #[test]
@@ -308,7 +297,9 @@ mod tests {
         for id in 1..=5 {
             p.enqueue(&topo, meta(id, 0, Some(0)), now);
         }
-        let order: Vec<TaskId> = (0..5).map(|_| p.pick(&topo, 0, now).unwrap().id).collect();
+        let order: Vec<TaskId> = (0..5)
+            .map(|_| p.pick(&topo, 0, now).unwrap().0.id)
+            .collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 
@@ -321,7 +312,7 @@ mod tests {
         let now = Instant::now();
         p.enqueue(&topo, meta(10, 1, None), now);
         // Process 0 (current) has nothing; the pick should fall through to process 1.
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 10);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 10);
         assert!(p.rotations() >= 1);
     }
 
@@ -338,20 +329,29 @@ mod tests {
         p.enqueue(&topo, meta(3, 0, None), t0);
         p.enqueue(&topo, meta(4, 1, None), t0);
         // Within the quantum, process 0 is served.
-        assert_eq!(p.pick(&topo, 0, t0).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 0, t0).unwrap().0.id, 1);
         assert_eq!(
-            p.pick(&topo, 0, t0 + Duration::from_millis(5)).unwrap().id,
+            p.pick(&topo, 0, t0 + Duration::from_millis(5))
+                .unwrap()
+                .0
+                .id,
             3
         );
         // After the quantum expires, process 1 gets its turn.
         assert_eq!(
-            p.pick(&topo, 0, t0 + Duration::from_millis(15)).unwrap().id,
+            p.pick(&topo, 0, t0 + Duration::from_millis(15))
+                .unwrap()
+                .0
+                .id,
             2
         );
         assert_eq!(p.current_process(), Some(1));
         // And process 1 keeps the core for its own quantum.
         assert_eq!(
-            p.pick(&topo, 0, t0 + Duration::from_millis(20)).unwrap().id,
+            p.pick(&topo, 0, t0 + Duration::from_millis(20))
+                .unwrap()
+                .0
+                .id,
             4
         );
     }
@@ -365,7 +365,7 @@ mod tests {
         p.deregister_process(0);
         let now = Instant::now();
         p.enqueue(&topo, meta(1, 1, None), now);
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 1);
         // Registering twice is a no-op.
         p.register_process(1);
         assert_eq!(p.ready_count(), 0);
@@ -379,7 +379,7 @@ mod tests {
         let now = Instant::now();
         p.enqueue(&topo, meta(1, 0, None), now);
         assert!(p.pick(&topo, 0, now).is_none(), "core 0 is outside the pin");
-        assert_eq!(p.pick(&topo, 3, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 3, now).unwrap().0.id, 1);
     }
 
     #[test]
@@ -389,6 +389,6 @@ mod tests {
         let now = Instant::now();
         p.enqueue(&topo, meta(1, 7, None), now);
         assert!(p.has_ready());
-        assert_eq!(p.pick(&topo, 0, now).unwrap().id, 1);
+        assert_eq!(p.pick(&topo, 0, now).unwrap().0.id, 1);
     }
 }

@@ -521,12 +521,20 @@ impl Scheduler {
     /// The prologue shared by the blocking scheduling points (`pause`, `waitfor`): settle
     /// the grant slot, give up the held core and run the pre-park drain. Returns the
     /// instant the task went off-core, or `None` when the call must return at once —
-    /// the task was released, or a counted wake-up elides the block.
-    fn block_prologue(&self, task: &TaskRef) -> Option<Instant> {
+    /// the task was released, or a counted wake-up elides the block. The fuzzer's
+    /// `FuzzOp::Pause` calls it alone, as a pause that never waits for its grant.
+    pub(crate) fn block_prologue(&self, task: &TaskRef) -> Option<Instant> {
         let held = task.block(&self.stats().counters.pauses_elided)?;
         let off_core = Instant::now();
         let h = &self.hooks;
         self.shards.free_cores(h, held);
+        // A deregister releases only the tasks that hold no core, so a task of a dead
+        // process that blocks after it would wait forever: release it here instead. If
+        // the deregister marks the process dead after this check, its release loop finds
+        // the task without a core and releases it there.
+        if !task.proc_alive() {
+            task.release(Release::Waiting, &mut WakeBatch::new());
+        }
         self.shards.prepark_drain(h);
         Some(off_core)
     }
@@ -1276,6 +1284,28 @@ mod tests {
         s.deregister_process(p);
         h.join().unwrap(); // must return: the blocked waiter was released
         assert!(t1.is_released());
+    }
+
+    /// A task that held its core through a deregister and pauses afterwards is released,
+    /// not parked: no submit can wake a task of a dead process. The fuzzer's pause op
+    /// found it (`submit`, `deregister`, `pause`: an orphaned waiter at quiescence).
+    #[test]
+    fn pause_after_deregister_releases_the_runner() {
+        let s = sched(1);
+        let p = s.register_process("p");
+        let t = s.create_task(p, None).unwrap();
+        s.submit(&t);
+        s.deregister_process(p);
+        let (s2, t2) = (Arc::clone(&s), TaskRef::clone(&t));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            s2.pause(&t2);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("a pause of a dead process's task must not park");
+        assert!(t.is_released());
+        assert_eq!(s.busy_cores(), 0, "its core was freed");
     }
 
     /// Why the global task table stays: a deregister leaves a task that holds a core

@@ -650,7 +650,7 @@ impl Locked<'_> {
         ladder.pick(now, |step| {
             let (vi, aged) = match step {
                 LadderStep::Local => {
-                    let (meta, tier) = policy.pick_traced(topo, core, now)?;
+                    let (meta, tier) = policy.pick(topo, core, now)?;
                     shards.shards[home].ready.fetch_sub(1, Ordering::Relaxed);
                     return Some((meta, tier, queued.remove(&meta.id)));
                 }
@@ -665,7 +665,7 @@ impl Locked<'_> {
                 let meta = vg.policy.pick_aged(topo, core, now)?;
                 (meta, Some(PickTier::Aged))
             } else {
-                vg.policy.pick_traced(topo, core, now)?
+                vg.policy.pick(topo, core, now)?
             };
             shards.shards[vi].ready.fetch_sub(1, Ordering::Relaxed);
             Some((meta, tier, vg.queued.remove(&meta.id)))

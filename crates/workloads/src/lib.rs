@@ -15,6 +15,7 @@
 //! | [`sim_matmul`] | §5.3 / Figure 3 heatmaps, simulated 56-core socket |
 //! | [`cholesky`] | §5.4 runtime-composition Cholesky, real execution |
 //! | [`sim_cholesky`] | §5.4 / Table 2, simulated |
+//! | [`sim_nested`] | the nested-BLAS model both simulated §5.3 and §5.4 workloads run |
 //! | [`microservices`] | §5.5 / Figure 4 AI microservices, simulated 112-core node |
 //! | [`md`] | §5.6 / Figure 5 LAMMPS + DeePMD ensembles, simulated |
 //! | [`poisson`], [`stats`] | request generation and summary statistics |
@@ -29,6 +30,7 @@ pub mod microservices;
 pub mod poisson;
 pub mod sim_cholesky;
 pub mod sim_matmul;
+pub mod sim_nested;
 pub mod stats;
 pub mod workload;
 
@@ -38,6 +40,7 @@ pub use md::{run_md_scenario, MdConfig, MdResult, MdScenario};
 pub use microservices::{
     run_microservices, MicroservicesConfig, MicroservicesResult, PartitionScheme,
 };
-pub use sim_cholesky::{run_sim_cholesky, SimCholeskyConfig, SimCholeskyResult};
-pub use sim_matmul::{run_sim_matmul, MatmulVariant, SimMatmulConfig, SimMatmulResult};
+pub use sim_cholesky::{run_sim_cholesky, SimCholeskyConfig};
+pub use sim_matmul::{run_sim_matmul, SimMatmulConfig};
+pub use sim_nested::{run_nested, NestedSpec, SimNestedResult, Stack};
 pub use workload::{CholeskyWorkload, MatmulWorkload, RuntimeFlavor, SyntheticWorkload, Workload};

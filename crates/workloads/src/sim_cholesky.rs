@@ -3,7 +3,7 @@
 //! Table 2 fixes the problem (32768², task size 1024) and varies the runtime composition
 //! (outer runtime, inner runtime, BLAS implementation) and the degree of parallelism
 //! (Mild 8×8, Medium 14×14, High 28×28 threads). The scheduling-relevant differences between
-//! the compositions are reproduced here:
+//! the compositions are reproduced with [`crate::sim_nested`]:
 //!
 //! * every composition nests an inner team inside each outer task (oversubscription grows
 //!   as outer×inner);
@@ -14,18 +14,17 @@
 //! * the other compositions (gomp/libomp/TBB) reuse their threads, so they only differ in
 //!   minor constant overheads.
 
-use usf_simsched::{
-    BarrierWaitKind, Engine, Machine, Program, ProgramRef, SchedModel, SimReport, SimTime,
-};
+use crate::sim_nested::{run_nested, NestedSpec, SimNestedResult, Stack};
+use usf_blas::BlasThreading;
+use usf_simsched::{Machine, SimTime};
 
-/// Inner-runtime flavour of a Table 2 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InnerRuntime {
-    /// A persistent OpenMP team (LLVM or GNU).
-    OpenMp,
-    /// The BLIS pthread backend: threads created and destroyed per kernel call.
-    PthreadPerCall,
-}
+/// Thread create+destroy cost per inner worker for the pth backend under the Linux
+/// scheduler (clone, stack setup, wake-up and teardown noise).
+const PTH_SPAWN_COST: SimTime = SimTime::from_micros(120);
+
+/// Residual per-worker cost when the USF thread cache serves the spawn, and the wake-up
+/// cost of a persistent team under either scheduler.
+const CACHED_SPAWN_COST: SimTime = SimTime::from_micros(8);
 
 /// One runtime composition (a row of Table 2).
 #[derive(Debug, Clone)]
@@ -37,7 +36,7 @@ pub struct Composition {
     /// BLAS label (opb, blis — cosmetic).
     pub blas: &'static str,
     /// Scheduling-relevant flavour of the inner runtime.
-    pub inner_kind: InnerRuntime,
+    pub threading: BlasThreading,
 }
 
 impl Composition {
@@ -48,31 +47,31 @@ impl Composition {
                 outer: "gnu",
                 inner: "llvm",
                 blas: "opb",
-                inner_kind: InnerRuntime::OpenMp,
+                threading: BlasThreading::OpenMpLike,
             },
             Composition {
                 outer: "tbb",
                 inner: "llvm",
                 blas: "opb",
-                inner_kind: InnerRuntime::OpenMp,
+                threading: BlasThreading::OpenMpLike,
             },
             Composition {
                 outer: "tbb",
                 inner: "gnu",
                 blas: "blis",
-                inner_kind: InnerRuntime::OpenMp,
+                threading: BlasThreading::OpenMpLike,
             },
             Composition {
                 outer: "tbb",
                 inner: "pth",
                 blas: "blis",
-                inner_kind: InnerRuntime::PthreadPerCall,
+                threading: BlasThreading::PthreadPerCall,
             },
             Composition {
                 outer: "gnu",
                 inner: "pth",
                 blas: "blis",
-                inner_kind: InnerRuntime::PthreadPerCall,
+                threading: BlasThreading::PthreadPerCall,
             },
         ]
     }
@@ -117,15 +116,6 @@ impl Parallelism {
     }
 }
 
-/// Which scheduler the composition runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CholeskyScheduler {
-    /// The Linux fair baseline (with the yield-patched barriers of §5.2).
-    Baseline,
-    /// USF's SCHED_COOP (with the thread cache).
-    SchedCoop,
-}
-
 /// Configuration of one Table 2 cell.
 #[derive(Debug, Clone)]
 pub struct SimCholeskyConfig {
@@ -133,129 +123,48 @@ pub struct SimCholeskyConfig {
     pub composition: Composition,
     /// Degree of parallelism (column).
     pub parallelism: Parallelism,
-    /// Scheduler variant.
-    pub scheduler: CholeskyScheduler,
+    /// Software stack (Table 2 compares `Baseline` with `SchedCoop`).
+    pub stack: Stack,
     /// Simulated machine (56-core socket by default).
     pub machine: Machine,
     /// Tile size (1024 in the paper).
     pub task_size: usize,
-    /// Assumed per-core FLOP rate.
-    pub flops_per_core: f64,
     /// Tasks per outer worker in the simulated steady-state window.
     pub tasks_per_worker: usize,
-    /// Thread create+destroy cost per inner worker for the pth backend under the baseline
-    /// scheduler (clone, stack setup, wake-up and teardown noise).
-    pub pth_spawn_cost: SimTime,
-    /// Residual per-worker cost when the USF thread cache serves the spawn.
-    pub cached_spawn_cost: SimTime,
-    /// Busy-wait yield period of the patched barriers.
-    pub yield_slice: SimTime,
 }
 
 impl SimCholeskyConfig {
     /// A Table 2 cell with the defaults used by the bench harness.
-    pub fn new(
-        composition: Composition,
-        parallelism: Parallelism,
-        scheduler: CholeskyScheduler,
-    ) -> Self {
+    pub fn new(composition: Composition, parallelism: Parallelism, stack: Stack) -> Self {
         SimCholeskyConfig {
             composition,
             parallelism,
-            scheduler,
+            stack,
             machine: Machine::marenostrum5_socket(),
             task_size: 1024,
-            flops_per_core: 40e9,
             tasks_per_worker: 3,
-            pth_spawn_cost: SimTime::from_micros(120),
-            cached_spawn_cost: SimTime::from_micros(8),
-            yield_slice: SimTime::from_micros(200),
         }
     }
 }
 
-/// Result of one Table 2 cell.
-#[derive(Debug, Clone)]
-pub struct SimCholeskyResult {
-    /// Simulated throughput in MFLOP/s.
-    pub mflops: f64,
-    /// Simulated makespan.
-    pub makespan: SimTime,
-    /// Full simulator report.
-    pub report: SimReport,
-}
-
-/// Run one Table 2 cell.
-pub fn run_sim_cholesky(cfg: &SimCholeskyConfig) -> SimCholeskyResult {
+/// Run one Table 2 cell: each task is a trailing-matrix gemm update on a task-size tile.
+pub fn run_sim_cholesky(cfg: &SimCholeskyConfig) -> SimNestedResult {
     let (outer, inner) = cfg.parallelism.threads();
-    let ts = cfg.task_size;
-    // A trailing-matrix gemm update on a task_size tile.
-    let task_flops = 2.0 * (ts as f64).powi(3);
-    let per_thread = SimTime::from_secs_f64(task_flops / inner as f64 / cfg.flops_per_core);
-
-    let (model, barrier_kind) = match cfg.scheduler {
-        CholeskyScheduler::Baseline => (
-            SchedModel::Fair,
-            BarrierWaitKind::SpinYield {
-                slice: cfg.yield_slice,
-            },
-        ),
-        CholeskyScheduler::SchedCoop => (
-            SchedModel::coop_default(),
-            BarrierWaitKind::SpinYield {
-                slice: cfg.yield_slice,
-            },
-        ),
+    // Per-call thread management cost of the inner runtime: the pth backend pays a thread
+    // creation under the Linux scheduler, which the USF thread cache absorbs.
+    let spawn_cost = match (cfg.composition.threading, cfg.stack) {
+        (BlasThreading::PthreadPerCall, Stack::Original | Stack::Baseline) => PTH_SPAWN_COST,
+        _ => CACHED_SPAWN_COST,
     };
-    // Per-call thread management cost of the inner runtime.
-    let spawn_cost = match (cfg.composition.inner_kind, cfg.scheduler) {
-        (InnerRuntime::PthreadPerCall, CholeskyScheduler::Baseline) => cfg.pth_spawn_cost,
-        (InnerRuntime::PthreadPerCall, CholeskyScheduler::SchedCoop) => cfg.cached_spawn_cost,
-        // Persistent teams only pay a small wake-up cost either way.
-        (InnerRuntime::OpenMp, _) => cfg.cached_spawn_cost,
-    };
-
-    let mut engine = Engine::new(cfg.machine.clone(), &model);
-    let process = engine.add_process("cholesky", 1.0);
-    engine.set_max_sim_time(SimTime::from_secs(3600));
-
-    let mut barrier_id: u64 = 1;
-    for w in 0..outer {
-        let mut prog = Program::new(format!("outer-{w}"));
-        for _ in 0..cfg.tasks_per_worker.max(1) {
-            let id = barrier_id;
-            barrier_id += 1;
-            if inner > 1 {
-                let child = Program::new("inner")
-                    .compute(spawn_cost)
-                    .compute(per_thread)
-                    .barrier(id, inner, barrier_kind)
-                    .build();
-                prog = prog
-                    .spawn(ProgramRef::clone(&child), process, inner - 1)
-                    .compute(per_thread)
-                    .barrier(id, inner, barrier_kind)
-                    .join_children();
-            } else {
-                prog = prog.compute(per_thread);
-            }
-        }
-        engine.add_thread(process, prog.build());
-    }
-
-    let report = engine.run();
-    let total_flops = task_flops * (outer * cfg.tasks_per_worker.max(1)) as f64;
-    let secs = report.makespan.as_secs_f64().max(1e-9);
-    let mflops = if report.deadlocked {
-        0.0
-    } else {
-        total_flops / secs / 1e6
-    };
-    SimCholeskyResult {
-        mflops,
-        makespan: report.makespan,
-        report,
-    }
+    run_nested(&NestedSpec {
+        machine: cfg.machine.clone(),
+        stack: cfg.stack,
+        outer_workers: outer,
+        inner_threads: inner,
+        tasks_per_worker: cfg.tasks_per_worker,
+        task_flops: 2.0 * (cfg.task_size as f64).powi(3),
+        spawn_cost: Some(spawn_cost),
+    })
 }
 
 #[cfg(test)]
@@ -265,8 +174,8 @@ mod tests {
     fn quick(
         composition: Composition,
         parallelism: Parallelism,
-        scheduler: CholeskyScheduler,
-    ) -> SimCholeskyResult {
+        scheduler: Stack,
+    ) -> SimNestedResult {
         let mut cfg = SimCholeskyConfig::new(composition, parallelism, scheduler);
         cfg.machine = Machine::small(8);
         cfg.task_size = 256;
@@ -288,8 +197,8 @@ mod tests {
         let omp = rows[1].clone(); // tbb/llvm/opb
         let pth = rows[3].clone(); // tbb/pth/blis
         let speedup = |c: &Composition| {
-            let base = quick(c.clone(), Parallelism::High, CholeskyScheduler::Baseline).mflops;
-            let coop = quick(c.clone(), Parallelism::High, CholeskyScheduler::SchedCoop).mflops;
+            let base = quick(c.clone(), Parallelism::High, Stack::Baseline).mflops;
+            let coop = quick(c.clone(), Parallelism::High, Stack::SchedCoop).mflops;
             coop / base.max(1e-9)
         };
         let s_omp = speedup(&omp);
@@ -307,8 +216,8 @@ mod tests {
     #[test]
     fn heavier_oversubscription_lowers_baseline_throughput() {
         let row = Composition::table2_rows()[0].clone();
-        let mild = quick(row.clone(), Parallelism::Mild, CholeskyScheduler::Baseline).mflops;
-        let high = quick(row, Parallelism::High, CholeskyScheduler::Baseline).mflops;
+        let mild = quick(row.clone(), Parallelism::Mild, Stack::Baseline).mflops;
+        let high = quick(row, Parallelism::High, Stack::Baseline).mflops;
         assert!(mild > 0.0 && high > 0.0);
         assert!(
             high < mild,
@@ -319,12 +228,8 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let row = Composition::table2_rows()[2].clone();
-        let a = quick(
-            row.clone(),
-            Parallelism::Medium,
-            CholeskyScheduler::SchedCoop,
-        );
-        let b = quick(row, Parallelism::Medium, CholeskyScheduler::SchedCoop);
+        let a = quick(row.clone(), Parallelism::Medium, Stack::SchedCoop);
+        let b = quick(row, Parallelism::Medium, Stack::SchedCoop);
         assert_eq!(a.makespan, b.makespan);
     }
 }

@@ -1,77 +1,17 @@
 //! Simulated nested matmul — the workload behind the Figure 3 heatmaps (§5.3).
 //!
 //! The real experiment runs a 32768² matmul on a 56-core socket for ≥60 s per configuration
-//! and reports MOPS/s; here the same *structure* is reconstructed on the discrete-event
-//! simulator: `max_parallel_tasks` outer workers (the task-level parallelism exposed by the
-//! chosen task size) each execute a stream of tile-gemm tasks, and every task opens an inner
-//! team of `inner_threads` threads that compute their share of the tile and synchronize on
-//! the BLAS end-of-kernel barrier. The four evaluated variants differ exactly as in the
-//! paper:
-//!
-//! | Variant | Scheduler | BLAS barrier |
-//! |---|---|---|
-//! | `Original` | Linux fair | busy-wait, never yields |
-//! | `Baseline` | Linux fair | busy-wait + `sched_yield` (the one-line fix) |
-//! | `Manual` | SCHED_COOP | blocking (direct nOS-V primitives) |
-//! | `SchedCoop` | SCHED_COOP | busy-wait + yield (yield becomes a scheduling point) |
-//!
-//! Throughput is reported as simulated MFLOP/s so the relative shape (which configurations
-//! win, where oversubscription collapses) can be compared with the paper's heatmaps; the
-//! absolute values depend on the assumed per-core FLOP rate, not on a real testbed.
+//! and reports MOPS/s; here the same *structure* is reconstructed with
+//! [`crate::sim_nested`]: `max_parallel_tasks` outer workers (the task-level parallelism
+//! exposed by the chosen task size) each execute a stream of tile-gemm tasks, and every
+//! task opens an inner team of `inner_threads` threads. The four evaluated stacks differ
+//! exactly as in the paper (see [`Stack`]).
 
-use usf_simsched::{
-    BarrierWaitKind, Engine, Machine, Program, ProgramRef, SchedModel, SimReport, SimTime,
-};
+use crate::sim_nested::{run_nested, NestedSpec, SimNestedResult, Stack};
+use usf_simsched::Machine;
 
-/// The four software stacks of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulVariant {
-    /// Unmodified busy-wait barriers under the Linux fair scheduler (Figure 2d / 3d).
-    Original,
-    /// Busy-wait barriers with the yield fix under the Linux fair scheduler (Figure 2a / 3a).
-    Baseline,
-    /// Manual nOS-V integration: blocking primitives under SCHED_COOP (Figure 2b / 3b).
-    Manual,
-    /// Seamless glibcv/USF integration under SCHED_COOP (Figure 2c / 3c).
-    SchedCoop,
-}
-
-impl MatmulVariant {
-    /// All variants in the order of Figure 3.
-    pub const ALL: [MatmulVariant; 4] = [
-        MatmulVariant::Baseline,
-        MatmulVariant::Manual,
-        MatmulVariant::SchedCoop,
-        MatmulVariant::Original,
-    ];
-
-    /// Label used in the generated heatmaps.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MatmulVariant::Original => "original",
-            MatmulVariant::Baseline => "baseline",
-            MatmulVariant::Manual => "manual",
-            MatmulVariant::SchedCoop => "sched_coop",
-        }
-    }
-
-    fn sched_model(&self) -> SchedModel {
-        match self {
-            MatmulVariant::Original | MatmulVariant::Baseline => SchedModel::Fair,
-            MatmulVariant::Manual | MatmulVariant::SchedCoop => SchedModel::coop_default(),
-        }
-    }
-
-    fn barrier_kind(&self, yield_slice: SimTime) -> BarrierWaitKind {
-        match self {
-            MatmulVariant::Original => BarrierWaitKind::Spin,
-            MatmulVariant::Baseline | MatmulVariant::SchedCoop => {
-                BarrierWaitKind::SpinYield { slice: yield_slice }
-            }
-            MatmulVariant::Manual => BarrierWaitKind::Block,
-        }
-    }
-}
+/// Tasks executed per outer worker (the steady-state window that is simulated).
+const TASKS_PER_WORKER: usize = 2;
 
 /// Configuration of one cell of the Figure 3 heatmap.
 #[derive(Debug, Clone)]
@@ -82,39 +22,25 @@ pub struct SimMatmulConfig {
     pub task_size: usize,
     /// Inner (BLAS) threads per task.
     pub inner_threads: usize,
-    /// Software-stack variant.
-    pub variant: MatmulVariant,
+    /// Software stack.
+    pub stack: Stack,
     /// Simulated machine (the paper uses one 56-core socket).
     pub machine: Machine,
-    /// Assumed per-core throughput in FLOP/s (only scales absolute numbers).
-    pub flops_per_core: f64,
-    /// Tasks executed per outer worker (the steady-state window that is simulated).
-    pub tasks_per_worker: usize,
     /// Cap on the number of simulated outer workers (keeps huge configurations tractable;
     /// the throughput estimate is unaffected because the extra workers would only queue).
     pub max_outer_workers: usize,
-    /// Busy-wait yield period (the `sched_yield` granularity of the patched barriers).
-    pub yield_slice: SimTime,
 }
 
 impl SimMatmulConfig {
     /// A Figure 3 cell with the defaults used by the bench harness.
-    pub fn new(
-        matrix_size: usize,
-        task_size: usize,
-        inner_threads: usize,
-        variant: MatmulVariant,
-    ) -> Self {
+    pub fn new(matrix_size: usize, task_size: usize, inner_threads: usize, stack: Stack) -> Self {
         SimMatmulConfig {
             matrix_size,
             task_size,
             inner_threads,
-            variant,
+            stack,
             machine: Machine::marenostrum5_socket(),
-            flops_per_core: 40e9,
-            tasks_per_worker: 2,
             max_outer_workers: 512,
-            yield_slice: SimTime::from_micros(200),
         }
     }
 
@@ -125,85 +51,26 @@ impl SimMatmulConfig {
     }
 }
 
-/// Result of one simulated heatmap cell.
-#[derive(Debug, Clone)]
-pub struct SimMatmulResult {
-    /// Simulated throughput in MFLOP/s.
-    pub mflops: f64,
-    /// Simulated makespan of the steady-state window.
-    pub makespan: SimTime,
-    /// Whether the configuration deadlocked (possible for `Original` under SCHED_COOP-style
-    /// policies or for timed-out configurations, mirroring the white squares of Figure 3).
-    pub deadlocked: bool,
-    /// The full simulator report (metrics, traces).
-    pub report: SimReport,
-}
-
-/// Build and run the simulation for one heatmap cell.
-pub fn run_sim_matmul(cfg: &SimMatmulConfig) -> SimMatmulResult {
-    let ts = cfg.task_size.max(1);
-    let inner = cfg.inner_threads.max(1);
-    let outer_workers = cfg.max_parallel_tasks().clamp(1, cfg.max_outer_workers);
-
-    // One tile update is a TS³ gemm; each inner thread computes an equal share.
-    let task_flops = 2.0 * (ts as f64).powi(3);
-    let per_thread_secs = task_flops / (inner as f64) / cfg.flops_per_core;
-    let per_thread = SimTime::from_secs_f64(per_thread_secs);
-    let barrier_kind = cfg.variant.barrier_kind(cfg.yield_slice);
-
-    let mut engine = Engine::new(cfg.machine.clone(), &cfg.variant.sched_model());
-    let process = engine.add_process("matmul", 1.0);
-    // Cap the simulation generously: badly oversubscribed Original configurations take very
-    // long (they are the paper's timed-out white squares).
-    engine.set_max_sim_time(SimTime::from_secs(3600));
-
-    let mut next_barrier_id: u64 = 1;
-    for w in 0..outer_workers {
-        // Each outer worker executes `tasks_per_worker` tile tasks back to back. Every task
-        // opens a fresh inner team (the nested OpenMP region inside the BLAS call): spawn
-        // `inner - 1` children, compute the local share, meet the BLAS barrier, join.
-        let mut prog = Program::new(format!("outer-{w}"));
-        for _ in 0..cfg.tasks_per_worker.max(1) {
-            let barrier_id = next_barrier_id;
-            next_barrier_id += 1;
-            if inner > 1 {
-                let child = Program::new("blas-worker")
-                    .compute(per_thread)
-                    .barrier(barrier_id, inner, barrier_kind)
-                    .build();
-                prog = prog
-                    .spawn(ProgramRef::clone(&child), process, inner - 1)
-                    .compute(per_thread)
-                    .barrier(barrier_id, inner, barrier_kind)
-                    .join_children();
-            } else {
-                prog = prog.compute(per_thread);
-            }
-        }
-        engine.add_thread(process, prog.build());
-    }
-
-    let report = engine.run();
-    let total_flops = task_flops * (outer_workers * cfg.tasks_per_worker.max(1)) as f64;
-    let secs = report.makespan.as_secs_f64().max(1e-9);
-    let mflops = if report.deadlocked {
-        0.0
-    } else {
-        total_flops / secs / 1e6
-    };
-    SimMatmulResult {
-        mflops,
-        makespan: report.makespan,
-        deadlocked: report.deadlocked,
-        report,
-    }
+/// Build and run the simulation for one heatmap cell: one tile update is a TS³ gemm.
+pub fn run_sim_matmul(cfg: &SimMatmulConfig) -> SimNestedResult {
+    let ts = cfg.task_size.max(1) as f64;
+    run_nested(&NestedSpec {
+        machine: cfg.machine.clone(),
+        stack: cfg.stack,
+        outer_workers: cfg.max_parallel_tasks().clamp(1, cfg.max_outer_workers),
+        inner_threads: cfg.inner_threads,
+        tasks_per_worker: TASKS_PER_WORKER,
+        task_flops: 2.0 * ts.powi(3),
+        spawn_cost: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use usf_simsched::SimTime;
 
-    fn cfg(variant: MatmulVariant, inner: usize, task_size: usize) -> SimMatmulConfig {
+    fn cfg(variant: Stack, inner: usize, task_size: usize) -> SimMatmulConfig {
         let mut c = SimMatmulConfig::new(2048, task_size, inner, variant);
         c.machine = Machine::small(8);
         c.machine.preemption_quantum = SimTime::from_millis(4);
@@ -214,7 +81,7 @@ mod tests {
     #[test]
     fn undersubscribed_configs_perform_similarly_across_variants() {
         // 1 inner thread, few outer tasks: nothing to fight over, all variants close.
-        let results: Vec<f64> = MatmulVariant::ALL
+        let results: Vec<f64> = Stack::ALL
             .iter()
             .map(|v| run_sim_matmul(&cfg(*v, 1, 1024)).mflops)
             .collect();
@@ -230,9 +97,9 @@ mod tests {
     #[test]
     fn oversubscription_hurts_original_most() {
         // 8 cores, 16 outer workers × 4 inner threads = 64 busy threads.
-        let original = run_sim_matmul(&cfg(MatmulVariant::Original, 4, 512));
-        let baseline = run_sim_matmul(&cfg(MatmulVariant::Baseline, 4, 512));
-        let coop = run_sim_matmul(&cfg(MatmulVariant::SchedCoop, 4, 512));
+        let original = run_sim_matmul(&cfg(Stack::Original, 4, 512));
+        let baseline = run_sim_matmul(&cfg(Stack::Baseline, 4, 512));
+        let coop = run_sim_matmul(&cfg(Stack::SchedCoop, 4, 512));
         assert!(!baseline.deadlocked && !coop.deadlocked);
         assert!(
             baseline.mflops > original.mflops,
@@ -250,7 +117,7 @@ mod tests {
 
     #[test]
     fn sched_coop_and_manual_do_not_deadlock() {
-        for v in [MatmulVariant::SchedCoop, MatmulVariant::Manual] {
+        for v in [Stack::SchedCoop, Stack::Manual] {
             let r = run_sim_matmul(&cfg(v, 4, 512));
             assert!(!r.deadlocked, "{v:?} must complete");
             assert!(r.mflops > 0.0);
@@ -259,9 +126,9 @@ mod tests {
 
     #[test]
     fn max_parallel_tasks_formula() {
-        let c = SimMatmulConfig::new(32768, 16384, 2, MatmulVariant::Baseline);
+        let c = SimMatmulConfig::new(32768, 16384, 2, Stack::Baseline);
         assert_eq!(c.max_parallel_tasks(), 4);
-        let c = SimMatmulConfig::new(32768, 512, 2, MatmulVariant::Baseline);
+        let c = SimMatmulConfig::new(32768, 512, 2, Stack::Baseline);
         assert_eq!(c.max_parallel_tasks(), 4096);
     }
 }

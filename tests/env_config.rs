@@ -12,7 +12,6 @@ fn clear_env() {
         "USF_NUMA_NODES",
         "USF_POLICY",
         "USF_QUANTUM_MS",
-        "USF_WAIT_SLICE_MS",
         "USF_CACHE",
         "USF_INSTANCE",
     ] {
@@ -36,7 +35,6 @@ fn env_configuration_round_trip() {
     std::env::set_var("USF_NUMA_NODES", "1");
     std::env::set_var("USF_POLICY", "fifo");
     std::env::set_var("USF_QUANTUM_MS", "7");
-    std::env::set_var("USF_WAIT_SLICE_MS", "2");
     std::env::set_var("USF_CACHE", "9");
     std::env::set_var("USF_INSTANCE", "shared-seg");
     let cfg = UsfConfig::from_env().unwrap().expect("enabled");
@@ -44,20 +42,23 @@ fn env_configuration_round_trip() {
     assert_eq!(cfg.numa_nodes, 1);
     assert!(matches!(cfg.policy, PolicyKind::Fifo));
     assert_eq!(cfg.quantum, Duration::from_millis(7));
-    assert_eq!(cfg.wait_slice, Duration::from_millis(2));
     assert_eq!(cfg.thread_cache_capacity, 9);
     assert_eq!(cfg.instance_name.as_deref(), Some("shared-seg"));
 
-    // Invalid values are reported, not silently ignored.
+    // Invalid values are reported, not silently ignored — also by `Usf::from_env`, which
+    // must not fall back to the OS scheduler without a word.
     std::env::set_var("USF_CORES", "not-a-number");
     assert!(UsfConfig::from_env().is_err());
+    assert!(usf::framework::Usf::from_env().is_err());
     std::env::set_var("USF_CORES", "4");
     std::env::set_var("USF_POLICY", "strange");
     assert!(UsfConfig::from_env().is_err());
 
     // An instance built from the environment works end to end.
     std::env::set_var("USF_POLICY", "coop");
-    let usf = usf::framework::Usf::from_env().expect("USF_ENABLE is set");
+    let usf = usf::framework::Usf::from_env()
+        .unwrap()
+        .expect("USF_ENABLE is set");
     let p = usf.process("env-app");
     let out = p.spawn(|| 21 * 2).join().unwrap();
     assert_eq!(out, 42);

@@ -5,10 +5,9 @@
 use usf::simsched::{Machine, SimTime};
 use usf::workloads::md::{run_md_scenario, MdConfig, MdScenario};
 use usf::workloads::microservices::{run_microservices, MicroservicesConfig, PartitionScheme};
-use usf::workloads::sim_cholesky::{
-    run_sim_cholesky, CholeskyScheduler, Composition, Parallelism, SimCholeskyConfig,
-};
-use usf::workloads::sim_matmul::{run_sim_matmul, MatmulVariant, SimMatmulConfig};
+use usf::workloads::sim_cholesky::{run_sim_cholesky, Composition, Parallelism, SimCholeskyConfig};
+use usf::workloads::sim_matmul::{run_sim_matmul, SimMatmulConfig};
+use usf::workloads::sim_nested::Stack;
 
 /// Figure 3 (one oversubscribed cell): SCHED_COOP and the yield-patched baseline beat the
 /// unmodified busy-wait stack, and nothing deadlocks except where the paper says it may.
@@ -22,10 +21,10 @@ fn fig3_cell_shape_holds() {
         cfg.max_outer_workers = 16;
         run_sim_matmul(&cfg)
     };
-    let baseline = run(MatmulVariant::Baseline);
-    let coop = run(MatmulVariant::SchedCoop);
-    let manual = run(MatmulVariant::Manual);
-    let original = run(MatmulVariant::Original);
+    let baseline = run(Stack::Baseline);
+    let coop = run(Stack::SchedCoop);
+    let manual = run(Stack::Manual);
+    let original = run(Stack::Original);
     eprintln!(
         "fig3 cell MFLOP/s: baseline {:.0}, manual {:.0}, sched_coop {:.0}, original {:.0}",
         baseline.mflops, manual.mflops, coop.mflops, original.mflops
@@ -50,7 +49,7 @@ fn fig3_cell_shape_holds() {
 /// composition gains the most.
 #[test]
 fn table2_shape_holds() {
-    let cell = |row: usize, par: Parallelism, sched: CholeskyScheduler| {
+    let cell = |row: usize, par: Parallelism, sched: Stack| {
         let mut cfg = SimCholeskyConfig::new(Composition::table2_rows()[row].clone(), par, sched);
         cfg.machine = Machine::small(8);
         cfg.task_size = 256;
@@ -61,12 +60,12 @@ fn table2_shape_holds() {
     // "heavier" point uses the Medium (14×14) column so the reduced smoke test stays fast;
     // the full High (28×28) column is exercised by the table2_cholesky binary and the
     // usf-workloads unit tests.
-    let omp_high_base = cell(1, Parallelism::Medium, CholeskyScheduler::Baseline);
-    let omp_high_coop = cell(1, Parallelism::Medium, CholeskyScheduler::SchedCoop);
-    let pth_high_base = cell(4, Parallelism::Medium, CholeskyScheduler::Baseline);
-    let pth_high_coop = cell(4, Parallelism::Medium, CholeskyScheduler::SchedCoop);
-    let pth_mild_base = cell(4, Parallelism::Mild, CholeskyScheduler::Baseline);
-    let pth_mild_coop = cell(4, Parallelism::Mild, CholeskyScheduler::SchedCoop);
+    let omp_high_base = cell(1, Parallelism::Medium, Stack::Baseline);
+    let omp_high_coop = cell(1, Parallelism::Medium, Stack::SchedCoop);
+    let pth_high_base = cell(4, Parallelism::Medium, Stack::Baseline);
+    let pth_high_coop = cell(4, Parallelism::Medium, Stack::SchedCoop);
+    let pth_mild_base = cell(4, Parallelism::Mild, Stack::Baseline);
+    let pth_mild_coop = cell(4, Parallelism::Mild, Stack::SchedCoop);
     let omp_high_speedup = omp_high_coop / omp_high_base;
     let pth_high_speedup = pth_high_coop / pth_high_base;
     let pth_mild_speedup = pth_mild_coop / pth_mild_base;

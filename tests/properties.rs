@@ -62,7 +62,7 @@ proptest! {
         }
         let mut picked = Vec::new();
         let mut core = 0;
-        while let Some(meta) = policy.pick(&topo, core, now) {
+        while let Some((meta, _)) = policy.pick(&topo, core, now) {
             picked.push(meta.id);
             core = (core + 1) % topo.num_cores();
         }

@@ -235,7 +235,7 @@ proptest! {
                 next_id += 1;
             } else {
                 let core = core as usize;
-                let got_real = real.pick(&topo, core, real_now).map(|m| m.id);
+                let got_real = real.pick(&topo, core, real_now).map(|(m, _)| m.id);
                 let got_sim = sim.pick(core, sim_now).map(|t| t as u64);
                 prop_assert_eq!(got_real, got_sim, "divergence at t={}ns", now);
                 prop_assert_eq!(real.ready_count(), sim.ready_count());
@@ -246,7 +246,7 @@ proptest! {
             now += 1_000;
             let got_real = real
                 .pick(&topo, 0, base + Duration::from_nanos(now))
-                .map(|m| m.id);
+                .map(|(m, _)| m.id);
             let got_sim = sim.pick(0, SimTime::from_nanos(now)).map(|t| t as u64);
             prop_assert_eq!(got_real, got_sim);
             if got_sim.is_none() { break; }
@@ -343,6 +343,17 @@ proptest! {
     }
 }
 
+/// The flat policy's pick with its tier (a `CoopPolicy` pick always reports one).
+fn flat_pick(
+    flat: &mut CoopPolicy,
+    topo: &Topology,
+    core: usize,
+    at: Instant,
+) -> Option<(TaskMeta, PickTier)> {
+    flat.pick(topo, core, at)
+        .map(|(meta, tier)| (meta, tier.expect("a CoopPolicy pick has a tier")))
+}
+
 proptest! {
     /// With bound-only tasks, a single process and a quantum longer than any run (no
     /// valve or probe ever fires), the per-node cores — enqueues routed by
@@ -372,7 +383,7 @@ proptest! {
                 enqueue(&mut shards, meta, at);
                 next_id += 1;
             } else {
-                let expect = flat.pick_tiered(core, at);
+                let expect = flat_pick(&mut flat, &topo, core, at);
                 let got = shards.pick(core, at);
                 prop_assert_eq!(got, expect, "split pick at core {} diverged", core);
                 drain_cores.push_back(core);
@@ -384,7 +395,7 @@ proptest! {
         while flat.has_ready() || shards.has_ready() {
             now += 1_000;
             let at = base + Duration::from_nanos(now);
-            let expect = flat.pick_tiered(drain_core, at);
+            let expect = flat_pick(&mut flat, &topo, drain_core, at);
             let got = shards.pick(drain_core, at);
             prop_assert_eq!(got, expect, "drain pick at core {} diverged", drain_core);
             prop_assert!(got.is_some(), "both report ready work but neither picks");
@@ -412,7 +423,7 @@ fn split_steal_reports_the_flat_remote_tier() {
     // Core 3 lives in node 1: its shard is empty, so the pick must steal from shard 0 —
     // and agree with the flat policy that this is a Remote-tier pick.
     let at = base + Duration::from_nanos(10);
-    let expect = flat.pick_tiered(3, at);
+    let expect = flat_pick(&mut flat, &topo, 3, at);
     assert_eq!(expect, Some((meta, PickTier::Remote)));
     let got = shards.pick(3, at);
     assert_eq!(got, expect);

@@ -18,99 +18,109 @@ use usf::nosv::fuzz::{execute_recorded, generate, FuzzConfig};
 /// Seeds per config.
 const SEEDS: usize = 16;
 
-/// Per config, in [`configs`] order, the digest of seeds 0–15. Recorded before
-/// `scheduler.rs` was split into its lock levels; 20 separate processes of the test
-/// profile and 20 of the release profile agreed on every value.
+/// Per config, in [`configs`] order, the digest of seeds 0–15.
+///
+/// Re-recorded when the fuzzer gained its pause op (`FuzzOp::Pause`), which changes every
+/// generated sequence: a paused task carries its last core into that core's shard on
+/// resubmit, so shard 1's local rung is now exercised, and a `ShardLadder` with its
+/// local and steal rungs swapped moves `base/0`, `base/2`, `cross-valve/3` and
+/// `cross-valve/7`. Before, no fuzzed task carried a preference and that swap moved
+/// nothing. The op also found an orphaned waiter (a task of a deregistered process that
+/// pauses while holding its core parks forever; `base/10`, `base/15` and
+/// `cross-valve/10` failed on it), fixed in `Scheduler::block_prologue`. With the
+/// previous scheduler and the new generator, 75 of these values were the same; the fix
+/// changes `valve/5`, `domains/9`, `domains/11`, `cross-valve/5` and `cross-valve/10`,
+/// whose released task no longer records a `Submit` and `IntakeDrain` when resubmitted.
 const DIGESTS: [[u64; SEEDS]; 5] = [
     [
-        0x8f7ea5f3c6866941,
-        0x9b44f932c84a37f9,
-        0x9178bc7ef600897a,
-        0x50acaa8d3bf25d4f,
-        0x6ff67c2f46efd35d,
-        0x0dd59080e5eaef84,
-        0x77890e06716d1d3a,
-        0x39fcd131389b0822,
-        0x773c3510ea834522,
-        0x90d5c7ab99da7da8,
-        0xf4b155f8cfeacb45,
-        0xbdd975468fd637bc,
-        0x5df9ae51d8b39d39,
-        0x63fc585705d5aa63,
-        0x9fb6775054fbc26c,
-        0x5ebd1cd735df10bb,
+        0xe1d26eea8af55a68,
+        0x73596cbe393cb744,
+        0xe7b8ff3e2811aed2,
+        0x75334acb0be1ab9a,
+        0xa53a3cc5b65f1b7e,
+        0x2f4ce1b34202ff88,
+        0x2135fc47186036d1,
+        0x78099c5e5209ccf6,
+        0x87f73373df2f6058,
+        0x4a42e0359d4ebd4c,
+        0xe7e6fae595cc11da,
+        0x41b025deff779d89,
+        0x2440a795714fabb3,
+        0x40ada0b314368bbc,
+        0xd65fe0fb152c14a4,
+        0xf25fb83a3272d134,
     ],
     [
-        0xbfefcf3cbea6596f,
-        0xc3128017ff120552,
-        0xaebcc1bca2e16db5,
-        0xaeaccd1a0b7e0bc2,
-        0xc6f0f6104ab6b154,
-        0x23aae89658e62675,
-        0x7d2bc3d5a7c34e23,
-        0xb2704c6bdbeeadd0,
-        0x860973c66329ae3b,
-        0xde87a970ca86cf73,
-        0x8c0190f27eab4fa3,
-        0x661299464ec6cefb,
-        0x2628c982a39256ee,
-        0x54f5f2d11d5d69ff,
-        0xa70904f68b28e111,
-        0xa54d7e089c8e22ca,
+        0xa1292be0e8381a72,
+        0x648351248c651faf,
+        0x11a379aaec8be1bd,
+        0xae7910e3a6040110,
+        0x2d5604f1ecc27e95,
+        0xec63694ef5c6ce04,
+        0x400add1b603a0633,
+        0xd61db32fb49899b4,
+        0xea14429a8bb2d5ef,
+        0x87eb5d9dd219ce14,
+        0x2b231f4b02117c76,
+        0xade18c76463837eb,
+        0xe09786dc81c8a1cf,
+        0xa7aeda3f35d4e58c,
+        0xedf2b29c6e20588b,
+        0xc9b82324af0ee351,
     ],
     [
-        0x1c3f05ca8787bf18,
-        0x673268f0237cc79a,
-        0xdb243f6d7b6a68a6,
-        0xba6bfd4b43deb65d,
-        0xadbc87c74ed9ea16,
-        0xa636675504004a8f,
-        0x0118b93f5c2db1d5,
-        0x30cf3a13f2470033,
-        0xf8a711429f2eeeed,
-        0xa584e98930aab6b5,
-        0x88b92c176f5cc533,
-        0x830c8edeabaf7415,
-        0x7150f9081e5e1019,
-        0xd465a9a25152e734,
-        0xebf1bca27ee5a607,
-        0x8946810c75f89303,
+        0xf407a284d0bfc28c,
+        0xabae9ea23a5dcc95,
+        0x1c73e8961124900d,
+        0x14372e8e912ab9ec,
+        0xde2f1bc22e253f12,
+        0x4f20034f95341cca,
+        0xbc45cfa07a610c6d,
+        0xd8e298cb0daca515,
+        0x6efc6a64a7aca6d2,
+        0xe42df0749bc6c1a0,
+        0xfe2d971ca0e0d56c,
+        0x1ef68691fa07457a,
+        0x04093622234146fa,
+        0x42e1d2fb9f1177d6,
+        0x68323a9ace182791,
+        0xc04bf1256082b65d,
     ],
     [
-        0x053b40dc873d7e30,
-        0x937b088204805468,
-        0xe407ba648916f662,
-        0xaa33a53defd275da,
-        0x5150ab89280d0af0,
-        0xbec3cc3602b447f7,
-        0xea80437174563c2d,
-        0x0918f04b5f73b978,
-        0x7c9d589b9847ed8a,
-        0x81dc7b31e537b27a,
-        0x9c1f860f606bde19,
-        0x26e6efa97ae6067d,
-        0x890f4762846116b4,
-        0x7b442776e55999cb,
-        0x24c1b5ff747d3097,
-        0xef0182dd9a44e081,
+        0xf9e56d6b979a78ff,
+        0xc0c8abd3e4b819e0,
+        0x31734b488026162a,
+        0x4f90fb31138c20d1,
+        0x0ba14a7d43506f7e,
+        0x65b104efdb13688b,
+        0x445f3609fd17fd1d,
+        0x2d1c2dc3e56e0754,
+        0x2063d274b877aa03,
+        0x0d4f2eec22cb6863,
+        0x8d5ec3dab6c0176e,
+        0x31bb3da8c89660a5,
+        0x990f198dd4a53818,
+        0x348aaf75e2134c9d,
+        0x89ec9d9ffb7d291a,
+        0x55842863eb1c7e79,
     ],
     [
-        0x6b50c73fae122e4b,
-        0x1e2fa606549a8744,
-        0x7df4ddb1332944b2,
-        0x475aa2f34f885c06,
-        0xae34baa6bb329042,
-        0x48a94e875e3c3bd9,
-        0x8ec806113f8189fc,
-        0xd8d369dd7b3abb2a,
-        0x774144cb03562936,
-        0xaea7e555f13eaa58,
-        0xb456fbf10cb0eb75,
-        0x716ef9ed05abd174,
-        0x86a52855f931de84,
-        0x01dfe8ae24d8fd61,
-        0xc35100757f3548ff,
-        0x2c318b45bef656bd,
+        0x4f75a6ac5671b6f2,
+        0x49caba86523bba1b,
+        0x1f33d28f6e827985,
+        0xe462090638df8a07,
+        0x61ba3f401ab0c411,
+        0x75ebd2365f321443,
+        0xb87a7e5062839b9b,
+        0xe8cefa22d03fe463,
+        0x5dfc28e9520a2e23,
+        0x86bd191652f01e71,
+        0x6c7b2275b8c05ac7,
+        0x0d9af48e2ac49e12,
+        0x1cbfe9d8da1125e6,
+        0x1566c00af3fe3201,
+        0xd4d15da0107cca2b,
+        0xfe21407631ffa49a,
     ],
 ];
 
